@@ -3,10 +3,11 @@ protocol simulation, one-way reduction, and one-shot entanglement.
 
 Feasibility of pure-state LOCC conversion is classical majorization of the
 Schmidt spectra (target majorizes source).  Synthesis follows the standard
-route: mix the source marginal out of the target marginal by doubly
-stochastic combination of partial isometries, turn each term into an Alice
-Kraus operator ``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``,
-and align Bob per branch by connecting purifications.
+route: mix the source marginal out of the target marginal with at most d
+partial isometries (the source spectrum as a mixture of permutations of the
+target's), turn each term into an Alice Kraus operator
+``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``, and align Bob
+per branch by connecting purifications.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import (
     InfeasibleError,
@@ -36,13 +35,14 @@ from .quantum import (
     marginal,
     pure_state,
     schmidt,
-    sorted_eigh,
 )
 from .spectra import Spectrum, majorizes, tensor_spectrum
 
 KRAUS_TOL = 1e-9
 SUPPORT_CUT = 1e-12
 MASS_TOL = 1e-8
+MIX_TOL = 1e-12
+COMPLETENESS_TOL = 1e-9
 DEFAULT_MAX_ROUNDS = 16
 BRANCH_PRUNE = 1e-12
 REST_LABEL = "__rest__"
@@ -183,107 +183,106 @@ def locc_embezzle_feasible(
 
 
 # --------------------------------------------------------------------------- #
-#                 doubly stochastic mixing (T-transforms, Birkhoff)            #
+#                  permutohedron mixing (Carathéodory, <= d terms)             #
 # --------------------------------------------------------------------------- #
 
-def _t_transform_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Doubly stochastic D with a = D b, as a product of at most d-1
-    T-transforms (a majorized by b, both sorted descending).
+def _edge_sums(x: np.ndarray) -> np.ndarray:
+    """z = [0, prefix sums of x, suffix sums of x, 0] along the last axis
+    (length n): x[i..j] sums to z[j + 1] - z[i] from the head and to
+    z[n + 1 + i] - z[n + 2 + j] from the tail."""
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    np.cumsum(x, axis=-1, out=z[..., 1 : n + 1])
+    np.cumsum(x[..., ::-1], axis=-1, out=z[..., 2 * n : n : -1])
+    return z
 
-    Each step pivots on the first index where b exceeds a and the first
-    later index where b falls short; at least one of the two indices is
-    finalized per step.
+
+def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Weights w_x > 0 and permutations p_x with a = sum_x w_x b[p_x], at
+    most m = a.size terms (a majorized by b, both descending, equal length).
+
+    The residual r, weight t still to place, lies in t * permutohedron(b).
+    Its tight sets (sum_S r = t * sum of the |S| largest b) form a chain,
+    kept as blocks of positions 0..m-1 that each own that run of b.  Each
+    step takes the vertex v giving every block its b sorted like r and the
+    largest lam with r - lam v in (t - lam) * permutohedron(b), by a
+    Dinkelbach search over block-local top-k sums.  The set that stops the
+    step splits its block, so after at most m - 1 splits the next step
+    places all of t.  A top-k sum is taken over the head of its block, or
+    as minus the tail when that holds less of b, so rounding stays relative
+    to the smaller side; r is never rescaled by 1 / t.  Partial sums beyond
+    t times b's by more than rounding (majorizes() allows 1e-10) are
+    clipped to them.
     """
     m = a.size
-    d_mat = np.eye(m)
-    cur = b.astype(float).copy()
-    tol = 1e-13
-    for _ in range(2 * m + 2):
-        over = np.flatnonzero(cur > a + tol)
-        if over.size == 0:
-            return d_mat
-        j = int(over[0])
-        under = np.flatnonzero(cur[j + 1:] < a[j + 1:] - tol)
-        if under.size == 0:
-            return d_mat
-        k = j + 1 + int(under[0])
-        t = min(cur[j] - a[j], a[k] - cur[k])
-        lam = 1.0 - t / (cur[j] - cur[k])
-        tmat = np.eye(m)
-        tmat[j, j] = tmat[k, k] = lam
-        tmat[j, k] = tmat[k, j] = 1.0 - lam
-        cur = tmat @ cur
-        d_mat = tmat @ d_mat
-    raise NumericalFailureError("T-transform chain did not converge")
-
-
-def _perfect_matching_exists(mask: np.ndarray) -> bool:
-    if mask.size == 0:
-        return True
-    if not mask.any(axis=1).all() or not mask.any(axis=0).all():
-        return False
-    match = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
-    return bool((match >= 0).all())
-
-
-def _bottleneck_permutation(d_mat: np.ndarray, tol: float) -> np.ndarray:
-    """Permutation maximizing the minimum selected entry; ties broken by
-    lexicographically smallest permutation."""
-    m = d_mat.shape[0]
-    vals = np.unique(d_mat[d_mat > tol])
-    lo, hi = 0, vals.size - 1
-    best = vals[0]
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _perfect_matching_exists(d_mat >= vals[mid]):
-            best = vals[mid]
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    mask = d_mat >= best
-    perm = np.full(m, -1, dtype=int)
-    used = np.zeros(m, dtype=bool)
-    for i in range(m):
-        for c in np.flatnonzero(mask[i] & ~used):
-            used[c] = True
-            rest = mask[np.ix_(range(i + 1, m), np.flatnonzero(~used))]
-            if _perfect_matching_exists(rest):
-                perm[i] = c
-                break
-            used[c] = False
-        if perm[i] < 0:
-            raise NumericalFailureError("bottleneck matching lost feasibility")
-    return perm
-
-
-def _birkhoff(d_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Greedy bottleneck Birkhoff decomposition; at most (m-1)^2 + 1 terms."""
-    m = d_mat.shape[0]
-    rest = d_mat.copy()
+    t = float(a.sum() / b.sum())
+    slack_tol = 8 * m * np.finfo(float).eps
+    positions = np.arange(m)
+    blk = np.zeros(m, dtype=int)
+    end = positions == m - 1
+    zb = _edge_sums(b)
+    r = np.array(a, dtype=float)
     terms: list[tuple[float, np.ndarray]] = []
-    rows = np.arange(m)
-    for _ in range((m - 1) ** 2 + 1):
-        if rest.max() <= 1e-12:
-            return terms
-        perm = _bottleneck_permutation(rest, 1e-12)
-        w = float(rest[rows, perm].min())
-        terms.append((w, perm))
-        rest[rows, perm] -= w
-        rest[rest < 1e-15] = 0.0
-    if rest.max() > 1e-12:
-        raise NumericalFailureError("Birkhoff decomposition exceeded its term bound")
+    for _ in range(m):
+        order = np.lexsort((-r, blk))
+        start = np.maximum.accumulate(np.where(np.r_[True, end[:-1]], positions, 0))
+        stop = np.minimum.accumulate(np.where(end, positions, m)[::-1])[::-1]
+        sides = np.array([[positions + 1, start], [m + 2 + stop, m + 2 + positions]])
+        b_head, b_tail = zb[sides[:, 0]] - zb[sides[:, 1]]
+        plus, minus = np.where(b_head <= -b_tail, sides[0], sides[1])
+        b_side = zb[plus] - zb[minus]
+        z = _edge_sums(r[order])
+        r_side = z[plus] - z[minus]
+        slack = t * b_side - r_side
+        tol = slack_tol * np.abs(r_side)
+        excess = np.where((slack < -tol) & ~end, -slack, 0.0)
+        r[order] -= np.diff(excess, prepend=0.0)
+        tight = (slack <= tol) & ~end
+        if tight.any():
+            end |= tight
+            blk[order] = np.cumsum(end) - end
+            continue
+        perm = np.argsort(order)
+        v = b[perm]
+        lam = t
+        for _ in range(64):
+            o = np.lexsort((-(r - lam * v), blk))
+            z = _edge_sums(np.stack((r[o], v[o])))
+            r_side, v_side = z[:, plus] - z[:, minus]
+            h = (t - lam) * b_side - (r_side - lam * v_side)
+            h[end] = np.inf
+            p = int(np.argmin(h))
+            if h[p] >= -slack_tol * (abs(r_side[p]) + lam * abs(v_side[p])):
+                break
+            g = b_side[p] - v_side[p]
+            nxt = max((t * b_side[p] - r_side[p]) / g, 0.0) if g > 0 else 0.0
+            if nxt >= lam:
+                break
+            lam = nxt
+        else:
+            raise NumericalFailureError(f"mixing step search did not converge in 64 rounds (d = {m})")
+        if lam > 0.0:
+            terms.append((lam, perm))
+            r -= lam * v
+        if lam == t:
+            break
+        t -= lam
+        end[p] = True
+        blk[o] = np.cumsum(end) - end
+    leftover = float(np.abs(r).max())
+    if leftover > MIX_TOL:
+        raise NumericalFailureError(f"mixing residual {leftover:.3e} exceeds {MIX_TOL:.0e} (d = {m})")
     return terms
 
 
 def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues padded to length m (clipped at 0) and the
-    eigenbasis extended by zero columns to width m."""
-    vals, vecs = sorted_eigh(rho)
-    pad_vals = np.zeros(m)
-    pad_vals[: vals.size] = np.clip(vals, 0.0, None)
-    ext = np.zeros((rho.dim, m), dtype=complex)
-    ext[:, : rho.dim] = vecs
-    return pad_vals, ext
+    """Descending eigenvalues (clipped at 0) and eigenbasis, zero-padded to
+    m.  Plain eigh, not sorted_eigh: re-basing a cluster of close but
+    distinct eigenvalues breaks completeness."""
+    vals, vecs = np.linalg.eigh(rho.entries)
+    order = np.argsort(-vals, kind="stable")
+    vals = np.clip(vals[order], 0.0, None)
+    return np.pad(vals, (0, m - rho.dim)), np.pad(vecs[:, order], ((0, 0), (0, m - rho.dim)))
 
 
 def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> MixingDecomposition:
@@ -295,17 +294,13 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
     m = max(rho_psi.dim, rho_phi.dim)
     a, va = _padded_eigendata(rho_psi, m)
     b, vb = _padded_eigendata(rho_phi, m)
-    d_mat = _t_transform_chain(a, b)
-    terms = _birkhoff(d_mat)
-    weights = []
-    unitaries = []
-    rows = np.arange(m)
-    for w, perm in terms:
-        p_mat = np.zeros((m, m))
-        p_mat[rows, perm] = 1.0
-        weights.append(w)
-        unitaries.append(va @ p_mat @ vb.conj().T)
-    return MixingDecomposition(tuple(weights), tuple(unitaries))
+    # no term may move weight outside rho_psi's support, cut as in _support_data
+    a[a <= SUPPORT_CUT * a[0]] = 0.0
+    terms = _permutohedron_terms(a, b)
+    return MixingDecomposition(
+        tuple(w for w, _ in terms),
+        tuple(va @ vb[:, perm].conj().T for _, perm in terms),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -314,24 +309,20 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
 
 def _support_data(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(support projector, inverse square root on the support)."""
-    vals, vecs = sorted_eigh(rho)
-    top = float(vals.max())
-    keep = vals > SUPPORT_CUT * top
+    vals, vecs = _padded_eigendata(rho, rho.dim)
+    keep = vals > SUPPORT_CUT * vals[0]
     kept = vals[keep]
     if float(kept.min()) < 1e-12:
         raise NumericalFailureError(
             f"support eigenvalue {float(kept.min()):.3e} below 1e-12: ill-conditioned"
         )
     basis = vecs[:, keep]
-    proj = basis @ basis.conj().T
-    inv_sqrt = (basis * kept**-0.5) @ basis.conj().T
-    return proj, inv_sqrt
+    return basis @ basis.conj().T, (basis * kept**-0.5) @ basis.conj().T
 
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = sorted_eigh(rho)
-    keep = vals > SUPPORT_CUT * float(vals.max())
-    basis = vecs[:, keep]
+    vals, vecs = _padded_eigendata(rho, rho.dim)
+    basis = vecs[:, vals > SUPPORT_CUT * vals[0]]
     return basis @ basis.conj().T
 
 
@@ -342,20 +333,24 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     ``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``
     from the mixing decomposition of the marginals; each branch then has
     A-marginal exactly p_x rho_phi, and Bob's partial isometry connects the
-    branch to the target purification.
+    branch to the target purification.  At most max(d_A) branches; a
+    protocol whose completeness residual on the source support exceeds
+    ``COMPLETENESS_TOL`` is refused with :class:`NumericalFailureError`.
     """
     if not locc_feasible(psi, phi):
         raise InfeasibleError("target spectrum does not majorize the source spectrum")
     rho_psi = marginal(psi, "A")
     rho_phi = marginal(phi, "A")
     mix = mixing_decomposition(rho_psi, rho_phi)
-    _, inv_sqrt = _support_data(rho_psi)
+    proj, inv_sqrt = _support_data(rho_psi)
     sqrt_phi = _psd_sqrt(rho_phi)
     d_b_psi = psi.dims[1]
     alice = []
     bob = []
+    total = np.zeros_like(proj)
     for p_x, u_x in zip(mix.weights, mix.unitaries):
         k = math.sqrt(p_x) * (sqrt_phi @ u_x.conj().T @ inv_sqrt)
+        total += k.conj().T @ k
         vec = (k @ psi.matrix).ravel()
         q = float(np.vdot(vec, vec).real)
         if abs(q - p_x) > MASS_TOL:
@@ -366,6 +361,11 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
         v = connect_purifications(phi, branch).op_B
         alice.append(k)
         bob.append(v)
+    residual = float(np.abs(np.linalg.eigvalsh(total - proj)).max())
+    if residual > COMPLETENESS_TOL:
+        raise NumericalFailureError(
+            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {rho_psi.dim})"
+        )
     return OneWayProtocol(tuple(alice), tuple(bob))
 
 
@@ -395,7 +395,7 @@ def verify_protocol(
     residual = float(np.abs(np.linalg.eigvalsh(total - supp)).max())
     prob_sum = float(math.fsum(probs))
     passed = (
-        residual <= 1e-9
+        residual <= COMPLETENESS_TOL
         and all(o >= 1.0 - 1e-8 for o in overlaps)
         and abs(prob_sum - 1.0) <= 1e-9
     )
@@ -501,14 +501,10 @@ def _mirror_bob(vec: np.ndarray, dims: tuple[int, int], d_op: np.ndarray):
     f_b = vh.T[:, :r]
     sr = s[:r]
     x = sr[:, None] * (d_op @ f_b).T
-    xx = x @ x.conj().T
-    hvals, hvecs = np.linalg.eigh(xx)
-    hvals = np.sqrt(np.clip(hvals, 0.0, None))
-    h = (hvecs * hvals) @ hvecs.conj().T
-    hcut = float(hvals.max()) * 1e-13 if hvals.size else 0.0
-    inv = np.divide(1.0, hvals, out=np.zeros_like(hvals), where=hvals > hcut)
-    h_pinv = (hvecs * inv) @ hvecs.conj().T
-    omega = h_pinv @ x
+    xu, xs, xvh = np.linalg.svd(x, full_matrices=False)
+    h = (xu * xs) @ xu.conj().T
+    keep = int((xs > float(xs.max()) * 1e-13).sum()) if xs.size else 0
+    omega = xu[:, :keep] @ xvh[:keep]
     m_op = e_b @ h @ np.diag(1.0 / sr) @ e_b.conj().T
     w_op = omega.T @ f_b.conj().T
     lhs = (m_op @ mat @ w_op.T).ravel()
@@ -577,8 +573,10 @@ def one_way_branches(
     """Run an Alice-then-Bob protocol on a pure state.
 
     Outcome ``x`` applies ``alice_kraus[x] (x) bob_unitaries[x]``; the branch
-    probability is the squared norm after Alice's Kraus alone (Bob's side is
-    an isometry on the branch support).  Labels are the outcome indices.
+    probability is the squared norm of the resulting vector, after both
+    Alice's Kraus operator and Bob's operator.  It equals the norm after
+    Alice's Kraus alone only when Bob's operator is an isometry on the
+    branch support.  Labels are the outcome indices.
     """
     if len(protocol.alice_kraus) != len(protocol.bob_unitaries):
         raise InvalidInputError("alice_kraus and bob_unitaries must pair up one-to-one")

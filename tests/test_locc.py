@@ -7,6 +7,7 @@ partial-sum inequality family for the one-shot closed form.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,95 @@ def test_nielsen_ill_conditioned_support():
     phi = product_basis_state(4, 4)
     assert locc_feasible(psi, phi)
     with pytest.raises(NumericalFailureError):
+        nielsen_synthesize(psi, phi)
+
+
+def sized_pair(d, shape, seed=0):
+    """Haar source on (d, d) with Schmidt spectrum s, and a target in a
+    random local frame that majorizes it.  generic: s**1.5; zero_padded:
+    the same cut to rank d/2; tie_heavy: each value repeated three times,
+    the means of consecutive triples of s**p, with p = 1.5, 2.25, ...
+    raised until the target majorizes s."""
+    rng = np.random.default_rng([seed, d])
+    psi = random_pure_state((d, d), rng)
+    s = np.asarray(schmidt(psi).spectrum.padded(d))
+    if shape == "generic":
+        t = s**1.5
+    elif shape == "zero_padded":
+        t = np.r_[s[: d // 2] ** 1.5, np.zeros(d - d // 2)]
+    else:
+        starts = np.arange(0, d, 3)
+        sizes = np.diff(np.r_[starts, d])
+        for k in range(64):
+            sharp = (s / s[0]) ** (1.5**(k + 1))
+            t = np.repeat(np.add.reduceat(sharp, starts) / sizes, sizes) / sharp.sum()
+            if np.all(np.cumsum(t)[:-1] >= np.cumsum(s)[:-1]):
+                break
+        else:
+            raise AssertionError("no tie-heavy target majorizes the source")
+    t = t / t.sum()
+    phi = state_from_schmidt(np.sqrt(t))
+    phi = pure_state((d, d), apply_local(phi, haar_unitary(d, rng), haar_unitary(d, rng)))
+    return psi, phi
+
+
+@pytest.mark.parametrize("shape", ["generic", "tie_heavy", "zero_padded"])
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_nielsen_synthesis_at_size(d, shape):
+    """Synthesis verifies at the sizes users try, with at most d branches."""
+    psi, phi = sized_pair(d, shape)
+    proto = nielsen_synthesize(psi, phi)
+    assert verify_protocol(proto, psi, phi).passed
+    assert len(proto.alice_kraus) <= d
+
+
+@pytest.mark.parametrize("shape", ["generic", "tie_heavy", "zero_padded"])
+def test_nielsen_synthesis_d128_verifies_or_refuses(shape):
+    """At d = 128 a protocol is either verified or refused with the residual
+    and the tolerance it broke; an unverified one is never returned."""
+    psi, phi = sized_pair(128, shape)
+    try:
+        proto = nielsen_synthesize(psi, phi)
+    except NumericalFailureError as exc:
+        assert re.search(r"residual \S+ exceeds \S+", str(exc))
+        return
+    assert verify_protocol(proto, psi, phi).passed
+    assert len(proto.alice_kraus) <= 128
+
+
+def test_nielsen_just_outside_the_polytope():
+    """A pair that misses majorization by 6e-11, which locc_feasible accepts,
+    synthesizes and verifies."""
+    psi = weighted_state([0.35 + 3e-11, 0.35 + 3e-11, 0.15 - 3e-11, 0.15 - 3e-11])
+    phi = weighted_state([0.4, 0.3, 0.2, 0.1])
+    rng = np.random.default_rng(4)
+    psi = pure_state((4, 4), apply_local(psi, haar_unitary(4, rng), haar_unitary(4, rng)))
+    assert not np.all(np.cumsum([0.4, 0.3, 0.2, 0.1]) >= np.cumsum(schmidt(psi).spectrum.padded(4)))
+    assert locc_feasible(psi, phi)
+    proto = nielsen_synthesize(psi, phi)
+    assert verify_protocol(proto, psi, phi).passed
+    assert len(proto.alice_kraus) <= 4
+
+
+def test_nielsen_target_with_close_small_eigenvalues():
+    """Target eigenvalues 2e-11 and 1e-11 lie within sorted_eigh's 1e-10
+    cluster gap yet differ; the mixing must still pair each eigenvector
+    with its own eigenvalue, or completeness on the 1e-4 source weight
+    breaks (residual ~1e-8)."""
+    rng = np.random.default_rng(0)
+    psi = weighted_state([0.4, 0.3, 0.2, 0.0999, 0.0001])
+    phi = weighted_state([0.5, 0.3, 0.2 - 3e-11, 2e-11, 1e-11])
+    phi = pure_state((5, 5), apply_local(phi, haar_unitary(5, rng), haar_unitary(5, rng)))
+    assert verify_protocol(nielsen_synthesize(psi, phi), psi, phi).passed
+
+
+def test_nielsen_refuses_when_clipping_breaks_completeness():
+    """Clipping a 4e-11 majorization miss onto a 1e-11 source eigenvalue
+    cannot give a complete instrument: refused, naming the residual."""
+    psi = state_from_schmidt(np.sqrt([0.5, 0.5 - 1e-11, 1e-11]))
+    phi = state_from_schmidt(np.sqrt([0.5, 0.5 - 5e-11, 5e-11]))
+    assert locc_feasible(psi, phi)
+    with pytest.raises(NumericalFailureError, match=r"completeness residual \S+ exceeds 1e-09"):
         nielsen_synthesize(psi, phi)
 
 
@@ -595,6 +685,19 @@ def test_one_way_reduce_fifty_protocol_corpus():
         prot = random_scripted_protocol(rng, d, n_rounds)
         psi = random_pure_state((d, d), rng)
         assert_reduction_matches(prot, psi)
+
+
+def test_one_way_reduce_rank_two_bob_projector():
+    """A rank-2 Bob projector on a generic d = 4 state mirrors into Alice's
+    side; the polar factor of Bob's branch operator comes from its SVD, so
+    the noise of a square root of eigenvalues cannot reach the tolerance."""
+    rng = np.random.default_rng(295)
+    u = haar_unitary(4, rng)
+    first = u[:, :2] @ u[:, :2].conj().T
+    prot = locc_protocol(
+        [locc_round("B", {(): instrument([first, np.eye(4) - first], ["lo", "hi"])})]
+    )
+    assert_reduction_matches(prot, random_pure_state((4, 4), rng))
 
 
 def test_mirror_guard_rejects_amplifying_operator():

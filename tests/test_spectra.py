@@ -77,7 +77,12 @@ def riemann_l1(f, g, points=200_001):
     ts = np.linspace(0.0, hi, points)
     mids = (ts[:-1] + ts[1:]) / 2.0
     h = ts[1] - ts[0]
-    return float(sum(abs(f.value(t) - g.value(t)) for t in mids) * h)
+
+    def levels_at(step):
+        # the level after the last breakpoint <= t, as StepFunction.value reads it
+        return np.asarray(step.levels)[np.searchsorted(step.breakpoints, mids, side="right")]
+
+    return float(np.abs(levels_at(f) - levels_at(g)).sum() * h)
 
 
 def kron_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
