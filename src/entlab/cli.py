@@ -55,14 +55,10 @@ __all__ = ["CommandConfig", "emit_sweep", "dispatch", "main"]
 class CommandConfig:
     """Global flags shared by every subcommand."""
 
-    seed: int = 0
-    tol: float = 1e-9
     out: Optional[str] = None
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tol <= 1e-3):
-            raise InvalidInputError(f"tol must lie in (0, 1e-3], got {self.tol!r}")
         if self.format not in ("csv", "json"):
             raise InvalidInputError(f"format must be csv or json, got {self.format!r}")
 
@@ -343,8 +339,6 @@ def _cmd_classify(args, config: CommandConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9, help="tolerance in (0, 1e-3]")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="sweep output format"
@@ -446,9 +440,7 @@ def dispatch(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        config = CommandConfig(
-            seed=args.seed, tol=args.tol, out=args.out, format=args.format
-        )
+        config = CommandConfig(out=args.out, format=args.format)
         return args.handler(args, config)
     except InvalidInputError as exc:
         print(f"entlab: {exc}", file=sys.stderr)

@@ -203,8 +203,12 @@ def operator_to_json(op: np.ndarray) -> dict:
     return {
         "kind": "operator",
         "shape": [int(mat.shape[0]), int(mat.shape[1])],
-        "entries": [[_complex_to_pair(z) for z in row] for row in mat],
+        "entries": _matrix_to_rows(mat),
     }
+
+
+def _matrix_to_rows(mat: np.ndarray) -> list[list[list[float]]]:
+    return [[_complex_to_pair(z) for z in row] for row in mat]
 
 
 def _matrix_from_rows(rows: Any, name: str) -> np.ndarray:
@@ -257,7 +261,7 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {
         "kind": "density",
         "dim": int(rho.dim),
-        "entries": [[_complex_to_pair(z) for z in row] for row in rho.entries],
+        "entries": _matrix_to_rows(rho.entries),
     }
 
 
@@ -312,7 +316,7 @@ def measure_from_json(doc: Mapping) -> AtomicMeasure:
 
 def _instrument_to_json(instr: Instrument) -> dict:
     return {
-        "kraus": [[[_complex_to_pair(z) for z in row] for row in k] for k in instr.kraus],
+        "kraus": [_matrix_to_rows(k) for k in instr.kraus],
         "labels": list(instr.labels),
     }
 
@@ -361,12 +365,8 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
 def one_way_to_json(protocol: OneWayProtocol) -> dict:
     return {
         "kind": "one_way",
-        "alice_kraus": [
-            [[_complex_to_pair(z) for z in row] for row in k] for k in protocol.alice_kraus
-        ],
-        "bob_unitaries": [
-            [[_complex_to_pair(z) for z in row] for row in u] for u in protocol.bob_unitaries
-        ],
+        "alice_kraus": [_matrix_to_rows(k) for k in protocol.alice_kraus],
+        "bob_unitaries": [_matrix_to_rows(u) for u in protocol.bob_unitaries],
     }
 
 

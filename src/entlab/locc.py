@@ -13,8 +13,6 @@ per branch by connecting purifications.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -30,6 +28,7 @@ from .quantum import (
     DensityMatrix,
     LocalIsometryPair,
     PureBipartiteState,
+    _padded_eigendata,
     _psd_sqrt,
     connect_purifications,
     marginal,
@@ -275,16 +274,6 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
     return terms
 
 
-def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues (clipped at 0) and eigenbasis, zero-padded to
-    m.  Plain eigh, not sorted_eigh: re-basing a cluster of close but
-    distinct eigenvalues breaks completeness."""
-    vals, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(-vals, kind="stable")
-    vals = np.clip(vals[order], 0.0, None)
-    return np.pad(vals, (0, m - rho.dim)), np.pad(vecs[:, order], ((0, 0), (0, m - rho.dim)))
-
-
 def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> MixingDecomposition:
     """Express rho_psi as a probabilistic unitary (partial-isometry) mixture
     of rho_phi.  Requires spectrum(rho_psi) to be majorized by
@@ -406,14 +395,6 @@ def verify_protocol(
 #                                 simulation                                   #
 # --------------------------------------------------------------------------- #
 
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("ENTLAB_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(n, 1)
-
-
 def _completed(instr: Instrument, dim: int) -> Instrument:
     """Validate against the acting dimension and append the deterministic
     complement Kraus operator when the instrument is subnormalized."""
@@ -434,6 +415,32 @@ def _completed(instr: Instrument, dim: int) -> Instrument:
     return Instrument(instr.kraus + (comp,), instr.labels + (REST_LABEL,))
 
 
+def _check_depth(protocol: LoccProtocol, max_rounds: int) -> None:
+    if len(protocol.rounds) > max_rounds:
+        raise InvalidInputError(
+            f"protocol depth {len(protocol.rounds)} exceeds the cap {max_rounds}"
+        )
+
+
+def _round_outcomes(
+    rnd: LoccRound, dims: tuple[int, int], hist: tuple[str, ...], vec: np.ndarray
+):
+    """Run one round on the branch (hist, vec): yields (label, k, q, new)
+    per outcome, with q the outcome's probability given the branch and new
+    the normalized post-measurement vector.  The instrument is completed;
+    outcomes with q <= ``BRANCH_PRUNE`` are pruned."""
+    instr = rnd.branches.get(hist)
+    if instr is None:
+        raise InvalidInputError(f"no instrument for reachable history {hist!r}")
+    instr = _completed(instr, dims[0] if rnd.party == "A" else dims[1])
+    mat = vec.reshape(dims)
+    for k, label in zip(instr.kraus, instr.labels):
+        new = (k @ mat if rnd.party == "A" else mat @ k.T).ravel()
+        q = float(np.vdot(new, new).real)
+        if q > BRANCH_PRUNE:
+            yield label, k, q, new / math.sqrt(q)
+
+
 def simulate(
     protocol: LoccProtocol,
     psi: PureBipartiteState,
@@ -444,40 +451,15 @@ def simulate(
     Subnormalized instruments are completed; branches below probability
     1e-12 are pruned.  Leaves come back in deterministic label order.
     """
-    if len(protocol.rounds) > max_rounds:
-        raise InvalidInputError(
-            f"protocol depth {len(protocol.rounds)} exceeds the cap {max_rounds}"
-        )
-    dA, dB = psi.dims
+    _check_depth(protocol, max_rounds)
     leaves: list[tuple[float, np.ndarray, tuple[str, ...]]] = [(1.0, psi.amplitudes, ())]
     for rnd in protocol.rounds:
-        acting_dim = dA if rnd.party == "A" else dB
-
-        def expand(leaf):
-            p, vec, hist = leaf
-            instr = rnd.branches.get(hist)
-            if instr is None:
-                raise InvalidInputError(f"no instrument for reachable history {hist!r}")
-            instr = _completed(instr, acting_dim)
-            mat = vec.reshape(dA, dB)
-            out = []
-            for k, label in zip(instr.kraus, instr.labels):
-                new = (k @ mat if rnd.party == "A" else mat @ k.T).ravel()
-                q = float(np.vdot(new, new).real)
-                if q > BRANCH_PRUNE:
-                    out.append((p * q, new / math.sqrt(q), hist + (label,)))
-            return out
-
-        workers = _thread_count()
-        if workers > 1 and len(leaves) >= 4:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(expand, leaves))
-        else:
-            chunks = [expand(leaf) for leaf in leaves]
-        leaves = [item for chunk in chunks for item in chunk]
-    return tuple(
-        Branch(p, pure_state((dA, dB), vec), hist) for p, vec, hist in leaves
-    )
+        leaves = [
+            (p * q, new, hist + (label,))
+            for p, vec, hist in leaves
+            for label, _, q, new in _round_outcomes(rnd, psi.dims, hist, vec)
+        ]
+    return tuple(Branch(p, pure_state(psi.dims, vec), hist) for p, vec, hist in leaves)
 
 
 # --------------------------------------------------------------------------- #
@@ -492,7 +474,6 @@ def _mirror_bob(vec: np.ndarray, dims: tuple[int, int], d_op: np.ndarray):
     X = diag(s) (d F)^T = H Omega (polar), take
     m = E H diag(s)^+ E^dagger and w = Omega^T F^dagger.
     """
-    dA, dB = dims
     mat = vec.reshape(dims)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     cut = float(s.max()) * SUPPORT_CUT if s.size else 0.0
@@ -525,45 +506,24 @@ def one_way_reduce(
     Alice rounds compose directly; each Bob operator is mirrored through the
     current branch state into an Alice operator and a Bob partial isometry.
     """
-    if len(protocol.rounds) > max_rounds:
-        raise InvalidInputError(
-            f"protocol depth {len(protocol.rounds)} exceeds the cap {max_rounds}"
-        )
-    dA, dB = psi.dims
+    _check_depth(protocol, max_rounds)
     pi_a = support_projector(marginal(psi, "A"))
     pi_b = support_projector(marginal(psi, "B"))
-    branches = [(1.0, psi.amplitudes, (), pi_a.copy(), pi_b.copy())]
+    branches = [(psi.amplitudes, (), pi_a, pi_b)]
     for rnd in protocol.rounds:
-        acting_dim = dA if rnd.party == "A" else dB
         new_branches = []
-        for p, vec, hist, a_acc, w_acc in branches:
-            instr = rnd.branches.get(hist)
-            if instr is None:
-                raise InvalidInputError(f"no instrument for reachable history {hist!r}")
-            instr = _completed(instr, acting_dim)
-            mat = vec.reshape(dA, dB)
-            for k, label in zip(instr.kraus, instr.labels):
+        for vec, hist, a_acc, w_acc in branches:
+            for label, k, _, new in _round_outcomes(rnd, psi.dims, hist, vec):
                 if rnd.party == "A":
-                    new = (k @ mat).ravel()
-                    q = float(np.vdot(new, new).real)
-                    if q <= BRANCH_PRUNE:
-                        continue
-                    new_branches.append(
-                        (p * q, new / math.sqrt(q), hist + (label,), k @ a_acc, w_acc)
-                    )
+                    a_new, w_new = k @ a_acc, w_acc
                 else:
-                    new = (mat @ k.T).ravel()
-                    q = float(np.vdot(new, new).real)
-                    if q <= BRANCH_PRUNE:
-                        continue
-                    m_op, w_op = _mirror_bob(vec, (dA, dB), k)
-                    new_branches.append(
-                        (p * q, new / math.sqrt(q), hist + (label,), m_op @ a_acc, w_op @ w_acc)
-                    )
+                    m_op, w_op = _mirror_bob(vec, psi.dims, k)
+                    a_new, w_new = m_op @ a_acc, w_op @ w_acc
+                new_branches.append((new, hist + (label,), a_new, w_new))
         branches = new_branches
     return OneWayProtocol(
-        tuple(a for _, _, _, a, _ in branches),
-        tuple(w for _, _, _, _, w in branches),
+        tuple(a for _, _, a, _ in branches),
+        tuple(w for _, _, _, w in branches),
     )
 
 

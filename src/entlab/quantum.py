@@ -255,12 +255,22 @@ def sorted_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, out
 
 
+def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues (clipped at 0) and eigenbasis, zero-padded to
+    m.  Plain eigh, not sorted_eigh: re-basing a cluster of close but
+    distinct eigenvalues pairs vectors with the wrong eigenvalues."""
+    vals, vecs = np.linalg.eigh(rho.entries)
+    order = np.argsort(-vals, kind="stable")
+    vals = np.clip(vals[order], 0.0, None)
+    return np.pad(vals, (0, m - rho.dim)), np.pad(vecs[:, order], ((0, 0), (0, m - rho.dim)))
+
+
 def align_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     """Unitary u with ``||rho - u sigma u*||_1`` equal to the unitary-orbit
     distance of the spectra (sorted eigenbasis matching)."""
     _check_dims(rho, sigma)
-    _, v = sorted_eigh(rho)
-    _, w = sorted_eigh(sigma)
+    _, v = _padded_eigendata(rho, rho.dim)
+    _, w = _padded_eigendata(sigma, sigma.dim)
     return v @ w.conj().T
 
 

@@ -524,13 +524,14 @@ def test_simulate_subnormalized_completion():
     assert abs(leaves[1].probability - 0.4) < 1e-10
 
 
-def test_simulate_error_paths():
+@pytest.mark.parametrize("run", [simulate, one_way_reduce], ids=["simulate", "one_way_reduce"])
+def test_simulate_error_paths(run):
     b = bell_state(2)
     ident = instrument([EYE2], ["0"])
     # depth cap
     rounds = [locc_round("A", {("0",) * k: ident}) for k in range(17)]
-    with pytest.raises(InvalidInputError):
-        simulate(locc_protocol(rounds), b)
+    with pytest.raises(InvalidInputError, match="exceeds the cap"):
+        run(locc_protocol(rounds), b)
     # missing history for a reachable branch
     prot = locc_protocol(
         [
@@ -538,53 +539,19 @@ def test_simulate_error_paths():
             locc_round("A", {("0",): ident}),
         ]
     )
-    with pytest.raises(InvalidInputError):
-        simulate(prot, b)
+    with pytest.raises(InvalidInputError, match="no instrument for reachable history"):
+        run(prot, b)
     # wrong dimension
-    with pytest.raises(InvalidInputError):
-        simulate(locc_protocol([locc_round("A", {(): instrument([np.eye(3)])})]), b)
+    with pytest.raises(InvalidInputError, match="acts on dimension 3"):
+        run(locc_protocol([locc_round("A", {(): instrument([np.eye(3)])})]), b)
     # super-normalized instrument smuggled past the constructor
     bad = Instrument((1.2 * EYE2,), ("0",))
-    with pytest.raises(InvalidInputError):
-        simulate(locc_protocol([locc_round("A", {(): bad})]), b)
+    with pytest.raises(InvalidInputError, match="super-normalized"):
+        run(locc_protocol([locc_round("A", {(): bad})]), b)
     # reserved label
     sub = instrument([math.sqrt(0.5) * EYE2], ["__rest__"])
-    with pytest.raises(InvalidInputError):
-        simulate(locc_protocol([locc_round("A", {(): sub})]), b)
-
-
-def test_simulate_thread_fanout_is_deterministic(monkeypatch):
-    prot = teleport_style_protocol()
-    # widen the tree first so the threaded path actually engages
-    u = haar_unitary(2, 5)
-    wide = locc_protocol(
-        [
-            locc_round("B", {(): instrument([P0, P1], ["0", "1"])}),
-            locc_round(
-                "A",
-                {
-                    ("0",): instrument([math.sqrt(0.5) * EYE2, math.sqrt(0.5) * u], ["a", "b"]),
-                    ("1",): instrument([math.sqrt(0.5) * EYE2, math.sqrt(0.5) * u], ["a", "b"]),
-                },
-            ),
-            locc_round(
-                "B",
-                {
-                    h: instrument([P0, P1], ["0", "1"])
-                    for h in [("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")]
-                },
-            ),
-        ]
-    )
-    psi = random_pure_state((2, 2), 77)
-    serial = simulate(wide, psi)
-    monkeypatch.setenv("ENTLAB_THREADS", "4")
-    threaded = simulate(wide, psi)
-    assert len(serial) == len(threaded)
-    for s, t in zip(serial, threaded):
-        assert s.history == t.history
-        assert s.probability == t.probability
-        assert np.array_equal(s.state.amplitudes, t.state.amplitudes)
+    with pytest.raises(InvalidInputError, match="reserved"):
+        run(locc_protocol([locc_round("A", {(): sub})]), b)
 
 
 # --------------------------------------------------------------------------- #

@@ -422,6 +422,23 @@ def test_align_unitary_degenerate_spectra():
     assert abs(trace_distance(r1, moved) - want) < 1e-10
 
 
+def test_align_unitary_close_distinct_eigenvalues():
+    """40 eigenvalues 0.9e-10 apart, interleaved with sigma's: each vector
+    must keep its own eigenvalue, however close the next one is."""
+    small = 1e-9 + 0.9e-10 * np.arange(40)[::-1]
+    a = np.r_[1.0 - small.sum(), small]
+    b = a.copy()
+    b[1:] += 0.3e-10 * (-1.0) ** np.arange(40)
+    b[0] = 1.0 - b[1:].sum()
+    u1, u2 = haar_unitary(41, 1), haar_unitary(41, 2)
+    r1 = density(u1 @ np.diag(a) @ u1.conj().T)
+    r2 = density(u2 @ np.diag(b) @ u2.conj().T)
+    u = align_unitary(r1, r2)
+    moved = density(u @ r2.entries @ u.conj().T)
+    want = orbit_distance(r1.spectrum(), r2.spectrum())
+    assert abs(trace_distance(r1, moved) - want) <= 1e-12
+
+
 def test_align_unitary_sampled_lower_bound():
     """10^4 random conjugations never undercut the spectral orbit distance."""
     rng = np.random.default_rng(4)
