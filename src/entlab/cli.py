@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stdio
 import math
 import sys
@@ -337,7 +338,9 @@ def _cmd_classify(args, config: CommandConfig) -> int:
 #                              Parser and dispatch                             #
 # --------------------------------------------------------------------------- #
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not mutate it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(

@@ -4,7 +4,10 @@ The harmonic ("van-Dam/Hayden style") family is handled entirely through its
 sorted Schmidt-coefficient lists, so reports for ``n`` in the millions cost
 milliseconds; dense state vectors are only materialized on request for small
 ``n``.  The lambda-family diagnostics use the closed-form binomial avatar of
-the m-fold spectral state instead of expanding ``2**m`` tensor-power entries.
+the m-fold spectral state instead of expanding ``2**m`` tensor-power entries,
+flowed so that its largest atom is 1; that fits float64 up to m = 1252 at
+lambda = 0.5 and m = 10 748 at lambda = 0.9, and larger m is refused with
+the largest m that fits.
 """
 
 from __future__ import annotations
@@ -244,29 +247,92 @@ def orbit_trace_defect(
 #                        Lambda family and catalysis                            #
 # --------------------------------------------------------------------------- #
 
+def _largest_fitting_m(fits, m: int) -> int:
+    """Largest ``j < m`` with ``fits(j)``, by bisection; 0 if none does.
+    ``fits`` must be monotone (true up to some j, false beyond)."""
+    lo, hi = 0, m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def _avatar_arrays(lam: float, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Atoms ``lambda^k`` and masses ``Binomial(m, lambda/(1+lambda))(k)`` of
+    the flow-normalized avatar, or None if it does not fit float64.
+
+    Masses come from the ratio ``B(k+1)/B(k) = lambda (m-k)/(k+1)``
+    multiplied outward from the mode and normalized to total 1, so no
+    ``C(m, k)`` or ``(1+lambda)^-m`` is ever formed and each mass is exact to
+    a few ulp of itself; atoms whose mass underflows to 0 are dropped.  The
+    avatar does not fit when a kept atom underflows to 0 or its distribution
+    density ``sum(mass / atom)`` overflows.  A finite density also bounds
+    what subnormal atoms cost: each is off by at most the smallest subnormal,
+    which moves the result by at most that times the density, below 1e-15.
+    """
+    mode = int((m + 1) * lam / (1.0 + lam))
+    if lam**mode == 0.0:  # the largest mass sits on an atom that underflows
+        return None
+    k = np.arange(m)
+    masses = np.ones(m + 1)
+    masses[mode + 1 :] = np.cumprod((m - k[mode:]) / (k[mode:] + 1.0) * lam)
+    masses[:mode] = np.cumprod(((k[:mode] + 1.0) / ((m - k[:mode]) * lam))[::-1])[::-1]
+    masses /= math.fsum(masses)
+    keep = masses > 0.0
+    atoms, masses = np.power(lam, np.arange(m + 1)[keep]), masses[keep]
+    if atoms[-1] == 0.0:
+        return None
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(masses / atoms)):
+            return None
+    return atoms, masses
+
+
+def _lambda_avatar(spec: LambdaFamilySpec) -> AtomicMeasure:
+    """Spectral-state avatar of the m-fold lambda family up to a common flow:
+    the largest atom sits at 1 and the others at ``lambda^k``.
+
+    Flow deviation and atom-mass total variation are invariant under a common
+    flow, so the kappa and catalysis diagnostics use this avatar directly;
+    it fits float64 far beyond the true atoms, which underflow once
+    ``(lambda/(1+lambda))^m`` does.
+    """
+    lam, m = spec.lambda_, spec.m
+    arrays = _avatar_arrays(lam, m)
+    if arrays is None:
+        fit = _largest_fitting_m(lambda j: _avatar_arrays(lam, j) is not None, m)
+        raise InvalidInputError(
+            f"lambda family with lambda={lam!r}, m={m} does not fit float64 "
+            f"(atoms underflow or the density overflows); the largest m that fits is {fit}"
+        )
+    return atomic_measure(*arrays)
+
+
 def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
     """Spectral-state avatar of the m-fold lambda family, in closed form.
 
     The m-fold Schmidt spectrum has value ``lambda^k / (1+lambda)^m`` with
     multiplicity ``C(m, k)``, so the avatar carries mass
     ``Binomial(m, lambda/(1+lambda))(k)`` at that atom -- m+1 atoms instead
-    of ``2**m`` tensor entries.
+    of ``2**m`` tensor entries.  Refused once the smallest atom
+    ``(lambda/(1+lambda))^m`` underflows float64.
     """
     lam, m = spec.lambda_, spec.m
-    k = np.arange(m + 1, dtype=float)
-    log_atoms = k * math.log(lam) - m * math.log1p(lam)
-    atoms = np.exp(log_atoms)
-    if atoms[-1] == 0.0:
+
+    def fits(j: int) -> bool:
+        return math.exp(j * math.log(lam) - j * math.log1p(lam)) > 0.0
+
+    if not fits(m):
         raise InvalidInputError(
-            f"atoms underflow float64 for lambda={lam!r}, m={m}; reduce m"
+            f"atoms underflow float64 for lambda={lam!r}, m={m}; "
+            f"the largest m that fits is {_largest_fitting_m(fits, m)}"
         )
-    masses = np.array([math.comb(m, int(j)) for j in range(m + 1)], dtype=float) * atoms
-    return atomic_measure(atoms, masses)
+    return flow_act(_lambda_avatar(spec), -m * math.log1p(lam))
 
 
 def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> list[float]:
     """Flow-deviation profile of the m-fold lambda family over a time grid."""
-    mu = lambda_family_measure(spec)
+    mu = _lambda_avatar(spec)
     return [flow_deviation(mu, float(t)) for t in t_grid]
 
 
@@ -279,7 +345,7 @@ def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
     unit shift; it decreases toward 0 as ``m`` grows.  Off the period the
     shifted atoms interleave with the originals and the value saturates at 2.
     """
-    mu = lambda_family_measure(spec)
+    mu = _lambda_avatar(spec)
     return tv_distance(mu, flow_act(mu, float(t)))
 
 

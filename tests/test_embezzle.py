@@ -46,6 +46,7 @@ from entlab.quantum import (
     state_from_schmidt,
 )
 from entlab.spectra import (
+    flow_deviation,
     kappa_profile,
     spectral_state,
     spectrum,
@@ -72,6 +73,41 @@ def binomial_shift_l1(lam, m):
     pmf = [math.comb(m, k) * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
     padded = [0.0] + pmf + [0.0]
     return math.fsum(abs(padded[k + 1] - padded[k]) for k in range(m + 2))
+
+
+def lgamma_binomial_shift_l1(lam, m):
+    """binomial_shift_l1 with the pmf taken from lgamma, for m where
+    C(m, k) overflows a float."""
+    log_p, log_q = math.log(lam) - math.log1p(lam), -math.log1p(lam)
+    pmf = [
+        math.exp(
+            math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+            + k * log_p + (m - k) * log_q
+        )
+        for k in range(m + 1)
+    ]
+    padded = [0.0] + pmf + [0.0]
+    return math.fsum(abs(b - a) for a, b in zip(padded, padded[1:]))
+
+
+def lambda_distribution_l1(lam, m, t):
+    """Integral of |D - D_t| for the m-fold lambda family, in NumPy.
+
+    D(x) counts the m-fold eigenvalues above x (C(m, k) copies of
+    lam^k / (1+lam)^m; those that underflow to 0 never count) and the flow
+    translate is D_t(x) = e^-t D(x e^-t).  Both are evaluated at the left end
+    of every segment of the merged breakpoint grid.
+    """
+    k = np.arange(m + 1)
+    values = np.exp(k * math.log(lam) - m * math.log1p(lam))[::-1]  # ascending
+    counts = np.array([float(math.comb(m, int(j))) for j in k])[::-1]
+    tail = np.append(np.cumsum(counts[::-1])[::-1], 0.0)  # tail[i] = sum(counts[i:])
+    moved = values * math.exp(t)
+    pts = np.concatenate([[0.0], np.union1d(values, moved)])
+    left, width = pts[:-1], np.diff(pts)
+    here = tail[np.searchsorted(values, left, side="right")]
+    there = tail[np.searchsorted(moved, left, side="right")] * math.exp(-t)
+    return math.fsum(width * np.abs(here - there))
 
 
 def random_target(rng, d):
@@ -281,6 +317,48 @@ def test_lambda_measure_matches_tensor_power_pipeline(lam):
 def test_lambda_measure_underflow_guard():
     with pytest.raises(InvalidInputError):
         lambda_family_measure(LambdaFamilySpec(0.5, 2000))
+
+
+def test_lambda_family_limits_are_named():
+    """Both refusals name lambda, m and the largest m that fits, and that m
+    does fit."""
+    with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=2000; the largest m that fits is 678"):
+        lambda_family_measure(LambdaFamilySpec(0.5, 2000))
+    assert len(lambda_family_measure(LambdaFamilySpec(0.5, 678)).atoms) == 679
+    with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=2000 .*the largest m that fits is 1252"):
+        family_kappa_profile(LambdaFamilySpec(0.5, 2000), [0.1])
+    with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=1253 .*the largest m that fits is 1252"):
+        catalytic_deviation(LambdaFamilySpec(0.5, 1253), math.log(2))
+    assert catalytic_deviation(LambdaFamilySpec(0.5, 1252), math.log(2)) == pytest.approx(
+        lgamma_binomial_shift_l1(0.5, 1252), abs=1e-12
+    )
+
+
+def test_family_kappa_profile_m1000_matches_distribution_integral():
+    """At lambda = 0.5, m = 1000 (beyond where the true atoms underflow) the
+    profile equals the NumPy integral of the two distribution functions."""
+    lam, m = 0.5, 1000
+    grid = [0.0, 0.05, 0.2, math.log(2) / 2, 0.5, math.log(2), 1.0]
+    got = family_kappa_profile(LambdaFamilySpec(lam, m), grid)
+    assert got[0] == 0.0
+    for t, value in zip(grid[1:], got[1:]):
+        assert value == pytest.approx(lambda_distribution_l1(lam, m, t), abs=1e-12), t
+
+
+def test_family_kappa_profile_is_flow_invariant():
+    """The flow-normalized avatar and the true measure give the same profile."""
+    spec = LambdaFamilySpec(0.9, 300)
+    grid = np.linspace(0.0, 0.2, 5)
+    direct = [flow_deviation(lambda_family_measure(spec), float(t)) for t in grid]
+    assert family_kappa_profile(spec, grid) == pytest.approx(direct, abs=1e-13)
+
+
+def test_catalytic_deviation_m2000_matches_lgamma_oracle():
+    lam, m = 0.9, 2000
+    period = math.log(1.0 / lam)
+    got = catalytic_deviation(LambdaFamilySpec(lam, m), period)
+    assert got == pytest.approx(lgamma_binomial_shift_l1(lam, m), abs=1e-12)
+    assert catalytic_deviation(LambdaFamilySpec(lam, m), period / 2) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_family_kappa_profile_matches_spectral_route():

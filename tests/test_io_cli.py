@@ -490,6 +490,26 @@ def test_cli_removed_global_flags_are_usage_errors(state_files, capsys, flag):
     assert "usage:" in err and f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+def test_cli_commands_back_to_back_in_one_process(state_files, capsys):
+    """The parser is built once per process; one command's flags, defaults
+    and usage errors do not leak into the next."""
+    kappa = ["kappa", "profile", "--family", "lambda", "--lambda", "0.5",
+             "--m", "2", "--t-min", "0", "--t-max", "0.5", "--steps", "3"]
+    code, first, _ = run_cli(kappa + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(first)[0] == {"deviation": 0.0, "t": 0.0}
+    code, out, _ = run_cli(["classify", "--spectrum", "0.5,0.5"], capsys)
+    assert code == 0 and json.loads(out) == {"family": "II_1"}
+    code, out, err = run_cli(["oneshot", state_files["bell"], "--m", "2"], capsys)
+    assert code == 2 and out == "" and "unrecognized arguments: --m 2" in err
+    code, out, _ = run_cli(kappa, capsys)
+    assert code == 0 and out.startswith("t,deviation\r\n")  # csv again
+    assert [float(r["deviation"]) for r in csv.DictReader(stdio.StringIO(out))] == [
+        r["deviation"] for r in json.loads(first)
+    ]
+    code, out, _ = run_cli(["locc", "decide", state_files["bell"], state_files["phi73"]], capsys)
+    assert code == 0 and json.loads(out) == {"feasible": True}
+
+
 def test_cli_subprocess_entry_point(state_files):
     base = [sys.executable, "-m", "entlab.cli"]
     # the child imports the same entlab as this process, installed or not

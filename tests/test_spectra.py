@@ -62,6 +62,16 @@ def normalized(vals):
 state_spectra = entries.map(normalized)
 
 
+@st.composite
+def step_functions(draw):
+    """Canonical step functions with 0-6 breakpoints, ZERO_STEP included."""
+    bps = sorted(set(draw(st.lists(st.floats(1e-3, 10.0), max_size=6))))
+    lvs = sorted(set(draw(st.lists(st.floats(1e-3, 5.0), min_size=len(bps), max_size=len(bps)))))
+    if len(lvs) < len(bps):
+        bps = bps[: len(lvs)]
+    return step_function(bps, lvs[::-1] + [0.0])
+
+
 # --------------------------------------------------------------------------- #
 # independent oracles
 # --------------------------------------------------------------------------- #
@@ -83,6 +93,18 @@ def riemann_l1(f, g, points=200_001):
         return np.asarray(step.levels)[np.searchsorted(step.breakpoints, mids, side="right")]
 
     return float(np.abs(levels_at(f) - levels_at(g)).sum() * h)
+
+
+def loop_l1(f, g):
+    """Per-segment loop over the merged grid, reading levels through
+    ``StepFunction.value``: the same terms as the array kernel, so the two
+    must agree bit for bit."""
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pts = [0.0] + grid
+    total = []
+    for left, right in zip(pts, pts[1:]):
+        total.append((right - left) * abs(f.value(left) - g.value(left)))
+    return float(math.fsum(total))
 
 
 def kron_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -193,6 +215,25 @@ def test_l1_hand_values():
 def test_l1_matches_riemann_oracle(a, b):
     f, g = spectral_scale(a), spectral_scale(b)
     assert math.isclose(l1_distance(f, g), riemann_l1(f, g), abs_tol=5e-4)
+
+
+@given(step_functions(), step_functions())
+@settings(max_examples=200, deadline=None)
+def test_l1_equals_loop_oracle_exactly(f, g):
+    assert l1_distance(f, g) == loop_l1(f, g)
+    assert l1_distance(f, ZERO_STEP) == loop_l1(f, ZERO_STEP) == f.integral()
+    assert l1_distance(ZERO_STEP, g) == loop_l1(ZERO_STEP, g)
+
+
+def test_l1_equals_loop_oracle_on_spectral_distributions():
+    rng = np.random.default_rng(3)
+    for rank in (1, 2, 300, 2000):
+        hat = spectral_state(spectrum(rng.dirichlet(np.ones(rank))))
+        for t in (math.log(2), -0.3, 5.0):
+            f = measure_distribution(hat)
+            g = measure_distribution(flow_act(hat, t))
+            assert l1_distance(f, g) == loop_l1(f, g)
+    assert l1_distance(ZERO_STEP, ZERO_STEP) == loop_l1(ZERO_STEP, ZERO_STEP) == 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -418,6 +459,17 @@ def test_kappa_cross_check_exhaustive_small():
                     tensor_spectrum(s, flat_spectrum(m)),
                 )
                 assert math.isclose(lhs, rhs, abs_tol=1e-10)
+
+
+def test_flow_deviation_rank_10k_matches_orbit_distance():
+    """At rank 10^4, flow_deviation(psi_hat, log 2) is the orbit distance
+    between s (x) flat(1) and s (x) flat(2)."""
+    s = spectrum(np.random.default_rng(17).dirichlet(np.ones(10_000)))
+    lhs = flow_deviation(spectral_state(s), math.log(2))
+    rhs = orbit_distance(
+        tensor_spectrum(s, flat_spectrum(1)), tensor_spectrum(s, flat_spectrum(2))
+    )
+    assert math.isclose(lhs, rhs, rel_tol=0, abs_tol=1e-12)
 
 
 def test_kappa_profile_values():
