@@ -29,6 +29,7 @@ from .spectra import (
     flow_deviation,
     tv_distance,
 )
+from .tolerances import MERGE_TOL, RATIO_TOL, UNIT_VECTOR_TOL
 
 __all__ = [
     "VdhSpec",
@@ -53,9 +54,6 @@ __all__ = [
 DENSE_STATE_CAP = 4096
 # Continued-fraction rationalization budget for classify_itpfi.
 RATIO_DENOMINATOR_CAP = 10**6
-RATIO_TOL = 1e-9
-# Relative tolerance under which spectrum entries count as exactly equal.
-EQUAL_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------- #
@@ -358,9 +356,9 @@ def _merged_gaps(vals: np.ndarray) -> list[float]:
     gaps = sorted(float(math.log(vals[0] / v)) for v in vals[1:])
     merged: list[float] = []
     for g in gaps:
-        if g <= EQUAL_TOL:
+        if g <= MERGE_TOL:
             continue
-        if merged and abs(g - merged[-1]) <= EQUAL_TOL * max(1.0, g):
+        if merged and abs(g - merged[-1]) <= MERGE_TOL * max(1.0, g):
             continue
         merged.append(g)
     return merged
@@ -373,8 +371,8 @@ def classify_itpfi(s: Spectrum) -> TypeLabel:
     The decision is scale-invariant: only eigenvalue ratios enter.  Rank one
     gives type I; an equal-weight spectrum gives II_1; if every log-ratio is
     a rational multiple of the first one (continued-fraction rationalization,
-    denominators capped at 10**6, tolerance 1e-9), the ratio group is cyclic
-    with generator ``g`` and the label is III_lambda with
+    denominators capped at 10**6, tolerance ``RATIO_TOL``), the ratio group
+    is cyclic with generator ``g`` and the label is III_lambda with
     ``lambda = exp(-g)``.  Anything that defeats the rationalization budget
     falls back to III_1.  III_0 is never reported: a finite truncation cannot
     distinguish it from a drifting III_lambda sequence, so the honest finite
@@ -385,7 +383,7 @@ def classify_itpfi(s: Spectrum) -> TypeLabel:
         raise InvalidInputError("cannot classify an empty spectrum")
     if vals.size == 1:
         return TypeLabel("I")
-    if vals[0] - vals[-1] <= EQUAL_TOL * vals[0]:
+    if vals[0] - vals[-1] <= MERGE_TOL * vals[0]:
         return TypeLabel("II_1")
     gaps = _merged_gaps(vals)
     base = gaps[0]
@@ -472,7 +470,7 @@ def multipartite_lu_fidelity(
             f"state length must be prod(dims) = {size}, got {psi_t.size} and {phi_t.size}"
         )
     for vec in (psi_t, phi_t):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
+        if abs(np.linalg.norm(vec) - 1.0) > UNIT_VECTOR_TOL:
             raise InvalidInputError("states must be unit vectors")
     psi_t = psi_t.reshape(dims)
     phi_t = phi_t.reshape(dims)

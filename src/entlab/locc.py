@@ -36,14 +36,10 @@ from .quantum import (
     schmidt,
 )
 from .spectra import Spectrum, majorizes, tensor_spectrum
+from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, POLAR_CUT,
+                         SUPPORT_CUT, SUPPORT_FLOOR)
 
-KRAUS_TOL = 1e-9
-SUPPORT_CUT = 1e-12
-MASS_TOL = 1e-8
-MIX_TOL = 1e-12
-COMPLETENESS_TOL = 1e-9
-DEFAULT_MAX_ROUNDS = 16
-BRANCH_PRUNE = 1e-12
+MAX_ROUNDS = 16
 REST_LABEL = "__rest__"
 
 
@@ -73,7 +69,7 @@ def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instr
         raise InvalidInputError("labels must be distinct and match the outcome count")
     total = sum(k.conj().T @ k for k in ks)
     top = float(np.linalg.eigvalsh(total)[-1])
-    if top > 1.0 + KRAUS_TOL:
+    if top > 1.0 + COMPLETENESS_TOL:
         raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r}")
     return Instrument(ks, labels)
 
@@ -210,8 +206,8 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
     places all of t.  A top-k sum is taken over the head of its block, or
     as minus the tail when that holds less of b, so rounding stays relative
     to the smaller side; r is never rescaled by 1 / t.  Partial sums beyond
-    t times b's by more than rounding (majorizes() allows 1e-10) are
-    clipped to them.
+    t times b's by more than rounding (majorizes() allows ``INPUT_TOL``)
+    are clipped to them.
     """
     m = a.size
     t = float(a.sum() / b.sum())
@@ -269,8 +265,8 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
         end[p] = True
         blk[o] = np.cumsum(end) - end
     leftover = float(np.abs(r).max())
-    if leftover > MIX_TOL:
-        raise NumericalFailureError(f"mixing residual {leftover:.3e} exceeds {MIX_TOL:.0e} (d = {m})")
+    if leftover > MASS_CUT:
+        raise NumericalFailureError(f"mixing residual {leftover:.3e} exceeds {MASS_CUT:.0e} (d = {m})")
     return terms
 
 
@@ -283,8 +279,8 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
     m = max(rho_psi.dim, rho_phi.dim)
     a, va = _padded_eigendata(rho_psi, m)
     b, vb = _padded_eigendata(rho_phi, m)
-    # no term may move weight outside rho_psi's support, cut as in _support_data
-    a[a <= SUPPORT_CUT * a[0]] = 0.0
+    # no term may move weight outside rho_psi's support
+    a[~_in_support(a)] = 0.0
     terms = _permutohedron_terms(a, b)
     return MixingDecomposition(
         tuple(w for w, _ in terms),
@@ -296,23 +292,27 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
 #                             one-way synthesis                                #
 # --------------------------------------------------------------------------- #
 
-def _support_data(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(support projector, inverse square root on the support)."""
+def _in_support(vals: np.ndarray) -> np.ndarray:
+    """Mask of the descending eigenvalues (or singular values) inside the
+    support: above ``SUPPORT_CUT`` times the largest."""
+    return vals > SUPPORT_CUT * vals[0]
+
+
+def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Support eigenvalues of rho, descending, and their eigenvectors."""
     vals, vecs = _padded_eigendata(rho, rho.dim)
-    keep = vals > SUPPORT_CUT * vals[0]
-    kept = vals[keep]
-    if float(kept.min()) < 1e-12:
-        raise NumericalFailureError(
-            f"support eigenvalue {float(kept.min()):.3e} below 1e-12: ill-conditioned"
-        )
-    basis = vecs[:, keep]
-    return basis @ basis.conj().T, (basis * kept**-0.5) @ basis.conj().T
+    keep = _in_support(vals)
+    return vals[keep], vecs[:, keep]
 
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = _padded_eigendata(rho, rho.dim)
-    basis = vecs[:, vals > SUPPORT_CUT * vals[0]]
+    basis = _support(rho)[1]
     return basis @ basis.conj().T
+
+
+def _completeness_residual(kraus: Sequence[np.ndarray], support: np.ndarray) -> float:
+    """Largest |eigenvalue| of sum_x k_x^dagger k_x minus the support projector."""
+    return float(np.abs(np.linalg.eigvalsh(sum(k.conj().T @ k for k in kraus) - support)).max())
 
 
 def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneWayProtocol:
@@ -331,26 +331,27 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     rho_psi = marginal(psi, "A")
     rho_phi = marginal(phi, "A")
     mix = mixing_decomposition(rho_psi, rho_phi)
-    proj, inv_sqrt = _support_data(rho_psi)
+    kept, basis = _support(rho_psi)
+    if float(kept.min()) < SUPPORT_FLOOR:
+        raise NumericalFailureError(f"support eigenvalue {float(kept.min()):.3e} below "
+                                    f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {rho_psi.dim})")
+    inv_sqrt = (basis * kept**-0.5) @ basis.conj().T
     sqrt_phi = _psd_sqrt(rho_phi)
     d_b_psi = psi.dims[1]
     alice = []
     bob = []
-    total = np.zeros_like(proj)
     for p_x, u_x in zip(mix.weights, mix.unitaries):
         k = math.sqrt(p_x) * (sqrt_phi @ u_x.conj().T @ inv_sqrt)
-        total += k.conj().T @ k
         vec = (k @ psi.matrix).ravel()
         q = float(np.vdot(vec, vec).real)
-        if abs(q - p_x) > MASS_TOL:
-            raise NumericalFailureError(
-                f"branch probability leaked: expected {p_x!r}, got {q!r}"
-            )
+        if abs(q - p_x) > BRANCH_TOL:
+            raise NumericalFailureError(f"branch probability leaked: expected {p_x!r}, got {q!r}, "
+                                        f"off by more than {BRANCH_TOL:.0e} (d = {rho_psi.dim})")
         branch = pure_state((phi.dims[0], d_b_psi), vec / math.sqrt(q))
         v = connect_purifications(phi, branch).op_B
         alice.append(k)
         bob.append(v)
-    residual = float(np.abs(np.linalg.eigvalsh(total - proj)).max())
+    residual = _completeness_residual(alice, basis @ basis.conj().T)
     if residual > COMPLETENESS_TOL:
         raise NumericalFailureError(
             f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {rho_psi.dim})"
@@ -363,9 +364,6 @@ def verify_protocol(
 ) -> VerificationReport:
     """Check completeness on the source support, per-branch target overlap,
     and total probability; the report carries failures instead of raising."""
-    rho_psi = marginal(psi, "A")
-    supp = support_projector(rho_psi)
-    total = np.zeros((psi.dims[0], psi.dims[0]), dtype=complex)
     overlaps = []
     probs = []
     for k, v in zip(protocol.alice_kraus, protocol.bob_unitaries):
@@ -373,7 +371,6 @@ def verify_protocol(
             raise InvalidInputError("protocol operator shapes do not match the source state")
         if k.shape[0] != phi.dims[0] or v.shape[0] != phi.dims[1]:
             raise InvalidInputError("protocol operator shapes do not match the target state")
-        total += k.conj().T @ k
         mid = k @ psi.matrix
         probs.append(float(np.einsum("xy,xy->", mid.conj(), mid).real))
         out = (mid @ v.T).ravel()
@@ -381,12 +378,12 @@ def verify_protocol(
         overlaps.append(
             0.0 if norm == 0.0 else float(abs(np.vdot(phi.amplitudes, out)) / norm)
         )
-    residual = float(np.abs(np.linalg.eigvalsh(total - supp)).max())
+    residual = _completeness_residual(protocol.alice_kraus, support_projector(marginal(psi, "A")))
     prob_sum = float(math.fsum(probs))
     passed = (
         residual <= COMPLETENESS_TOL
-        and all(o >= 1.0 - 1e-8 for o in overlaps)
-        and abs(prob_sum - 1.0) <= 1e-9
+        and all(o >= 1.0 - BRANCH_TOL for o in overlaps)
+        and abs(prob_sum - 1.0) <= COMPLETENESS_TOL
     )
     return VerificationReport(residual, tuple(overlaps), tuple(probs), prob_sum, passed)
 
@@ -405,9 +402,9 @@ def _completed(instr: Instrument, dim: int) -> Instrument:
     total = sum(k.conj().T @ k for k in instr.kraus)
     gap = np.eye(dim) - total
     vals, vecs = np.linalg.eigh(gap)
-    if float(vals.min()) < -KRAUS_TOL:
+    if float(vals.min()) < -COMPLETENESS_TOL:
         raise InvalidInputError("instrument is super-normalized")
-    if float(vals.max()) <= KRAUS_TOL:
+    if float(vals.max()) <= COMPLETENESS_TOL:
         return instr
     comp = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     if REST_LABEL in instr.labels:
@@ -415,11 +412,9 @@ def _completed(instr: Instrument, dim: int) -> Instrument:
     return Instrument(instr.kraus + (comp,), instr.labels + (REST_LABEL,))
 
 
-def _check_depth(protocol: LoccProtocol, max_rounds: int) -> None:
-    if len(protocol.rounds) > max_rounds:
-        raise InvalidInputError(
-            f"protocol depth {len(protocol.rounds)} exceeds the cap {max_rounds}"
-        )
+def _check_depth(protocol: LoccProtocol) -> None:
+    if len(protocol.rounds) > MAX_ROUNDS:
+        raise InvalidInputError(f"protocol depth {len(protocol.rounds)} exceeds the cap {MAX_ROUNDS}")
 
 
 def _round_outcomes(
@@ -428,7 +423,7 @@ def _round_outcomes(
     """Run one round on the branch (hist, vec): yields (label, k, q, new)
     per outcome, with q the outcome's probability given the branch and new
     the normalized post-measurement vector.  The instrument is completed;
-    outcomes with q <= ``BRANCH_PRUNE`` are pruned."""
+    outcomes with q <= ``MASS_CUT`` are pruned."""
     instr = rnd.branches.get(hist)
     if instr is None:
         raise InvalidInputError(f"no instrument for reachable history {hist!r}")
@@ -437,21 +432,18 @@ def _round_outcomes(
     for k, label in zip(instr.kraus, instr.labels):
         new = (k @ mat if rnd.party == "A" else mat @ k.T).ravel()
         q = float(np.vdot(new, new).real)
-        if q > BRANCH_PRUNE:
+        if q > MASS_CUT:
             yield label, k, q, new / math.sqrt(q)
 
 
-def simulate(
-    protocol: LoccProtocol,
-    psi: PureBipartiteState,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> tuple[Branch, ...]:
+def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, ...]:
     """Exact breadth-first expansion of the protocol on a pure state.
 
-    Subnormalized instruments are completed; branches below probability
-    1e-12 are pruned.  Leaves come back in deterministic label order.
+    Subnormalized instruments are completed; branches of probability at most
+    ``MASS_CUT`` are pruned.  Leaves come back in deterministic label
+    order.  Protocols deeper than ``MAX_ROUNDS`` are refused.
     """
-    _check_depth(protocol, max_rounds)
+    _check_depth(protocol)
     leaves: list[tuple[float, np.ndarray, tuple[str, ...]]] = [(1.0, psi.amplitudes, ())]
     for rnd in protocol.rounds:
         leaves = [
@@ -476,37 +468,35 @@ def _mirror_bob(vec: np.ndarray, dims: tuple[int, int], d_op: np.ndarray):
     """
     mat = vec.reshape(dims)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    cut = float(s.max()) * SUPPORT_CUT if s.size else 0.0
-    r = int((s > cut).sum())
+    r = int(_in_support(s).sum())
     e_b = u[:, :r]
     f_b = vh.T[:, :r]
     sr = s[:r]
     x = sr[:, None] * (d_op @ f_b).T
     xu, xs, xvh = np.linalg.svd(x, full_matrices=False)
     h = (xu * xs) @ xu.conj().T
-    keep = int((xs > float(xs.max()) * 1e-13).sum()) if xs.size else 0
+    keep = int((xs > float(xs.max()) * POLAR_CUT).sum()) if xs.size else 0
     omega = xu[:, :keep] @ xvh[:keep]
     m_op = e_b @ h @ np.diag(1.0 / sr) @ e_b.conj().T
     w_op = omega.T @ f_b.conj().T
     lhs = (m_op @ mat @ w_op.T).ravel()
     rhs = (mat @ d_op.T).ravel()
-    if float(np.abs(lhs - rhs).max()) > 1e-8:
-        raise NotReducibleError("branch operator could not be mirrored within tolerance")
+    residual = float(np.abs(lhs - rhs).max())
+    if residual > BRANCH_TOL:
+        raise NotReducibleError(f"branch operator could not be mirrored within tolerance: "
+                                f"residual {residual:.3e} exceeds {BRANCH_TOL:.0e} (dims = {dims})")
     return m_op, w_op
 
 
-def one_way_reduce(
-    protocol: LoccProtocol,
-    psi: PureBipartiteState,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> OneWayProtocol:
+def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayProtocol:
     """Collapse a multi-round protocol on psi into Alice-then-Bob form with
     identical branch probabilities and states.
 
     Alice rounds compose directly; each Bob operator is mirrored through the
     current branch state into an Alice operator and a Bob partial isometry.
+    Protocols deeper than ``MAX_ROUNDS`` are refused.
     """
-    _check_depth(protocol, max_rounds)
+    _check_depth(protocol)
     pi_a = support_projector(marginal(psi, "A"))
     pi_b = support_projector(marginal(psi, "B"))
     branches = [(psi.amplitudes, (), pi_a, pi_b)]
@@ -549,7 +539,7 @@ def one_way_branches(
             )
         new = k_op @ mat @ w_op.T
         prob = float(np.vdot(new, new).real)
-        if prob <= BRANCH_PRUNE:
+        if prob <= MASS_CUT:
             continue
         state = pure_state((k_op.shape[0], w_op.shape[0]), new.ravel() / math.sqrt(prob))
         out.append(Branch(probability=prob, state=state, history=(str(x),)))
@@ -589,6 +579,6 @@ def one_shot_entanglement(psi: PureBipartiteState) -> OneShotReport:
     values = np.asarray(schmidt(psi).spectrum.values)
     partial = np.cumsum(values)
     ks = np.arange(1, values.size + 1)
-    n_max = int(math.floor(float((ks / partial).min()) + 1e-9))
-    n_max = max(n_max, 1)
+    # every S_k <= 1, so k / S_k >= 1 and n_max >= 1
+    n_max = int(math.floor(float((ks / partial).min()) + FLOOR_SLACK))
     return OneShotReport(n_max, math.log2(n_max))

@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
 from .spectra import Spectrum, orbit_distance, spectrum
-
-NORM_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
-PSD_CLIP = -1e-10
-# Eigenvalues closer than this are treated as one degenerate cluster when
-# building deterministic eigenbases.
-CLUSTER_GAP = 1e-10
+from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SCHMIDT_GAP, SCHMIDT_ZERO
 
 
 # --------------------------------------------------------------------------- #
@@ -43,23 +37,23 @@ class DensityMatrix:
 def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     """Validate and canonicalize a density matrix.
 
-    Hermiticity within 1e-10 is symmetrized away; eigenvalues in
-    ``[-1e-10, 0)`` are clipped to zero and the matrix renormalized;
+    Hermiticity within ``INPUT_TOL`` is symmetrized away; eigenvalues in
+    ``[-INPUT_TOL, 0)`` are clipped to zero and the matrix renormalized;
     anything worse is rejected.
     """
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("density matrix must be square")
-    if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
-        raise InvalidInputError("density matrix is not Hermitian within 1e-10")
+    if np.abs(arr - arr.conj().T).max() > INPUT_TOL:
+        raise InvalidInputError(f"density matrix is not Hermitian within {INPUT_TOL:g}")
     arr = (arr + arr.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(arr)
-    if vals.min() < PSD_CLIP:
-        raise InvalidInputError(f"density matrix has eigenvalue {vals.min():.3e} < -1e-10")
+    if vals.min() < -INPUT_TOL:
+        raise InvalidInputError(f"density matrix has eigenvalue {vals.min():.3e} < {-INPUT_TOL:g}")
     vals = np.clip(vals, 0.0, None)
     tr = vals.sum()
-    if abs(tr - 1.0) > NORM_TOL:
-        raise InvalidInputError(f"density matrix trace {tr!r} is not 1 within 1e-10")
+    if abs(tr - 1.0) > INPUT_TOL:
+        raise InvalidInputError(f"density matrix trace {tr!r} is not 1 within {INPUT_TOL:g}")
     arr = (vecs * vals) @ vecs.conj().T / tr
     arr.flags.writeable = False
     return DensityMatrix(arr.shape[0], arr)
@@ -86,8 +80,8 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
     n = np.linalg.norm(arr)
     if n == 0.0:
         raise InvalidInputError("zero vector is not a state")
-    if abs(n - 1.0) > NORM_TOL:
-        raise InvalidInputError(f"state norm {n!r} is not 1 within 1e-10")
+    if abs(n - 1.0) > INPUT_TOL:
+        raise InvalidInputError(f"state norm {n!r} is not 1 within {INPUT_TOL:g}")
     arr = arr / n
     arr.flags.writeable = False
     return PureBipartiteState((dA, dB), arr)
@@ -208,10 +202,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # --------------------------------------------------------------------------- #
 
 def _phase_fix(col: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(col)))
-    pivot = col[idx]
-    if abs(pivot) < 1e-14:
-        return col
+    """Rotate a unit column so its largest entry is real positive (that
+    entry has modulus at least 1/sqrt(len(col)), never 0)."""
+    pivot = col[int(np.argmax(np.abs(col)))]
     return col * (abs(pivot) / pivot)
 
 
@@ -219,9 +212,10 @@ def sorted_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition sorted descending with deterministic degenerate
     clusters.
 
-    Within a cluster (eigenvalue gap < 1e-10) the subspace projector — which
-    is basis-independent — is re-orthonormalized by QR, columns are
-    phase-fixed, then ordered lexicographically on rounded components.  Two
+    Within a cluster (eigenvalue gaps < ``CLUSTER_GAP``, chained) the
+    subspace projector — which is basis-independent — is re-orthonormalized
+    by QR, columns are phase-fixed, then ordered lexicographically on
+    rounded components.  Two
     calls on the same matrix, or on matrices with the same degenerate
     subspaces, produce identical bases.
     """
@@ -362,10 +356,13 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
     """
     if phi1.dims[0] != phi2.dims[0]:
         raise NoConnectorError("A-side dimensions differ")
-    r1 = marginal(phi1, "A")
-    r2 = marginal(phi2, "A")
-    if trace_distance(r1, r2) > 1e-8:
-        raise NoConnectorError("A-marginals differ beyond 1e-8")
+    dist = trace_distance(marginal(phi1, "A"), marginal(phi2, "A"))
+    if dist > BRANCH_TOL:
+        # "1e-8", not the "1e-08" that format spec "g" gives
+        tol = np.format_float_scientific(BRANCH_TOL, trim="-", exp_digits=1)
+        raise NoConnectorError(
+            f"A-marginals differ beyond {tol}: trace distance {dist:.3e} (d_A = {phi1.dims[0]})"
+        )
     d1, d2 = schmidt(phi1), schmidt(phi2)
     dB1, dB2 = phi1.dims[1], phi2.dims[1]
     v = np.zeros((dB1, dB2), dtype=complex)
@@ -374,9 +371,9 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
     n = s.size
     while start < n:
         stop = start + 1
-        while stop < n and s[start] - s[stop] < 1e-8:
+        while stop < n and s[start] - s[stop] < SCHMIDT_GAP:
             stop += 1
-        if s[start] > 1e-10:
+        if s[start] > SCHMIDT_ZERO:
             a1 = d1.basis_A[:, start:stop]
             a2 = d2.basis_A[:, start:stop]
             b1 = d1.basis_B[:, start:stop]

@@ -8,7 +8,8 @@ arithmetic on floats: no quadrature, no sampling.
 Conventions
 -----------
 * A spectrum is a finite list of non-negative reals sorted non-increasing,
-  trailing zeros stripped.  A *state* spectrum sums to 1 (within 1e-10).
+  trailing zeros stripped.  A *state* spectrum sums to 1 (within
+  ``INPUT_TOL``).
 * ``majorizes(a, b)`` uses the classical convention: partial sums of ``a``
   dominate those of ``b``, i.e. ``a`` is *less mixed* than ``b``.
 * The spectral state of a spectrum puts an atom at each distinct
@@ -26,14 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-
-# Relative tolerance for identifying atom positions (compared in log domain
-# so that the flow action never splits coincident atoms).
-MERGE_TOL = 1e-12
-# Tolerance on "sums to one" for state spectra.
-STATE_TOL = 1e-10
-# Eigenvalues this far below zero are numerical noise and get clipped.
-NEGATIVE_CLIP = -1e-10
+from .tolerances import INPUT_TOL, MERGE_TOL
 
 
 # --------------------------------------------------------------------------- #
@@ -58,8 +52,8 @@ class Spectrum:
     def rank(self) -> int:
         return len(self.values)
 
-    def is_state(self, tol: float = STATE_TOL) -> bool:
-        return abs(self.total - 1.0) <= tol
+    def is_state(self) -> bool:
+        return abs(self.total - 1.0) <= INPUT_TOL
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -73,13 +67,13 @@ class Spectrum:
 def spectrum(values: Iterable[float]) -> Spectrum:
     """Build a canonical :class:`Spectrum` (sort, clip noise, strip zeros).
 
-    Entries in ``[-1e-10, 0)`` are treated as roundoff and clipped to zero;
-    anything more negative is rejected.
+    Entries in ``[-INPUT_TOL, 0)`` are treated as roundoff and clipped to
+    zero; anything more negative is rejected.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError("spectrum values must be a flat list")
-    if arr.size and arr.min() < NEGATIVE_CLIP:
+    if arr.size and arr.min() < -INPUT_TOL:
         raise InvalidInputError(
             f"negative spectrum entry {arr.min():.3e} below clip tolerance"
         )
@@ -253,14 +247,15 @@ def l1_distance(f: StepFunction, g: StepFunction) -> float:
 #                                 Majorization                                 #
 # --------------------------------------------------------------------------- #
 
-def majorizes(a: Spectrum, b: Spectrum, tol: float = STATE_TOL) -> bool:
+def majorizes(a: Spectrum, b: Spectrum) -> bool:
     """Classical majorization: partial sums of ``a`` dominate those of ``b``.
 
     True iff ``sum(a[:k]) >= sum(b[:k])`` for every ``k`` (descending order,
     zero-padded) with equal totals; i.e. ``a`` is less mixed than ``b``.
-    Totals differing by more than ``tol`` are a usage error, not "false".
+    Partial sums are compared within ``INPUT_TOL``, and totals differing
+    by more than that are a usage error, not "false".
     """
-    if abs(a.total - b.total) > tol:
+    if abs(a.total - b.total) > INPUT_TOL:
         raise InvalidInputError(
             f"majorization compares equal-mass spectra: {a.total} vs {b.total}"
         )
@@ -269,7 +264,7 @@ def majorizes(a: Spectrum, b: Spectrum, tol: float = STATE_TOL) -> bool:
         return True
     ca = np.cumsum(a.padded(n))
     cb = np.cumsum(b.padded(n))
-    return bool(np.all(ca >= cb - tol))
+    return bool(np.all(ca >= cb - INPUT_TOL))
 
 
 def orbit_distance(a: Spectrum, b: Spectrum) -> float:
@@ -304,14 +299,15 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(math.fsum(self.masses))
 
-    def isclose(self, other: "AtomicMeasure", tol: float = 1e-12) -> bool:
-        """Atom-for-atom comparison: positions within relative ``tol``,
-        masses within ``tol`` (absolute and relative)."""
+    def isclose(self, other: "AtomicMeasure", tol: float = MERGE_TOL) -> bool:
+        """Atom-for-atom comparison: positions within relative ``tol`` (never
+        finer than ``MERGE_TOL``), masses within ``tol`` (absolute and
+        relative)."""
         if len(self.atoms) != len(other.atoms):
             return False
         a, b = np.asarray(self.atoms), np.asarray(other.atoms)
         m, w = np.asarray(self.masses), np.asarray(other.masses)
-        if not np.allclose(np.log(a), np.log(b), rtol=0.0, atol=max(tol, 1e-12)):
+        if not np.allclose(np.log(a), np.log(b), rtol=0.0, atol=max(tol, MERGE_TOL)):
             return False
         return bool(np.allclose(m, w, rtol=tol, atol=tol))
 
@@ -363,10 +359,22 @@ def spectral_state(s: Spectrum) -> AtomicMeasure:
 
 
 def flow_act(m: AtomicMeasure, t: float) -> AtomicMeasure:
-    """Scaling-flow action: every atom ``a`` moves to ``a * e^t``, masses fixed."""
+    """Scaling-flow action: every atom ``a`` moves to ``a * e^t``, masses fixed.
+
+    Refused when ``e^t`` overflows or a moved atom leaves float64 (becomes 0
+    or inf).
+    """
     if t == 0.0 or not m.atoms:
         return m
-    scale = math.exp(t)
+    try:
+        scale = math.exp(t)
+    except OverflowError:
+        scale = math.inf
+    # atoms ascend, so only the two ends can leave (0, inf)
+    if not (m.atoms[0] * scale > 0.0 and m.atoms[-1] * scale < math.inf):
+        raise InvalidInputError(
+            f"flow time t={t!r} moves atoms in [{m.atoms[0]!r}, {m.atoms[-1]!r}] out of float64 range"
+        )
     return AtomicMeasure(tuple((np.asarray(m.atoms) * scale).tolist()), m.masses)
 
 
@@ -395,12 +403,18 @@ def measure_distribution(m: AtomicMeasure) -> StepFunction:
     eigenvalue ``v``; the functional it encodes has a step-function density
     ``D(t) = sum_{atoms a > t} mass_a / a`` with respect to Lebesgue measure.
     For the avatar of a spectrum this recovers the eigenvalue counting
-    function exactly (mass/position = multiplicity).
+    function exactly (mass/position = multiplicity).  Refused when the
+    density overflows float64 (atoms too small for their masses).
     """
     if not m.atoms:
         return ZERO_STEP
-    ratios = np.asarray(m.masses, dtype=float) / np.asarray(m.atoms, dtype=float)
-    suffix = np.cumsum(ratios[::-1])[::-1]
+    with np.errstate(over="ignore"):
+        ratios = np.asarray(m.masses, dtype=float) / np.asarray(m.atoms, dtype=float)
+        suffix = np.cumsum(ratios[::-1])[::-1]
+    if suffix[0] == math.inf:
+        raise InvalidInputError(
+            f"distribution density of atoms in [{m.atoms[0]!r}, {m.atoms[-1]!r}] overflows float64"
+        )
     return step_function(m.atoms, np.append(suffix, 0.0))
 
 

@@ -279,6 +279,12 @@ def test_catalytic_deviation_hand_values():
         LambdaFamilySpec(0.5, 0)
 
 
+@pytest.mark.parametrize("t", [-800.0, 800.0])
+def test_catalytic_deviation_refuses_flow_out_of_float_range(t):
+    with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} moves atoms in \[.*\] out of float64"):
+        catalytic_deviation(LambdaFamilySpec(0.5, 4), t)
+
+
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
 def test_catalytic_deviation_matches_binomial_shift(lam):
     for m in (1, 2, 3, 4, 5, 6, 7, 8, 32, 64):

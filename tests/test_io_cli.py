@@ -530,3 +530,25 @@ def test_cli_subprocess_entry_point(state_files):
 
     done = subprocess.run(base + ["bogus"], capture_output=True, text=True, env=env)
     assert done.returncode == 2 and "usage" in done.stderr.lower()
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, text",
+    [("0", "800", "flow time t=800.0 "), ("-800", "0", "flow time t=-800.0 "),
+     ("-720", "0", "overflows float64")],
+    ids=["forward", "backward", "subnormal"],
+)
+def test_cli_kappa_profile_out_of_float_range_is_a_usage_error(t_min, t_max, text):
+    """A flow time that leaves float64 exits 2 with one line naming it: no
+    traceback, no NumPy warning."""
+    src = str(Path(entlab.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "4",
+            "--t-min", t_min, "--t-max", t_max, "--steps", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "entlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("entlab: ") and text in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr

@@ -342,6 +342,23 @@ def test_flow_identity_at_zero():
     assert flow_act(m, 0.0) is m
 
 
+@pytest.mark.parametrize("t", [800.0, -800.0, 1e308, math.inf, -math.inf, math.nan])
+def test_flow_act_refuses_times_that_leave_float64(t):
+    m = atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])
+    with pytest.raises(InvalidInputError, match=r"moves atoms in \[0\.0625, 1\.0\] out of float64 range"):
+        flow_act(m, t)
+
+
+def test_flow_deviation_refuses_an_overflowing_density():
+    """Atoms that stay positive but subnormal make the distribution density
+    overflow; that is refused, while a flow that keeps it finite still runs."""
+    m = atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])
+    assert 0.0 < flow_deviation(m, -700.0) <= 2.0
+    assert 0.0 < flow_act(m, -720.0).atoms[0] < 1e-308
+    with pytest.raises(InvalidInputError, match=r"distribution density of atoms in \[.*\] overflows float64"):
+        flow_deviation(m, -720.0)
+
+
 @given(state_spectra, st.floats(-3, 3), st.floats(-3, 3))
 def test_flow_group_law(s, t1, t2):
     m = spectral_state(s)
