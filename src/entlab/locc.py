@@ -6,8 +6,9 @@ Schmidt spectra (target majorizes source).  Synthesis follows the standard
 route: mix the source marginal out of the target marginal with at most d
 partial isometries (the source spectrum as a mixture of permutations of the
 target's), turn each term into an Alice Kraus operator
-``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``, and align Bob
-per branch by connecting purifications.
+``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``, and give Bob
+``v_x = (w_psi^dagger u_x w_phi)^T``, with w_psi and w_phi the polar factors
+of the two states' matrices (Nielsen; no per-branch connector search).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .quantum import (
     DensityMatrix,
     LocalIsometryPair,
     PureBipartiteState,
+    SchmidtDecomposition,
     _padded_eigendata,
     _psd_sqrt,
-    connect_purifications,
     marginal,
     pure_state,
     schmidt,
@@ -70,7 +71,8 @@ def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instr
     total = sum(k.conj().T @ k for k in ks)
     top = float(np.linalg.eigvalsh(total)[-1])
     if top > 1.0 + COMPLETENESS_TOL:
-        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r}")
+        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
+                                f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
     return Instrument(ks, labels)
 
 
@@ -315,18 +317,30 @@ def _completeness_residual(kraus: Sequence[np.ndarray], support: np.ndarray) -> 
     return float(np.abs(np.linalg.eigvalsh(sum(k.conj().T @ k for k in kraus) - support)).max())
 
 
+def _polar_factor(decomp: SchmidtDecomposition) -> np.ndarray:
+    """Polar factor E F^T of a state's (d_A, d_B) matrix E diag(s) F^T,
+    over the Schmidt weights s^2 inside the support."""
+    keep = _in_support(decomp.coefficients**2)
+    return decomp.basis_A[:, keep] @ decomp.basis_B[:, keep].T
+
+
 def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneWayProtocol:
     """One-way protocol for a feasible pure-state conversion.
 
     Alice's Kraus operators are
     ``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``
     from the mixing decomposition of the marginals; each branch then has
-    A-marginal exactly p_x rho_phi, and Bob's partial isometry connects the
-    branch to the target purification.  At most max(d_A) branches; a
-    protocol whose completeness residual on the source support exceeds
-    ``COMPLETENESS_TOL`` is refused with :class:`NumericalFailureError`.
+    A-marginal exactly p_x rho_phi.  With the polar factors w_psi = E F^T
+    and w_phi = G H^T of psi = E diag(s) F^T and phi = G diag(t) H^T (cut
+    to the support), branch x is sqrt(p_x) phi w_phi^dagger u_x^dagger
+    w_psi as a matrix, so Bob's partial isometry is
+    ``v_x = (w_psi^dagger u_x w_phi)^T`` in closed form.  At most max(d_A)
+    branches; a protocol whose completeness residual on the source support
+    exceeds ``COMPLETENESS_TOL`` is refused with
+    :class:`NumericalFailureError`.
     """
-    if not locc_feasible(psi, phi):
+    source, target = schmidt(psi), schmidt(phi)
+    if not majorizes(target.spectrum, source.spectrum):
         raise InfeasibleError("target spectrum does not majorize the source spectrum")
     rho_psi = marginal(psi, "A")
     rho_phi = marginal(phi, "A")
@@ -337,7 +351,8 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
                                     f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {rho_psi.dim})")
     inv_sqrt = (basis * kept**-0.5) @ basis.conj().T
     sqrt_phi = _psd_sqrt(rho_phi)
-    d_b_psi = psi.dims[1]
+    w_psi_dag = _polar_factor(source).conj().T
+    w_phi = _polar_factor(target)
     alice = []
     bob = []
     for p_x, u_x in zip(mix.weights, mix.unitaries):
@@ -347,10 +362,8 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
         if abs(q - p_x) > BRANCH_TOL:
             raise NumericalFailureError(f"branch probability leaked: expected {p_x!r}, got {q!r}, "
                                         f"off by more than {BRANCH_TOL:.0e} (d = {rho_psi.dim})")
-        branch = pure_state((phi.dims[0], d_b_psi), vec / math.sqrt(q))
-        v = connect_purifications(phi, branch).op_B
         alice.append(k)
-        bob.append(v)
+        bob.append((w_psi_dag @ u_x @ w_phi).T)
     residual = _completeness_residual(alice, basis @ basis.conj().T)
     if residual > COMPLETENESS_TOL:
         raise NumericalFailureError(
@@ -403,7 +416,8 @@ def _completed(instr: Instrument, dim: int) -> Instrument:
     gap = np.eye(dim) - total
     vals, vecs = np.linalg.eigh(gap)
     if float(vals.min()) < -COMPLETENESS_TOL:
-        raise InvalidInputError("instrument is super-normalized")
+        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue "
+                                f"{1.0 - float(vals.min())!r} exceeds 1 + {COMPLETENESS_TOL:.0e}")
     if float(vals.max()) <= COMPLETENESS_TOL:
         return instr
     comp = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
 from .spectra import Spectrum, orbit_distance, spectrum
-from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SCHMIDT_GAP, SCHMIDT_ZERO
+from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SCHMIDT_ZERO
 
 
 # --------------------------------------------------------------------------- #
@@ -53,7 +53,7 @@ def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     vals = np.clip(vals, 0.0, None)
     tr = vals.sum()
     if abs(tr - 1.0) > INPUT_TOL:
-        raise InvalidInputError(f"density matrix trace {tr!r} is not 1 within {INPUT_TOL:g}")
+        raise InvalidInputError(f"density matrix trace {float(tr)!r} is not 1 within {INPUT_TOL:g}")
     arr = (vecs * vals) @ vecs.conj().T / tr
     arr.flags.writeable = False
     return DensityMatrix(arr.shape[0], arr)
@@ -81,7 +81,7 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
     if n == 0.0:
         raise InvalidInputError("zero vector is not a state")
     if abs(n - 1.0) > INPUT_TOL:
-        raise InvalidInputError(f"state norm {n!r} is not 1 within {INPUT_TOL:g}")
+        raise InvalidInputError(f"state norm {float(n)!r} is not 1 within {INPUT_TOL:g}")
     arr = arr / n
     arr.flags.writeable = False
     return PureBipartiteState((dA, dB), arr)
@@ -350,9 +350,11 @@ def uhlmann_optimizer(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, 
 def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) -> LocalIsometryPair:
     """B-side partial isometry v with ``(1 (x) v) phi2 = phi1``.
 
-    Exists iff the A-marginals coincide; built cluster by cluster from the
-    Schmidt decompositions (within a degenerate A-eigenvalue cluster the two
-    A-bases differ by a unitary, which fixes the matching B-map).
+    Exists iff the A-marginals coincide (Uhlmann).  With the Schmidt
+    decompositions phi_k = E_k diag(s_k) F_k^T cut to the coefficients above
+    ``SCHMIDT_ZERO``, ``v = F_1 polar(E_1^T conj(E_2)) F_2^dagger``: the two
+    A-bases differ by a unitary inside each degenerate eigenspace, and the
+    polar factor of their overlap is that unitary.
     """
     if phi1.dims[0] != phi2.dims[0]:
         raise NoConnectorError("A-side dimensions differ")
@@ -364,26 +366,12 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
             f"A-marginals differ beyond {tol}: trace distance {dist:.3e} (d_A = {phi1.dims[0]})"
         )
     d1, d2 = schmidt(phi1), schmidt(phi2)
-    dB1, dB2 = phi1.dims[1], phi2.dims[1]
-    v = np.zeros((dB1, dB2), dtype=complex)
-    s = d1.coefficients
-    start = 0
-    n = s.size
-    while start < n:
-        stop = start + 1
-        while stop < n and s[start] - s[stop] < SCHMIDT_GAP:
-            stop += 1
-        if s[start] > SCHMIDT_ZERO:
-            a1 = d1.basis_A[:, start:stop]
-            a2 = d2.basis_A[:, start:stop]
-            b1 = d1.basis_B[:, start:stop]
-            b2 = d2.basis_B[:, start:stop]
-            w = a1.conj().T @ a2
-            # polar projection to the nearest unitary
-            uw, _, vwh = np.linalg.svd(w)
-            w = uw @ vwh
-            v += b1 @ w.conj() @ b2.conj().T
-        start = stop
+    keep1 = d1.coefficients > SCHMIDT_ZERO
+    keep2 = d2.coefficients > SCHMIDT_ZERO
+    # polar factor of E_1^T conj(E_2), the nearest partial isometry
+    uw, _, vwh = np.linalg.svd(d1.basis_A[:, keep1].T @ d2.basis_A[:, keep2].conj(),
+                               full_matrices=False)
+    v = d1.basis_B[:, keep1] @ uw @ vwh @ d2.basis_B[:, keep2].conj().T
     v.flags.writeable = False
     return LocalIsometryPair(None, v)
 

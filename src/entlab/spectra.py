@@ -75,7 +75,7 @@ def spectrum(values: Iterable[float]) -> Spectrum:
         raise InvalidInputError("spectrum values must be a flat list")
     if arr.size and arr.min() < -INPUT_TOL:
         raise InvalidInputError(
-            f"negative spectrum entry {arr.min():.3e} below clip tolerance"
+            f"negative spectrum entry {arr.min():.3e} below clip tolerance {-INPUT_TOL:g}"
         )
     arr = np.clip(arr, 0.0, None)
     arr = np.sort(arr)[::-1]
@@ -130,22 +130,10 @@ class StepFunction:
         if self.levels and self.levels[-1] != 0.0:
             raise InvalidInputError("a step function must vanish eventually")
 
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise InvalidInputError("step functions live on [0, oo)")
-        # index of the first breakpoint strictly above t
-        i = int(np.searchsorted(self.breakpoints, t, side="right"))
-        return self.levels[i]
-
     def integral(self) -> float:
         pts = (0.0,) + self.breakpoints
         seg = [(b - a) * v for a, b, v in zip(pts, pts[1:], self.levels[:-1])]
         return float(math.fsum(seg))
-
-    @property
-    def support_measure(self) -> float:
-        """Lebesgue measure of {t : f(t) > 0}."""
-        return self.breakpoints[-1] if self.breakpoints else 0.0
 
 
 ZERO_STEP = StepFunction((), (0.0,))

@@ -47,9 +47,10 @@ CLUSTER_GAP = 1e-10
 
 # Relative to the largest.  An eigenvalue of a marginal at or below this
 # times the largest lies outside its support: ``support_projector``,
-# synthesis's inverse square root and the mixing's source weights all use
-# this one mask.  ``_mirror_bob`` cuts a branch's Schmidt coefficients the
-# same way.
+# synthesis's inverse square root, the polar factors of source and target
+# behind Bob's synthesized operators (on Schmidt weights) and the mixing's
+# source weights all use this one mask.  ``_mirror_bob`` cuts a branch's
+# Schmidt coefficients the same way.
 SUPPORT_CUT = 1e-12
 # Absolute.  A support eigenvalue below this lets the inverse square root
 # amplify rounding by more than 1e6; synthesis refuses such a source as
@@ -58,13 +59,9 @@ SUPPORT_FLOOR = 1e-12
 # Relative to the largest.  ``_mirror_bob``'s polar factor keeps the
 # singular directions of the mirrored operator above this times the largest.
 POLAR_CUT = 1e-13
-# Absolute.  ``connect_purifications`` builds no map for a Schmidt cluster
-# whose coefficient is at or below this: the target has no amplitude there.
+# Absolute.  ``connect_purifications`` maps no Schmidt coefficient at or
+# below this: the state has no amplitude there.
 SCHMIDT_ZERO = 1e-10
-# Absolute.  ``connect_purifications`` chains neighbouring Schmidt
-# coefficients closer than this into one cluster, inside which the two
-# A-bases differ by a unitary.  Gaps chain, as for ``CLUSTER_GAP``.
-SCHMIDT_GAP = 1e-8
 
 # --------------------------------------------------------------------------- #
 #                                  protocols                                   #

@@ -331,17 +331,50 @@ def test_nielsen_synthesis_at_size(d, shape):
 
 
 @pytest.mark.parametrize("shape", ["generic", "tie_heavy", "zero_padded"])
-def test_nielsen_synthesis_d128_verifies_or_refuses(shape):
-    """At d = 128 a protocol is either verified or refused with the residual
-    and the tolerance it broke; an unverified one is never returned."""
-    psi, phi = sized_pair(128, shape)
+@pytest.mark.parametrize("d", [128, 256])
+def test_nielsen_synthesis_large_d_verifies_or_refuses(d, shape):
+    """At d = 128 and 256 a protocol is either verified or refused with the
+    residual and the tolerance it broke; an unverified one is never
+    returned."""
+    psi, phi = sized_pair(d, shape)
     try:
         proto = nielsen_synthesize(psi, phi)
     except NumericalFailureError as exc:
         assert re.search(r"residual \S+ exceeds \S+", str(exc))
         return
     assert verify_protocol(proto, psi, phi).passed
-    assert len(proto.alice_kraus) <= 128
+    assert len(proto.alice_kraus) <= d
+
+
+def test_nielsen_source_with_a_1e10_support_weight():
+    """A source whose smallest support weight is 1e-10, in random local
+    frames.  Alice's inverse square root amplifies rounding by 1e5 there,
+    so a Bob map read off her branches (rho_psi^{-1/2} psi in place of the
+    source's polar factor) is off a partial isometry by ~1e-7.  The protocol
+    must verify with every Bob operator a partial isometry within 1e-12, or
+    be refused as a numerical failure."""
+    d = 8
+    rng = np.random.default_rng([3, d])
+    s = np.sort(rng.random(d))[::-1]
+    s[-1] = 0.0
+    s /= s.sum()
+    s[-1] = 1e-10
+    s /= s.sum()
+
+    def in_random_frames(weights):
+        state = state_from_schmidt(np.sqrt(weights))
+        return pure_state((d, d), apply_local(state, haar_unitary(d, rng), haar_unitary(d, rng)))
+
+    psi = in_random_frames(s)
+    phi = in_random_frames(s**1.5 / (s**1.5).sum())
+    try:
+        proto = nielsen_synthesize(psi, phi)
+    except NumericalFailureError:
+        return
+    assert verify_protocol(proto, psi, phi).passed
+    for v in proto.bob_unitaries:
+        proj = v.conj().T @ v
+        assert np.abs(proj @ proj - proj).max() < 1e-12
 
 
 def test_nielsen_just_outside_the_polytope():

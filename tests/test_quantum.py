@@ -488,6 +488,22 @@ def test_connect_purifications_roundtrip(dA, dB, seed):
     assert np.abs(v @ v.conj().T @ v - v).max() < 1e-8
 
 
+def test_connect_purifications_rank_deficient_rotated_frames():
+    """phi2 is phi1 with Alice's frame turned by 0.5 rad between the 1e-5
+    and the 0 Schmidt directions: the A-marginals agree within 1e-10, the
+    overlap of the kept A-frames has a 1e-5 direction of length cos 0.5,
+    and the connector must still be a partial isometry."""
+    phi1 = state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3 - 1e-10), 1e-5, 0.0])
+    c, s = math.cos(0.5), math.sin(0.5)
+    rot = np.eye(4)
+    rot[2:, 2:] = [[c, -s], [s, c]]
+    phi2 = pure_state((4, 4), apply_local(phi1, rot, None))
+    v = connect_purifications(phi1, phi2).op_B
+    proj = v.conj().T @ v
+    assert np.abs(proj @ proj - proj).max() < 1e-12
+    assert np.abs(apply_local(phi2, None, v) - phi1.amplitudes).max() < 1e-5
+
+
 def test_connect_purifications_rejects_different_marginals():
     a = state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])
     with pytest.raises(NoConnectorError):

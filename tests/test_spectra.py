@@ -89,21 +89,27 @@ def riemann_l1(f, g, points=200_001):
     h = ts[1] - ts[0]
 
     def levels_at(step):
-        # the level after the last breakpoint <= t, as StepFunction.value reads it
+        # the level after the last breakpoint <= t, as step_value reads it
         return np.asarray(step.levels)[np.searchsorted(step.breakpoints, mids, side="right")]
 
     return float(np.abs(levels_at(f) - levels_at(g)).sum() * h)
 
 
+def step_value(step, t):
+    """The level of a step function at t >= 0: the one after the last
+    breakpoint <= t."""
+    return step.levels[int(np.searchsorted(step.breakpoints, t, side="right"))]
+
+
 def loop_l1(f, g):
     """Per-segment loop over the merged grid, reading levels through
-    ``StepFunction.value``: the same terms as the array kernel, so the two
-    must agree bit for bit."""
+    ``step_value``: the same terms as the array kernel, so the two must
+    agree bit for bit."""
     grid = sorted(set(f.breakpoints) | set(g.breakpoints))
     pts = [0.0] + grid
     total = []
     for left, right in zip(pts, pts[1:]):
-        total.append((right - left) * abs(f.value(left) - g.value(left)))
+        total.append((right - left) * abs(step_value(f, left) - step_value(g, left)))
     return float(math.fsum(total))
 
 

@@ -27,8 +27,11 @@ from entlab.errors import (
     NumericalFailureError,
 )
 from entlab.locc import (
+    Instrument,
     MixingDecomposition,
     _mirror_bob,
+    locc_protocol,
+    locc_round,
     nielsen_synthesize,
     one_way_reduce,
     simulate,
@@ -41,7 +44,7 @@ from entlab.quantum import (
     pure_state,
     state_from_schmidt,
 )
-from entlab.spectra import Spectrum, majorizes
+from entlab.spectra import Spectrum, majorizes, spectrum
 
 PACKAGE = Path(entlab.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "tolerances.py")
@@ -76,9 +79,9 @@ ILL_CONDITIONED = [math.sqrt(0.5), math.sqrt(0.5 - 9e-13), math.sqrt(9e-13)]
         (lambda: density(np.diag([1.1, -0.1])), InvalidInputError,
          "density matrix has eigenvalue -1.000e-01 < -1e-10"),
         (lambda: density(np.diag([0.6, 0.6])), InvalidInputError,
-         "is not 1 within 1e-10"),
+         "density matrix trace 1.2 is not 1 within 1e-10"),
         (lambda: pure_state((1, 2), [1.0, 1.0]), InvalidInputError,
-         "is not 1 within 1e-10"),
+         "state norm 1.4142135623730951 is not 1 within 1e-10"),
         (lambda: connect_purifications(state_from_schmidt(SCHMIDT_73), bell_state(2)),
          NoConnectorError, "A-marginals differ beyond 1e-8"),
         (lambda: nielsen_synthesize(state_from_schmidt(ILL_CONDITIONED), product_basis_state(3, 3)),
@@ -116,6 +119,21 @@ def test_refusals_name_residual_tolerance_and_size(monkeypatch):
     assert str(info.value) == (
         "branch probability leaked: expected 1.0, got 0.0, off by more than 1e-08 (d = 2)"
     )
+
+
+def test_negative_spectrum_entry_names_the_tolerance():
+    with pytest.raises(InvalidInputError) as info:
+        spectrum([1.0, -1e-3])
+    assert str(info.value) == "negative spectrum entry -1.000e-03 below clip tolerance -1e-10"
+
+
+def test_super_normalized_completion_names_eigenvalue_and_tolerance():
+    # built without ``instrument()``, whose own check would refuse it first
+    bad = Instrument((1.2 * np.eye(2),), ("0",))
+    with pytest.raises(InvalidInputError) as info:
+        simulate(locc_protocol([locc_round("A", {(): bad})]), bell_state(2))
+    assert re.fullmatch(r"instrument is super-normalized: max eigenvalue 1\.4[34]\d* exceeds 1 \+ 1e-09",
+                        str(info.value))
 
 
 @pytest.mark.parametrize(
