@@ -5,7 +5,9 @@ At the flow period t = log(1/lambda) the deviation of the m-fold family
 equals the l1 distance between a binomial mass pattern and its unit shift,
 which decays like 1/sqrt(m); off the period (t = half period) the atoms
 interleave and the deviation saturates at 2.  Writes one row per m with both
-values and prints where the on-period deviation first drops below 0.25.
+values and prints where the on-period deviation first drops below 0.25.  The
+default ladder reaches m = 2^14 = 16384; both values come in closed form from
+the binomial masses, so larger m only costs time.
 """
 
 import argparse
@@ -18,7 +20,7 @@ from entlab.cli import CommandConfig, emit_sweep
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    parser.add_argument("--exp-max", type=int, default=10,
+    parser.add_argument("--exp-max", type=int, default=14,
                         help="m runs over 1, 2, 4, ..., 2^exp")
     parser.add_argument("--out", default="catalysis_decay.csv")
     args = parser.parse_args()

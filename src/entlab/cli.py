@@ -296,8 +296,8 @@ def _cmd_embezzle_sweep(args, config: CommandConfig) -> int:
 def _cmd_kappa_profile(args, config: CommandConfig) -> int:
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
-    if args.t_max < args.t_min:
-        raise InvalidInputError("--t-max must not be below --t-min")
+    if not 0.0 <= args.t_max - args.t_min < math.inf:  # NaN and infinities fail too
+        raise InvalidInputError(f"need --t-min <= --t-max, a finite span apart: {args.t_min!r}, {args.t_max!r}")
     spec = LambdaFamilySpec(args.lam, args.m)
     grid = [float(t) for t in np.linspace(args.t_min, args.t_max, args.steps)]
     deviations = family_kappa_profile(spec, grid)

@@ -3,11 +3,12 @@
 The harmonic ("van-Dam/Hayden style") family is handled entirely through its
 sorted Schmidt-coefficient lists, so reports for ``n`` in the millions cost
 milliseconds; dense state vectors are only materialized on request for small
-``n``.  The lambda-family diagnostics use the closed-form binomial avatar of
-the m-fold spectral state instead of expanding ``2**m`` tensor-power entries,
-flowed so that its largest atom is 1; that fits float64 up to m = 1252 at
-lambda = 0.5 and m = 10 748 at lambda = 0.9, and larger m is refused with
-the largest m that fits.
+``n``.  The lambda-family diagnostics use the binomial masses of the m-fold
+spectral state instead of expanding ``2**m`` tensor-power entries, and never
+form an atom: the kappa profile runs on centred log-positions and the
+catalytic deviation is a closed form in the masses, so neither has a limit on
+m.  Only ``lambda_family_measure``, which returns the true atoms, is refused
+once they underflow float64 (m = 678 at lambda = 0.5).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .quantum import PureBipartiteState, haar_unitary, schmidt, state_from_schmi
 from .spectra import (
     AtomicMeasure,
     Spectrum,
+    _density_l1,
+    _flow_time,
     atomic_measure,
     flow_act,
-    flow_deviation,
-    tv_distance,
 )
 from .tolerances import MERGE_TOL, RATIO_TOL, UNIT_VECTOR_TOL
 
@@ -192,11 +193,8 @@ def embezzle_report(
     """
     s_list, perm_s = _sorted_products(n, phi_start)
     t_list, perm_t = _sorted_products(n, phi_target)
-    m = max(s_list.size, t_list.size)
-    s_pad = np.zeros(m)
-    s_pad[: s_list.size] = s_list
-    t_pad = np.zeros(m)
-    t_pad[: t_list.size] = t_list
+    size = max(s_list.size, t_list.size)
+    s_pad, t_pad = (np.pad(x, (0, size - x.size)) for x in (s_list, t_list))
     if np.array_equal(s_pad, t_pad):
         # Identical coefficient lists mean fidelity 1 exactly; do not let the
         # dot product's last-ulp rounding leak through the square root below.
@@ -229,11 +227,8 @@ def orbit_trace_defect(
     """
     s_list, _ = _sorted_products(n, phi_start)
     t_list, _ = _sorted_products(n, phi_target)
-    m = max(s_list.size, t_list.size)
-    a = np.zeros(m)
-    a[: s_list.size] = s_list**2
-    b = np.zeros(m)
-    b[: t_list.size] = t_list**2
+    size = max(s_list.size, t_list.size)
+    a, b = (np.pad(x**2, (0, size - x.size)) for x in (s_list, t_list))
     if np.array_equal(a, b):
         fid = 1.0
     else:
@@ -255,55 +250,24 @@ def _largest_fitting_m(fits, m: int) -> int:
     return lo
 
 
-def _avatar_arrays(lam: float, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Atoms ``lambda^k`` and masses ``Binomial(m, lambda/(1+lambda))(k)`` of
-    the flow-normalized avatar, or None if it does not fit float64.
+def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents ``k`` and masses ``Binomial(m, lambda/(1+lambda))(k)`` of the
+    m-fold lambda family's spectral state, whose atom ``k`` sits at
+    ``lambda^k / (1+lambda)^m``.
 
     Masses come from the ratio ``B(k+1)/B(k) = lambda (m-k)/(k+1)``
     multiplied outward from the mode and normalized to total 1, so no
     ``C(m, k)`` or ``(1+lambda)^-m`` is ever formed and each mass is exact to
-    a few ulp of itself; atoms whose mass underflows to 0 are dropped.  The
-    avatar does not fit when a kept atom underflows to 0 or its distribution
-    density ``sum(mass / atom)`` overflows.  A finite density also bounds
-    what subnormal atoms cost: each is off by at most the smallest subnormal,
-    which moves the result by at most that times the density, below 1e-15.
+    a few ulp of itself; exponents whose mass underflows to 0 are dropped.
     """
     mode = int((m + 1) * lam / (1.0 + lam))
-    if lam**mode == 0.0:  # the largest mass sits on an atom that underflows
-        return None
     k = np.arange(m)
     masses = np.ones(m + 1)
     masses[mode + 1 :] = np.cumprod((m - k[mode:]) / (k[mode:] + 1.0) * lam)
     masses[:mode] = np.cumprod(((k[:mode] + 1.0) / ((m - k[:mode]) * lam))[::-1])[::-1]
-    masses /= math.fsum(masses)
-    keep = masses > 0.0
-    atoms, masses = np.power(lam, np.arange(m + 1)[keep]), masses[keep]
-    if atoms[-1] == 0.0:
-        return None
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.sum(masses / atoms)):
-            return None
-    return atoms, masses
-
-
-def _lambda_avatar(spec: LambdaFamilySpec) -> AtomicMeasure:
-    """Spectral-state avatar of the m-fold lambda family up to a common flow:
-    the largest atom sits at 1 and the others at ``lambda^k``.
-
-    Flow deviation and atom-mass total variation are invariant under a common
-    flow, so the kappa and catalysis diagnostics use this avatar directly;
-    it fits float64 far beyond the true atoms, which underflow once
-    ``(lambda/(1+lambda))^m`` does.
-    """
-    lam, m = spec.lambda_, spec.m
-    arrays = _avatar_arrays(lam, m)
-    if arrays is None:
-        fit = _largest_fitting_m(lambda j: _avatar_arrays(lam, j) is not None, m)
-        raise InvalidInputError(
-            f"lambda family with lambda={lam!r}, m={m} does not fit float64 "
-            f"(atoms underflow or the density overflows); the largest m that fits is {fit}"
-        )
-    return atomic_measure(*arrays)
+    masses /= math.fsum(np.sort(masses)[::-1])  # largest first: fsum keeps few partials
+    keep = np.flatnonzero(masses > 0.0)
+    return keep, masses[keep]
 
 
 def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
@@ -325,26 +289,40 @@ def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
             f"atoms underflow float64 for lambda={lam!r}, m={m}; "
             f"the largest m that fits is {_largest_fitting_m(fits, m)}"
         )
-    return flow_act(_lambda_avatar(spec), -m * math.log1p(lam))
+    k, masses = _binomial_avatar(lam, m)
+    return flow_act(atomic_measure(np.power(lam, k), masses), -m * math.log1p(lam))
 
 
 def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> list[float]:
-    """Flow-deviation profile of the m-fold lambda family over a time grid."""
-    mu = _lambda_avatar(spec)
-    return [flow_deviation(mu, float(t)) for t in t_grid]
+    """Flow-deviation profile of the m-fold lambda family over a time grid.
+
+    The deviation is scale-free, so it is computed on the log-positions
+    ``(k - k_heaviest) log lambda``, centred on the heaviest atom; no atom is
+    formed, so every m and every finite ``t`` is accepted.
+    """
+    k, masses = _binomial_avatar(spec.lambda_, spec.m)
+    u, w = ((k - k[np.argmax(masses)]) * math.log(spec.lambda_))[::-1], masses[::-1]
+    return [_density_l1(u, w, u, w, _flow_time(t)) for t in t_grid]
 
 
 def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
     """Atom-mass total variation between the m-fold spectral avatar and its
     image under the scaling flow at time ``t``.
 
-    At ``t = log(1/lambda)`` the flow shifts the binomial mass pattern by one
-    step, so the value is the l1 distance between ``Binomial(m, .)`` and its
-    unit shift; it decreases toward 0 as ``m`` grows.  Off the period the
-    shifted atoms interleave with the originals and the value saturates at 2.
+    When ``t`` lies within ``MERGE_TOL`` of ``s log(1/lambda)`` for an integer
+    ``s``, the flow moves atom ``k`` onto atom ``k - s``, so the value is
+    ``sum_k |B(k) - B(k-s)|`` for the binomial masses ``B``; at the period it
+    decreases toward 0 as ``m`` grows.  Off the period the moved atoms
+    interleave with the originals and the value is ``2 sum_k B(k)``.
     """
-    mu = _lambda_avatar(spec)
-    return tv_distance(mu, flow_act(mu, float(t)))
+    t = _flow_time(t)
+    _, masses = _binomial_avatar(spec.lambda_, spec.m)
+    period = -math.log(spec.lambda_)
+    s = round(abs(t) / period) if abs(t) <= (spec.m + 1) * period else 0
+    # off the period no atom lands on another, as if shifted past the support
+    s = s if abs(abs(t) - s * period) <= MERGE_TOL else masses.size
+    terms = np.abs(np.pad(masses, (0, s)) - np.pad(masses, (s, 0)))
+    return math.fsum(np.sort(terms)[::-1])  # largest first, so that fsum keeps few partials
 
 
 # --------------------------------------------------------------------------- #

@@ -406,16 +406,60 @@ def measure_distribution(m: AtomicMeasure) -> StepFunction:
     return step_function(m.atoms, np.append(suffix, 0.0))
 
 
+def _flow_time(t: float) -> float:
+    """``t`` as a float; every finite time is a flow, NaN and infinities are refused."""
+    if not math.isfinite(t):
+        raise InvalidInputError(f"flow time t={float(t)!r} is not finite")
+    return float(t)
+
+
+def _density_l1(u1, w1, u2, w2, shift: float = 0.0) -> float:
+    """L1 distance between the distribution densities of two atom sets.
+
+    Each set is given by ascending log-positions ``u`` (arrays) and positive
+    masses ``w``; the second set sits at ``u2 + shift``.  Over the merged
+    log-atoms ``u_0 <= ... <= u_n`` with signed masses ``d_j`` (positive for
+    the first set), the segment below ``e^{u_k}`` contributes
+    ``(1 - e^{u_{k-1} - u_k}) |T_k|`` with ``T_k = sum_{j >= k} d_j e^{u_k - u_j}``.
+    The two signed parts of ``T_k`` are suffix log-sum-exps, each at most its
+    set's total mass, so no position or density leaves float64.  Each part,
+    and each gap inside the second set, is read in its own set's frame
+    (``u1``, or ``u2`` without the shift), so a large ``shift`` rounds only
+    what crosses between the sets.  A log-position of magnitude X is good to
+    about X ulp, so mass sitting e^X away from 1 costs about X ulp relative;
+    callers centre positions on the heavy atoms where they can.  The sum is
+    capped at the two total masses, the integrals of the two densities, which
+    bound it.
+    """
+    order = np.argsort(np.concatenate((u1, u2 + shift)), kind="stable")
+    in2 = order >= len(u1)
+    # every merged log-atom, read in the first set's frame and in the second's
+    frame1, frame2 = (np.concatenate(f)[order] for f in ((u1, u2 + shift), (u1 - shift, u2)))
+
+    def part(u, w, pos, mine):  # one set's part of T_k at every merged atom k
+        suffix = np.logaddexp.accumulate((np.log(w) - u)[::-1])[::-1]
+        return np.exp(pos + np.append(suffix, -np.inf)[np.cumsum(mine) - mine])
+
+    gaps = np.where(in2[1:] & in2[:-1], np.diff(frame2), np.diff(frame1))
+    widths = -np.expm1(-np.concatenate(([np.inf], gaps)))
+    terms = widths * np.abs(part(u1, w1, frame1, ~in2) - part(u2, w2, frame2, in2))
+    # largest first, so that fsum keeps few partials
+    value, total1, total2 = (math.fsum(np.sort(x)[::-1]) for x in (terms, w1, w2))
+    return min(value, total1 + total2)
+
+
 def hs_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
     """Norm distance between the spectral functionals of two atomic avatars.
 
-    Computed as the exact L1 distance of their distribution densities.  This
-    is the norm under which the distance between the spectral functionals of
-    two density spectra equals the unitary-orbit distance of the densities
-    themselves.  It is dominated by ``tv_distance`` of the avatars (each atom
-    contributes ``|mass difference| / position * position``).
+    The exact L1 distance of their distribution densities
+    ``D(s) = sum_{atoms a > s} mass_a / a``, computed on log-positions by
+    ``_density_l1`` without forming a density.  This is the norm under which
+    the distance between the spectral functionals of two density spectra
+    equals the unitary-orbit distance of the densities themselves.  It is
+    dominated by ``tv_distance`` of the avatars (each atom contributes
+    ``|mass difference| / position * position``).
     """
-    return l1_distance(measure_distribution(m1), measure_distribution(m2))
+    return _density_l1(np.log(m1.atoms), m1.masses, np.log(m2.atoms), m2.masses)
 
 
 def tv_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
@@ -447,15 +491,17 @@ def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
     ``||psi_hat - psi_hat o theta_t||`` in the spectral-functional norm
     (``hs_distance``), so that the value at ``t = log(m/n)`` coincides with
     the unitary-orbit distance between the underlying state tensored with
-    flat states of ranks ``n`` and ``m``.  Lies in ``[0, 2 * total mass]``,
-    is symmetric in ``t <-> -t``, vanishes at ``t = 0``, and climbs to
-    ``2 * total mass`` as ``|t|`` grows — for a finite spectrum the supremum
-    2 is approached but never attained, which is the truncation's honest
-    stand-in for the semifinite value.
+    flat states of ranks ``n`` and ``m``.  On log-positions the flow is the
+    shift ``u -> u + t``, so no atom is moved in float64 and every finite
+    ``t`` is accepted; NaN and infinite ``t`` are refused.  Lies in
+    ``[0, 2 * total mass]``, is symmetric in ``t <-> -t``, vanishes at
+    ``t = 0``, and climbs to ``2 * total mass`` as ``|t|`` grows — for a
+    finite spectrum the supremum 2 is approached but never attained in exact
+    arithmetic, which is the truncation's honest stand-in for the semifinite
+    value.
     """
-    if t == 0.0:
-        return 0.0
-    return hs_distance(psi_hat, flow_act(psi_hat, t))
+    u = np.log(psi_hat.atoms)
+    return _density_l1(u, psi_hat.masses, u, psi_hat.masses, _flow_time(t))
 
 
 def kappa_profile(s: Spectrum, t_grid: Sequence[float]) -> list[float]:

@@ -110,6 +110,32 @@ def lambda_distribution_l1(lam, m, t):
     return math.fsum(width * np.abs(here - there))
 
 
+def half_kappa_oracle(m):
+    """Exact flow deviation of the m-fold lambda = 1/2 family at t = log 2.
+
+    On [2^-(k+1), 2^-k) the density of the flow-normalized avatar is
+    (2/3)^m S_k with S_k = sum_{j <= k} C(m, j), and its flow translate is
+    (2/3)^m S_{k+1} / 2; below 2^-m the two are (2/3)^m 2^m and half that.
+    Summed in integers over the common denominator 2 * 3^m.
+    """
+    partial, c = [0], 1  # partial[k + 1] = S_k, so partial[0] = S_-1 = 0
+    for j in range(m + 1):
+        partial.append(partial[-1] + c)
+        c = c * (m - j) // (j + 1)
+    num = sum(abs(2 * partial[k + 1] - partial[k + 2]) << (m - k - 1) for k in range(-1, m))
+    return (num + partial[m + 1]) / (2 * 3**m)
+
+
+def half_catalysis_oracle(m):
+    """Exact sum_k |B(k) - B(k-1)| with B(k) = C(m, k) 2^(m-k) / 3^m, the
+    lambda = 1/2 binomial masses, in integers over the denominator 3^m."""
+    scaled, c = [], 1
+    for k in range(m + 1):
+        scaled.append(c << (m - k))
+        c = c * (m - k) // (k + 1)
+    return sum(abs(a - b) for a, b in zip(scaled + [0], [0] + scaled)) / 3**m
+
+
 def random_target(rng, d):
     """Random rank-d target state from a Dirichlet Schmidt spectrum."""
     probs = rng.dirichlet(np.ones(d)) + 1e-3
@@ -281,8 +307,31 @@ def test_catalytic_deviation_hand_values():
 
 @pytest.mark.parametrize("t", [-800.0, 800.0])
 def test_catalytic_deviation_refuses_flow_out_of_float_range(t):
-    with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} moves atoms in \[.*\] out of float64"):
-        catalytic_deviation(LambdaFamilySpec(0.5, 4), t)
+    """A flow far past float64's range for real atoms is still a flow: no
+    atom lands on another, so the deviation is 2."""
+    assert catalytic_deviation(LambdaFamilySpec(0.5, 4), t) == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_lambda_family_diagnostics_refuse_non_finite_times(t):
+    spec = LambdaFamilySpec(0.5, 4)
+    with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} is not finite"):
+        family_kappa_profile(spec, [0.1, t])
+    with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} is not finite"):
+        catalytic_deviation(spec, t)
+
+
+@pytest.mark.parametrize("t", [700.0, -700.0, 800.0, -800.0, 1e308, -1e308])
+def test_lambda_family_diagnostics_accept_every_finite_time(t):
+    """Far from the atoms' log spread both diagnostics sit at 2 (the total
+    mass is 1), and neither ever leaves [0, 2]."""
+    for lam, m in ((0.5, 4), (0.9, 10**4), (0.1, 300)):
+        spec = LambdaFamilySpec(lam, m)
+        kappa = family_kappa_profile(spec, [t])[0]
+        catalysis = catalytic_deviation(spec, t)
+        assert 0.0 <= kappa <= 2.0 and 0.0 <= catalysis <= 2.0
+        assert kappa == pytest.approx(2.0, abs=1e-15)
+        assert catalysis == pytest.approx(2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -326,18 +375,37 @@ def test_lambda_measure_underflow_guard():
 
 
 def test_lambda_family_limits_are_named():
-    """Both refusals name lambda, m and the largest m that fits, and that m
-    does fit."""
+    """The real-atom avatar's refusal names lambda, m and the largest m that
+    fits, and that m does fit; the kappa and catalysis diagnostics, which
+    never form an atom, run past it and match the exact oracles."""
     with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=2000; the largest m that fits is 678"):
         lambda_family_measure(LambdaFamilySpec(0.5, 2000))
     assert len(lambda_family_measure(LambdaFamilySpec(0.5, 678)).atoms) == 679
-    with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=2000 .*the largest m that fits is 1252"):
-        family_kappa_profile(LambdaFamilySpec(0.5, 2000), [0.1])
-    with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=1253 .*the largest m that fits is 1252"):
-        catalytic_deviation(LambdaFamilySpec(0.5, 1253), math.log(2))
+    kappa = family_kappa_profile(LambdaFamilySpec(0.5, 2000), [math.log(2)])[0]
+    assert kappa == pytest.approx(half_kappa_oracle(2000), abs=1e-14)
+    catalysis = catalytic_deviation(LambdaFamilySpec(0.5, 1253), math.log(2))
+    assert catalysis == pytest.approx(half_catalysis_oracle(1253), abs=1e-15)
     assert catalytic_deviation(LambdaFamilySpec(0.5, 1252), math.log(2)) == pytest.approx(
         lgamma_binomial_shift_l1(0.5, 1252), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 2000, 10**4])
+def test_lambda_family_matches_exact_integer_oracles(m):
+    """At lambda = 1/2 and t = log 2 both diagnostics have exact integer
+    oracles; kappa matches to 1e-14 and catalysis to the last bit."""
+    spec = LambdaFamilySpec(0.5, m)
+    assert family_kappa_profile(spec, [math.log(2)])[0] == pytest.approx(
+        half_kappa_oracle(m), abs=1e-14
+    )
+    assert catalytic_deviation(spec, math.log(2)) == half_catalysis_oracle(m)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_half_period_kappa_at_m_1e5_matches_closed_form(lam):
+    spec = LambdaFamilySpec(lam, 10**5)
+    half = family_kappa_profile(spec, [-math.log(lam) / 2])[0]
+    assert half == pytest.approx(kappa_max_formula(lam), abs=1e-12)
 
 
 def test_family_kappa_profile_m1000_matches_distribution_integral():

@@ -532,23 +532,51 @@ def test_cli_subprocess_entry_point(state_files):
     assert done.returncode == 2 and "usage" in done.stderr.lower()
 
 
-@pytest.mark.parametrize(
-    "t_min, t_max, text",
-    [("0", "800", "flow time t=800.0 "), ("-800", "0", "flow time t=-800.0 "),
-     ("-720", "0", "overflows float64")],
-    ids=["forward", "backward", "subnormal"],
-)
-def test_cli_kappa_profile_out_of_float_range_is_a_usage_error(t_min, t_max, text):
-    """A flow time that leaves float64 exits 2 with one line naming it: no
-    traceback, no NumPy warning."""
+def _run_entlab(argv):
+    """``python -m entlab.cli`` in a fresh process, so warnings show on stderr."""
     src = str(Path(entlab.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    argv = ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "4",
-            "--t-min", t_min, "--t-max", t_max, "--steps", "3"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "entlab.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max",
+    [("0", "800"), ("-800", "0"), ("-720", "0")],
+    ids=["forward", "backward", "subnormal"],
+)
+def test_cli_kappa_profile_out_of_float_range_is_a_usage_error(t_min, t_max):
+    """Flow times whose real atoms would leave float64 are ordinary times on
+    log-positions: exit 0, one row per step, values in [0, 2], and nothing on
+    stderr (no traceback, no NumPy warning)."""
+    done = _run_entlab(["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "4",
+                        "--t-min", t_min, "--t-max", t_max, "--steps", "3"])
+    assert done.returncode == 0 and done.stderr == ""
+    rows = list(csv.DictReader(stdio.StringIO(done.stdout)))
+    assert len(rows) == 3
+    assert all(0.0 <= float(row["deviation"]) <= 2.0 for row in rows)
+
+
+def test_cli_kappa_profile_accepts_extreme_finite_times(capsys):
+    argv = ["kappa", "profile", "--family", "lambda", "--lambda", "0.9", "--m", "20000",
+            "--t-min=-1e308", "--t-max=-1e308", "--steps", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = list(csv.DictReader(stdio.StringIO(out)))
+    assert [float(row["deviation"]) for row in rows] == pytest.approx([2.0, 2.0], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max",
+    [("nan", "1"), ("0", "inf"), ("-inf", "0"), ("-1e308", "1e308"), ("1", "0")],
+    ids=["nan", "inf", "minus-inf", "span-overflow", "descending"],
+)
+def test_cli_kappa_profile_non_finite_grid_is_a_usage_error(t_min, t_max):
+    """A grid that is not a finite, ascending span exits 2 with one line."""
+    done = _run_entlab(["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "4",
+                        f"--t-min={t_min}", f"--t-max={t_max}", "--steps", "3"])
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("entlab: ") and text in done.stderr
-    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("entlab: ") and "--t-max" in lines[0]

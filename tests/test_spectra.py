@@ -357,12 +357,46 @@ def test_flow_act_refuses_times_that_leave_float64(t):
 
 def test_flow_deviation_refuses_an_overflowing_density():
     """Atoms that stay positive but subnormal make the distribution density
-    overflow; that is refused, while a flow that keeps it finite still runs."""
+    overflow; ``measure_distribution`` refuses it, while ``flow_deviation``,
+    which never forms the density, still gives a value."""
     m = atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])
     assert 0.0 < flow_deviation(m, -700.0) <= 2.0
     assert 0.0 < flow_act(m, -720.0).atoms[0] < 1e-308
+    assert 0.0 < flow_deviation(m, -720.0) <= 2.0
     with pytest.raises(InvalidInputError, match=r"distribution density of atoms in \[.*\] overflows float64"):
-        flow_deviation(m, -720.0)
+        measure_distribution(flow_act(m, -720.0))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_deviation_refuses_non_finite_times(t):
+    m = atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])
+    with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} is not finite"):
+        flow_deviation(m, t)
+
+
+@pytest.mark.parametrize("t", [700.0, -700.0, 800.0, -800.0, 1e308, -1e308])
+def test_flow_deviation_accepts_every_finite_time(t):
+    """Past the atoms' log spread the translate no longer overlaps the state,
+    so the deviation is 2 * total mass to rounding, and never above it."""
+    rng = np.random.default_rng(23)
+    measures = [atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])]
+    measures += [spectral_state(normalized(rng.random(n))) for n in (1, 7, 300)]
+    for m in measures:
+        value = flow_deviation(m, t)
+        assert 0.0 <= value <= 2.0 * m.total_mass
+        assert value == pytest.approx(2.0 * m.total_mass, abs=2e-15)
+
+
+def test_flow_deviation_matches_the_density_route_at_large_times():
+    """Where the atoms and their densities stay inside float64, the
+    log-domain kernel agrees with the step-function route of
+    ``measure_distribution`` and ``l1_distance``, also when the flow moves
+    atoms by hundreds of e-folds and the translate interleaves the state."""
+    m = atomic_measure([1e-300, 1e-200, 1e-100, 1.0], [0.125, 0.125, 0.25, 0.5])
+    for t in (0.1, 3.0, 100.0, 230.0, 460.0, 690.0, 700.0):
+        route = l1_distance(measure_distribution(m), measure_distribution(flow_act(m, t)))
+        assert flow_deviation(m, t) == pytest.approx(route, abs=1e-13), t
+        assert flow_deviation(m, -t) == pytest.approx(flow_deviation(m, t), abs=1e-13), t
 
 
 @given(state_spectra, st.floats(-3, 3), st.floats(-3, 3))
