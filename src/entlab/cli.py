@@ -433,11 +433,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a float.  argparse reads a value such as -1e-5, -1e3 or
+# -inf after an option as an option of its own (only -3 and -0.5 pass as
+# numbers), so dispatch joins a negative value to its option first.
+_FLOAT_OPTIONS = ("--lambda", "--t-min", "--t-max")
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_floats(argv: Sequence[str]) -> list[str]:
+    """``--t-min -1e-5`` becomes ``--t-min=-1e-5``; other tokens pass."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-") and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Parse and run one command; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_negative_floats(argv))
     except SystemExit as exc:
         # argparse already printed usage/help; normalize the code.
         code = exc.code if isinstance(exc.code, int) else 2

@@ -2,10 +2,21 @@
 
 Every document is a JSON object with a ``kind`` discriminator.  Complex
 numbers are ``[re, im]`` pairs; matrices are row-major nested lists.  All
-floats are emitted through one canonical formatter (17 significant digits,
-enough for exact float64 round trips), so identical data always serializes
-to identical bytes.  Parsing goes through :func:`json.loads`; any structural
+floats are emitted in one canonical format (17 significant digits, enough
+for exact float64 round trips), so identical data always serializes to
+identical bytes.  Parsing goes through :func:`json.loads`; any structural
 problem is reported as :class:`InvalidInputError`.
+
+Complex data (amplitudes, density and operator entries, Kraus stacks) moves
+as whole arrays.  The ``*_to_json`` functions put complex NumPy arrays into
+the documents, and :func:`canonical_json` writes each with one flat
+formatter: one finiteness check, one formatting pass over the flattened
+floats, then pairs, rows, matrices and stacks joined as strings.  The
+parsers read each such field with one array parser: one type pass over the
+flattened numbers (bools, strings and null are refused), one ``np.array``
+call and a shape check (ragged lists and pairs that are not 2-long are
+refused).  Only a refusal walks the entries in Python, to name the
+offending one.  The bytes are those of formatting every float on its own.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,7 +95,8 @@ def canonical_json(value: Any) -> str:
     """Serialize to JSON with deterministic bytes.
 
     Mapping keys keep insertion order (schemas fix it), floats go through
-    :func:`format_float`, and no whitespace depends on the platform.
+    :func:`format_float`, complex arrays become nested ``[re, im]`` pairs,
+    and no whitespace depends on the platform.
     """
     parts: list[str] = []
     _emit(value, parts)
@@ -114,6 +127,8 @@ def _emit(value: Any, parts: list[str]) -> None:
             parts.append(": ")
             _emit(sub, parts)
         parts.append("}")
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "c":
+        parts.append(_complex_json(value))
     elif isinstance(value, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, sub in enumerate(list(value)):
@@ -181,58 +196,92 @@ def _float_list(raw: Any, name: str) -> list[float]:
 #                         Complex scalars and matrices                         #
 # --------------------------------------------------------------------------- #
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _complex_json(arr: np.ndarray) -> str:
+    """JSON text of a complex array (at least 1-d) as nested lists of
+    ``[re, im]`` pairs, byte for byte what :func:`format_float` gives each
+    float: one format call per innermost row, then rows, matrices and
+    stacks joined as strings."""
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("refusing to serialize NaN/Inf")
+    floats = np.ascontiguousarray(arr).view(float).ravel().tolist()
+    width = arr.shape[-1]
+    row = "[" + ", ".join(["[{:.17g}, {:.17g}]"] * width) + "]"
+    if width:
+        items = list(map(row.format, *[iter(floats)] * (2 * width)))
+    else:
+        items = [row] * math.prod(arr.shape[:-1])
+    for axis in range(arr.ndim - 2, -1, -1):
+        n = arr.shape[axis]
+        items = ["[" + ", ".join(items[i * n : (i + 1) * n]) + "]"
+                 for i in range(math.prod(arr.shape[:axis]))]
+    return items[0]
 
 
-def _pair_to_complex(raw: Any, name: str) -> complex:
-    if (
-        not isinstance(raw, Sequence)
-        or isinstance(raw, str)
-        or len(raw) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
-    ):
-        raise InvalidInputError(f"{name} entries must be [re, im] pairs, got {raw!r}")
-    return complex(float(raw[0]), float(raw[1]))
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _complex_array(raw: Any, name: str, ndim: int) -> np.ndarray:
+    """Parse field ``name``: non-empty lists nested ``ndim`` deep around
+    ``[re, im]`` pairs, as one complex array with ``ndim`` axes.  A complex
+    array of that rank (as the ``*_to_json`` functions leave it) passes."""
+    if isinstance(raw, np.ndarray) and raw.dtype == complex and raw.ndim == ndim and raw.size:
+        return raw
+    try:
+        flat = raw
+        for _ in range(ndim):
+            flat = list(chain.from_iterable(flat))
+        if set(map(type, flat)) <= {float, int} or all(map(_is_number, flat)):
+            arr = np.array(raw, dtype=float)
+            if arr.ndim == ndim + 1 and arr.shape[-1] == 2 and arr.size:
+                return arr.view(complex)[..., 0]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(_complex_refusal(raw, name, ndim))
+
+
+def _complex_refusal(raw: Any, name: str, ndim: int) -> str:
+    """Why ``raw`` failed :func:`_complex_array`, naming the first offending
+    entry (``name[i][j]...``)."""
+    widths: dict[int, tuple[int, str]] = {}
+
+    def walk(node: Any, level: int, path: str) -> Optional[str]:
+        if level == ndim:
+            if isinstance(node, (list, tuple)) and len(node) == 2 and all(map(_is_number, node)):
+                return None
+            return f"{name} entries must be [re, im] pairs, got {node!r} at {path}"
+        if not isinstance(node, (list, tuple)) or not node:
+            return f"{name} must be non-empty lists nested {ndim} deep, got {node!r} at {path}"
+        width, first = widths.setdefault(level, (len(node), path))
+        if len(node) != width:
+            return f"{name} is ragged: {path} has {len(node)} entries, {first} has {width}"
+        for i, sub in enumerate(node):
+            found = walk(sub, level + 1, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+
+    return walk(raw, 0, name) or f"{name} entries must be [re, im] pairs of finite floats"
 
 
 def operator_to_json(op: np.ndarray) -> dict:
-    mat = np.asarray(op, dtype=complex)
+    mat = np.array(op, dtype=complex)
     if mat.ndim != 2:
         raise InvalidInputError("operators must be 2-dimensional")
     return {
         "kind": "operator",
         "shape": [int(mat.shape[0]), int(mat.shape[1])],
-        "entries": _matrix_to_rows(mat),
+        "entries": mat,
     }
-
-
-def _matrix_to_rows(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_to_pair(z) for z in row] for row in mat]
-
-
-def _matrix_from_rows(rows: Any, name: str) -> np.ndarray:
-    if not isinstance(rows, Sequence) or isinstance(rows, str) or not rows:
-        raise InvalidInputError(f"{name} must be a non-empty list of rows")
-    parsed = []
-    width = None
-    for row in rows:
-        if not isinstance(row, Sequence) or isinstance(row, str):
-            raise InvalidInputError(f"{name} rows must be lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidInputError(f"{name} rows have inconsistent lengths")
-        parsed.append([_pair_to_complex(z, name) for z in row])
-    return np.asarray(parsed, dtype=complex)
 
 
 def operator_from_json(doc: Mapping) -> np.ndarray:
     _expect_kind(doc, "operator")
-    mat = _matrix_from_rows(_field(doc, "entries"), "entries")
+    mat = _complex_array(_field(doc, "entries"), "entries", 2)
     shape = _field(doc, "shape")
-    if list(mat.shape) != [int(shape[0]), int(shape[1])]:
-        raise InvalidInputError(f"operator shape {shape} does not match entries {mat.shape}")
+    if not isinstance(shape, (list, tuple)) or list(shape) != list(mat.shape):
+        raise InvalidInputError(f"operator shape {shape!r} does not match "
+                                f"entries {list(mat.shape)}")
     return mat
 
 
@@ -244,7 +293,7 @@ def state_to_json(psi: PureBipartiteState) -> dict:
     return {
         "kind": "pure_bipartite",
         "dims": [int(psi.dims[0]), int(psi.dims[1])],
-        "amplitudes": [_complex_to_pair(z) for z in psi.amplitudes],
+        "amplitudes": psi.amplitudes,
     }
 
 
@@ -253,7 +302,7 @@ def state_from_json(doc: Mapping) -> PureBipartiteState:
     dims = _field(doc, "dims")
     if not isinstance(dims, Sequence) or len(dims) != 2:
         raise InvalidInputError("dims must be a [dA, dB] pair")
-    amps = [_pair_to_complex(z, "amplitudes") for z in _field(doc, "amplitudes")]
+    amps = _complex_array(_field(doc, "amplitudes"), "amplitudes", 1)
     return pure_state((int(dims[0]), int(dims[1])), amps)
 
 
@@ -261,13 +310,13 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {
         "kind": "density",
         "dim": int(rho.dim),
-        "entries": _matrix_to_rows(rho.entries),
+        "entries": rho.entries,
     }
 
 
 def density_from_json(doc: Mapping) -> DensityMatrix:
     _expect_kind(doc, "density")
-    mat = _matrix_from_rows(_field(doc, "entries"), "entries")
+    mat = _complex_array(_field(doc, "entries"), "entries", 2)
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != int(_field(doc, "dim")):
         raise InvalidInputError("density 'dim' does not match the entry grid")
     return density(mat)
@@ -315,17 +364,11 @@ def measure_from_json(doc: Mapping) -> AtomicMeasure:
 # --------------------------------------------------------------------------- #
 
 def _instrument_to_json(instr: Instrument) -> dict:
-    return {
-        "kraus": [_matrix_to_rows(k) for k in instr.kraus],
-        "labels": list(instr.labels),
-    }
+    return {"kraus": instr.kraus, "labels": list(instr.labels)}
 
 
 def _instrument_from_json(doc: Mapping) -> Instrument:
-    kraus_raw = _field(doc, "kraus")
-    if not isinstance(kraus_raw, Sequence) or isinstance(kraus_raw, str):
-        raise InvalidInputError("instrument 'kraus' must be a list of matrices")
-    kraus = [_matrix_from_rows(k, "kraus") for k in kraus_raw]
+    kraus = _complex_array(_field(doc, "kraus"), "kraus", 3)
     labels_raw = _field(doc, "labels")
     if not isinstance(labels_raw, Sequence) or any(not isinstance(l, str) for l in labels_raw):
         raise InvalidInputError("instrument 'labels' must be a list of strings")
@@ -356,17 +399,25 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
             raise InvalidInputError("round 'branches' must be an object keyed by history")
         branches = {}
         for key, sub in branches_raw.items():
-            history = tuple(part for part in key.split(HISTORY_SEP) if part != "")
+            history = tuple(filter(None, key.split(HISTORY_SEP)))
             branches[history] = _instrument_from_json(sub)
         rounds.append(locc_round(str(_field(entry, "party")), branches))
     return locc_protocol(rounds)
 
 
+def _matrices(mats: Sequence[np.ndarray]) -> Any:
+    """One complex stack when the matrices share a shape (every protocol
+    entlab builds), else the matrices one by one; both emit the same JSON."""
+    if len({np.shape(m) for m in mats}) == 1:
+        return np.array(mats, dtype=complex)
+    return [np.asarray(m, dtype=complex) for m in mats]
+
+
 def one_way_to_json(protocol: OneWayProtocol) -> dict:
     return {
         "kind": "one_way",
-        "alice_kraus": [_matrix_to_rows(k) for k in protocol.alice_kraus],
-        "bob_unitaries": [_matrix_to_rows(u) for u in protocol.bob_unitaries],
+        "alice_kraus": _matrices(protocol.alice_kraus),
+        "bob_unitaries": _matrices(protocol.bob_unitaries),
     }
 
 
@@ -375,10 +426,10 @@ def one_way_from_json(doc: Mapping) -> OneWayProtocol:
     alice_raw = _field(doc, "alice_kraus")
     bob_raw = _field(doc, "bob_unitaries")
     for name, raw in (("alice_kraus", alice_raw), ("bob_unitaries", bob_raw)):
-        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+        if not isinstance(raw, (Sequence, np.ndarray)) or isinstance(raw, str) or not len(raw):
             raise InvalidInputError(f"'{name}' must be a non-empty list of matrices")
-    alice = tuple(_matrix_from_rows(k, "alice_kraus") for k in alice_raw)
-    bob = tuple(_matrix_from_rows(u, "bob_unitaries") for u in bob_raw)
+    alice = tuple(_complex_array(k, f"alice_kraus[{i}]", 2) for i, k in enumerate(alice_raw))
+    bob = tuple(_complex_array(u, f"bob_unitaries[{i}]", 2) for i, u in enumerate(bob_raw))
     if len(alice) != len(bob):
         raise InvalidInputError("alice_kraus and bob_unitaries must pair up one-to-one")
     return OneWayProtocol(alice_kraus=alice, bob_unitaries=bob)

@@ -36,7 +36,7 @@ from .quantum import (
     pure_state,
     schmidt,
 )
-from .spectra import Spectrum, majorizes, tensor_spectrum
+from .spectra import majorizes, spectrum, tensor_spectrum
 from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, POLAR_CUT,
                          SUPPORT_CUT, SUPPORT_FLOOR)
 
@@ -50,29 +50,41 @@ REST_LABEL = "__rest__"
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """One Kraus operator per outcome; may be subnormalized (sum k^dag k <= 1)."""
+    """One Kraus operator per outcome, stacked as an (outcomes, d, d)
+    complex array; may be subnormalized (sum k^dag k <= 1)."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kraus", np.asarray(self.kraus, dtype=complex))
 
 
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:
-    ks = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not ks:
+    """Validate an instrument: equal square Kraus operators, distinct
+    labels, and sum k^dag k at most 1 within ``COMPLETENESS_TOL``.
+    ``kraus`` may be a sequence of matrices or a stack."""
+    if len(kraus) == 0:
         raise InvalidInputError("instrument needs at least one outcome")
-    shape = ks[0].shape
-    if any(k.ndim != 2 or k.shape != shape or k.shape[0] != k.shape[1] for k in ks):
+    try:
+        ks = np.asarray(kraus, dtype=complex)
+    except (TypeError, ValueError):
+        ks = None
+    if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
         raise InvalidInputError("instrument Kraus operators must be equal square matrices")
     if labels is None:
         labels = tuple(str(i) for i in range(len(ks)))
     labels = tuple(str(label) for label in labels)
     if len(labels) != len(ks) or len(set(labels)) != len(ks):
         raise InvalidInputError("labels must be distinct and match the outcome count")
-    total = sum(k.conj().T @ k for k in ks)
-    top = float(np.linalg.eigvalsh(total)[-1])
-    if top > 1.0 + COMPLETENESS_TOL:
-        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
-                                f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
+    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
+    # the largest absolute row sum bounds the top eigenvalue, so only an
+    # instrument that may exceed completeness needs the eigvalsh
+    if np.abs(total).sum(axis=1).max() > 1.0 + COMPLETENESS_TOL:
+        top = float(np.linalg.eigvalsh(total)[-1])
+        if top > 1.0 + COMPLETENESS_TOL:
+            raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
+                                    f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
     return Instrument(ks, labels)
 
 
@@ -90,7 +102,7 @@ def locc_round(party: str, branches: Mapping) -> LoccRound:
         raise InvalidInputError(f"party must be 'A' or 'B', got {party!r}")
     fixed = {}
     for hist, instr in branches.items():
-        key = tuple(str(x) for x in hist)
+        key = tuple(map(str, hist))
         if not isinstance(instr, Instrument):
             raise InvalidInputError("branch values must be Instruments")
         fixed[key] = instr
@@ -275,12 +287,12 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
 def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> MixingDecomposition:
     """Express rho_psi as a probabilistic unitary (partial-isometry) mixture
     of rho_phi.  Requires spectrum(rho_psi) to be majorized by
-    spectrum(rho_phi)."""
-    if not majorizes(rho_phi.spectrum(), rho_psi.spectrum()):
-        raise InfeasibleError("source spectrum is not majorized by the mixed state's")
+    spectrum(rho_phi), decided on the eigenvalues the mixing uses."""
     m = max(rho_psi.dim, rho_phi.dim)
     a, va = _padded_eigendata(rho_psi, m)
     b, vb = _padded_eigendata(rho_phi, m)
+    if not majorizes(spectrum(b), spectrum(a)):
+        raise InfeasibleError("source spectrum is not majorized by the mixed state's")
     # no term may move weight outside rho_psi's support
     a[~_in_support(a)] = 0.0
     terms = _permutohedron_terms(a, b)
@@ -296,8 +308,8 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
 
 def _in_support(vals: np.ndarray) -> np.ndarray:
     """Mask of the descending eigenvalues (or singular values) inside the
-    support: above ``SUPPORT_CUT`` times the largest."""
-    return vals > SUPPORT_CUT * vals[0]
+    support: above ``SUPPORT_CUT`` times the largest (along the last axis)."""
+    return vals > SUPPORT_CUT * vals[..., :1]
 
 
 def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +351,10 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     exceeds ``COMPLETENESS_TOL`` is refused with
     :class:`NumericalFailureError`.
     """
-    source, target = schmidt(psi), schmidt(phi)
-    if not majorizes(target.spectrum, source.spectrum):
-        raise InfeasibleError("target spectrum does not majorize the source spectrum")
     rho_psi = marginal(psi, "A")
     rho_phi = marginal(phi, "A")
+    # decides feasibility (raising InfeasibleError) and computes each
+    # marginal's eigendata, which the support and rho_phi^{1/2} below reuse
     mix = mixing_decomposition(rho_psi, rho_phi)
     kept, basis = _support(rho_psi)
     if float(kept.min()) < SUPPORT_FLOOR:
@@ -351,8 +362,8 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
                                     f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {rho_psi.dim})")
     inv_sqrt = (basis * kept**-0.5) @ basis.conj().T
     sqrt_phi = _psd_sqrt(rho_phi)
-    w_psi_dag = _polar_factor(source).conj().T
-    w_phi = _polar_factor(target)
+    w_psi_dag = _polar_factor(schmidt(psi)).conj().T
+    w_phi = _polar_factor(schmidt(phi))
     alice = []
     bob = []
     for p_x, u_x in zip(mix.weights, mix.unitaries):
@@ -405,25 +416,47 @@ def verify_protocol(
 #                                 simulation                                   #
 # --------------------------------------------------------------------------- #
 
-def _completed(instr: Instrument, dim: int) -> Instrument:
-    """Validate against the acting dimension and append the deterministic
-    complement Kraus operator when the instrument is subnormalized."""
-    if instr.kraus[0].shape[0] != dim:
-        raise InvalidInputError(
-            f"instrument acts on dimension {instr.kraus[0].shape[0]}, state has {dim}"
-        )
-    total = sum(k.conj().T @ k for k in instr.kraus)
-    gap = np.eye(dim) - total
-    vals, vecs = np.linalg.eigh(gap)
-    if float(vals.min()) < -COMPLETENESS_TOL:
-        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue "
-                                f"{1.0 - float(vals.min())!r} exceeds 1 + {COMPLETENESS_TOL:.0e}")
-    if float(vals.max()) <= COMPLETENESS_TOL:
-        return instr
-    comp = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    if REST_LABEL in instr.labels:
-        raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
-    return Instrument(instr.kraus + (comp,), instr.labels + (REST_LABEL,))
+def _completed(instrs: Sequence[Instrument], dim: int) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Validate a round's instruments against the acting dimension and give
+    each subnormalized one the deterministic complement outcome
+    sqrt(1 - sum k^dag k), labelled ``REST_LABEL``, with at most one
+    stacked ``eigh`` for the round.  Returns every outcome's Kraus operator (a
+    stack, instruments in order), its label, and its instrument's index."""
+    for instr in instrs:
+        if instr.kraus.shape[1] != dim:
+            raise InvalidInputError(
+                f"instrument acts on dimension {instr.kraus.shape[1]}, state has {dim}"
+            )
+    kraus = np.concatenate([instr.kraus for instr in instrs])
+    counts = np.array([len(instr.kraus) for instr in instrs])
+    ends = np.cumsum(counts)
+    # reduceat adds each instrument's terms in outcome order, so the totals
+    # (and the complements) carry the bits of a running sum over operators
+    totals = np.add.reduceat(kraus.conj().transpose(0, 2, 1) @ kraus, ends - counts, axis=0)
+    gaps = np.eye(dim) - totals
+    # a gap's largest absolute row sum bounds its eigenvalues, so only the
+    # instruments that may be incomplete or super-normalized need the eigh
+    loose = np.flatnonzero(np.abs(gaps).sum(axis=2).max(axis=1) > COMPLETENESS_TOL)
+    vals, vecs = np.linalg.eigh(gaps[loose])
+    over = np.flatnonzero(vals[:, 0] < -COMPLETENESS_TOL)
+    if over.size:
+        top = 1.0 - float(vals[over[0], 0])
+        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
+                                f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
+    incomplete = vals[:, -1] > COMPLETENESS_TOL
+    vals, vecs = vals[incomplete], vecs[incomplete]
+    short = np.zeros(len(instrs), dtype=bool)
+    short[loose[incomplete]] = True
+    labels = []
+    for instr, rest in zip(instrs, short.tolist()):
+        if rest and REST_LABEL in instr.labels:
+            raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
+        labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
+    if short.any():
+        roots = np.sqrt(np.clip(vals, 0.0, None))
+        comps = (vecs * roots[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        kraus = np.insert(kraus, ends[short], comps, axis=0)
+    return kraus, labels, np.repeat(np.arange(len(instrs)), counts + short)
 
 
 def _check_depth(protocol: LoccProtocol) -> None:
@@ -432,22 +465,31 @@ def _check_depth(protocol: LoccProtocol) -> None:
 
 
 def _round_outcomes(
-    rnd: LoccRound, dims: tuple[int, int], hist: tuple[str, ...], vec: np.ndarray
-):
-    """Run one round on the branch (hist, vec): yields (label, k, q, new)
-    per outcome, with q the outcome's probability given the branch and new
-    the normalized post-measurement vector.  The instrument is completed;
-    outcomes with q <= ``MASS_CUT`` are pruned."""
-    instr = rnd.branches.get(hist)
-    if instr is None:
-        raise InvalidInputError(f"no instrument for reachable history {hist!r}")
-    instr = _completed(instr, dims[0] if rnd.party == "A" else dims[1])
-    mat = vec.reshape(dims)
-    for k, label in zip(instr.kraus, instr.labels):
-        new = (k @ mat if rnd.party == "A" else mat @ k.T).ravel()
-        q = float(np.vdot(new, new).real)
-        if q > MASS_CUT:
-            yield label, k, q, new / math.sqrt(q)
+    rnd: LoccRound, dims: tuple[int, int], hists: Sequence[tuple[str, ...]], vecs: np.ndarray
+) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Run one round on every branch (hists[i], vecs[i]) at once.
+
+    Returns, per outcome with probability above ``MASS_CUT`` given its
+    branch: the branch index, the label, the Kraus operator, that
+    probability q, and the normalized post-measurement vector (the last
+    three stacked).  Instruments are completed first.  All outcomes go
+    through one stacked product; each q is the ``vdot`` of its own vector.
+    """
+    instrs = []
+    for hist in hists:
+        instr = rnd.branches.get(hist)
+        if instr is None:
+            raise InvalidInputError(f"no instrument for reachable history {hist!r}")
+        instrs.append(instr)
+    alice = rnd.party == "A"
+    kraus, labels, branch = _completed(instrs, dims[0] if alice else dims[1])
+    mats = vecs.reshape((-1,) + dims)[branch]
+    new = (kraus @ mats if alice else mats @ kraus.transpose(0, 2, 1)).reshape(len(branch), -1)
+    q = np.array([np.vdot(v, v).real for v in new])
+    kept = np.flatnonzero(q > MASS_CUT)
+    q = q[kept]
+    return (branch[kept], [labels[i] for i in kept.tolist()], kraus[kept], q,
+            new[kept] / np.sqrt(q)[:, None])
 
 
 def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, ...]:
@@ -458,48 +500,68 @@ def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, .
     order.  Protocols deeper than ``MAX_ROUNDS`` are refused.
     """
     _check_depth(protocol)
-    leaves: list[tuple[float, np.ndarray, tuple[str, ...]]] = [(1.0, psi.amplitudes, ())]
+    probs, hists, vecs = np.ones(1), [()], psi.amplitudes[None]
     for rnd in protocol.rounds:
-        leaves = [
-            (p * q, new, hist + (label,))
-            for p, vec, hist in leaves
-            for label, _, q, new in _round_outcomes(rnd, psi.dims, hist, vec)
-        ]
-    return tuple(Branch(p, pure_state(psi.dims, vec), hist) for p, vec, hist in leaves)
+        branch, labels, _, q, vecs = _round_outcomes(rnd, psi.dims, hists, vecs)
+        probs = probs[branch] * q
+        hists = [hists[i] + (label,) for i, label in zip(branch.tolist(), labels)]
+    # every row is a unit vector already (divided by the root of its vdot)
+    vecs.flags.writeable = False
+    return tuple(Branch(p, PureBipartiteState(psi.dims, vec), hist)
+                 for p, vec, hist in zip(probs.tolist(), vecs, hists))
 
 
 # --------------------------------------------------------------------------- #
 #                              one-way reduction                               #
 # --------------------------------------------------------------------------- #
 
-def _mirror_bob(vec: np.ndarray, dims: tuple[int, int], d_op: np.ndarray):
-    """Alice operator m and Bob partial isometry w with
-    (m (x) w) sigma = (1 (x) d) sigma for the pure state sigma = vec.
+def _mirror_bob(vecs: np.ndarray, dims: tuple[int, int], d_ops: np.ndarray):
+    """Alice operators m and Bob partial isometries w with
+    (m (x) w) sigma = (1 (x) d) sigma, one pair per pure state sigma (a row
+    of ``vecs``, or a single vector) and Bob operator d (``d_ops``, stacked
+    alike).
 
     Through the Schmidt frame sigma = E diag(s) F^T: with
     X = diag(s) (d F)^T = H Omega (polar), take
-    m = E H diag(s)^+ E^dagger and w = Omega^T F^dagger.
+    m = E H diag(s)^+ E^dagger and w = Omega^T F^dagger.  The SVDs and
+    products run stacked over the states of one support rank r, and
+    Omega over those of one polar rank, so each keeps the shapes of the
+    one-state form.
     """
-    mat = vec.reshape(dims)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    r = int(_in_support(s).sum())
-    e_b = u[:, :r]
-    f_b = vh.T[:, :r]
-    sr = s[:r]
-    x = sr[:, None] * (d_op @ f_b).T
-    xu, xs, xvh = np.linalg.svd(x, full_matrices=False)
-    h = (xu * xs) @ xu.conj().T
-    keep = int((xs > float(xs.max()) * POLAR_CUT).sum()) if xs.size else 0
-    omega = xu[:, :keep] @ xvh[:keep]
-    m_op = e_b @ h @ np.diag(1.0 / sr) @ e_b.conj().T
-    w_op = omega.T @ f_b.conj().T
-    lhs = (m_op @ mat @ w_op.T).ravel()
-    rhs = (mat @ d_op.T).ravel()
-    residual = float(np.abs(lhs - rhs).max())
-    if residual > BRANCH_TOL:
+    mats = np.reshape(vecs, (-1,) + tuple(dims))
+    d_ops = np.reshape(d_ops, (-1, dims[1], dims[1]))
+    u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    ranks = _in_support(s).sum(axis=1)
+    m_ops = np.empty((len(mats), dims[0], dims[0]), dtype=complex)
+    w_ops = np.empty((len(mats), dims[1], dims[1]), dtype=complex)
+    for r in np.unique(ranks).tolist():
+        group = np.flatnonzero(ranks == r)
+        e_b = u[group][:, :, :r]
+        f_b = vh[group].transpose(0, 2, 1)[:, :, :r]
+        sr = s[group][:, :r]
+        x = sr[:, :, None] * (d_ops[group] @ f_b).transpose(0, 2, 1)
+        xu, xs, xvh = np.linalg.svd(x, full_matrices=False)
+        h = (xu * xs[:, None, :]) @ xu.conj().transpose(0, 2, 1)
+        inv = np.zeros((len(group), r, r))
+        inv[:, np.arange(r), np.arange(r)] = 1.0 / sr
+        m_ops[group] = e_b @ h @ inv @ e_b.conj().transpose(0, 2, 1)
+        keeps = (xs > xs.max(axis=1, keepdims=True) * POLAR_CUT).sum(axis=1)
+        for keep in np.unique(keeps).tolist():
+            sub = np.flatnonzero(keeps == keep)
+            omega = xu[sub][:, :, :keep] @ xvh[sub][:, :keep]
+            # sliced from vh again, not gathered from f_b, so every product
+            # sees its operands laid out as in the one-state form
+            f_sub = vh[group[sub]].transpose(0, 2, 1)[:, :, :r]
+            w_ops[group[sub]] = omega.transpose(0, 2, 1) @ f_sub.conj().transpose(0, 2, 1)
+    lhs = m_ops @ mats @ w_ops.transpose(0, 2, 1)
+    rhs = mats @ d_ops.transpose(0, 2, 1)
+    residual = np.abs(lhs - rhs).reshape(len(mats), -1).max(axis=1)
+    bad = np.flatnonzero(residual > BRANCH_TOL)
+    if bad.size:
         raise NotReducibleError(f"branch operator could not be mirrored within tolerance: "
-                                f"residual {residual:.3e} exceeds {BRANCH_TOL:.0e} (dims = {dims})")
-    return m_op, w_op
+                                f"residual {residual[bad[0]]:.3e} exceeds {BRANCH_TOL:.0e} "
+                                f"(dims = {tuple(dims)})")
+    return m_ops, w_ops
 
 
 def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayProtocol:
@@ -508,27 +570,23 @@ def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayPro
 
     Alice rounds compose directly; each Bob operator is mirrored through the
     current branch state into an Alice operator and a Bob partial isometry.
-    Protocols deeper than ``MAX_ROUNDS`` are refused.
+    Every round runs stacked over its branches.  Protocols deeper than
+    ``MAX_ROUNDS`` are refused.
     """
     _check_depth(protocol)
-    pi_a = support_projector(marginal(psi, "A"))
-    pi_b = support_projector(marginal(psi, "B"))
-    branches = [(psi.amplitudes, (), pi_a, pi_b)]
+    alice = support_projector(marginal(psi, "A"))[None]
+    bob = support_projector(marginal(psi, "B"))[None]
+    hists, vecs = [()], psi.amplitudes[None]
     for rnd in protocol.rounds:
-        new_branches = []
-        for vec, hist, a_acc, w_acc in branches:
-            for label, k, _, new in _round_outcomes(rnd, psi.dims, hist, vec):
-                if rnd.party == "A":
-                    a_new, w_new = k @ a_acc, w_acc
-                else:
-                    m_op, w_op = _mirror_bob(vec, psi.dims, k)
-                    a_new, w_new = m_op @ a_acc, w_op @ w_acc
-                new_branches.append((new, hist + (label,), a_new, w_new))
-        branches = new_branches
-    return OneWayProtocol(
-        tuple(a for _, _, a, _ in branches),
-        tuple(w for _, _, _, w in branches),
-    )
+        branch, labels, kraus, _, new = _round_outcomes(rnd, psi.dims, hists, vecs)
+        if rnd.party == "A":
+            alice, bob = kraus @ alice[branch], bob[branch]
+        else:
+            m_ops, w_ops = _mirror_bob(vecs[branch], psi.dims, kraus)
+            alice, bob = m_ops @ alice[branch], w_ops @ bob[branch]
+        hists = [hists[i] + (label,) for i, label in zip(branch.tolist(), labels)]
+        vecs = new
+    return OneWayProtocol(tuple(alice), tuple(bob))
 
 
 def one_way_branches(

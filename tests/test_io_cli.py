@@ -7,6 +7,7 @@ subprocess calls pin the module entry point and the process exit codes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io as stdio
 import json
 import math
@@ -35,6 +36,7 @@ from entlab import (
     product_basis_state,
     pure_state,
     random_density,
+    random_pure_state,
     simulate,
     spectrum,
     state_from_schmidt,
@@ -42,6 +44,7 @@ from entlab import (
 from entlab import io as eio
 from entlab.cli import CommandConfig, dispatch, emit_sweep
 from entlab.errors import InvalidInputError
+from entlab.locc import Instrument, OneWayProtocol
 
 
 # --------------------------------------------------------------------------- #
@@ -146,6 +149,26 @@ def test_state_density_operator_round_trips():
     assert np.array_equal(back_op, op)
 
 
+def test_documents_round_trip_without_json_text():
+    """The *_to_json documents hold complex fields as arrays; the parsers
+    take them back as they are."""
+    psi = random_pure_state((2, 3), 4)
+    assert np.array_equal(eio.state_from_json(eio.state_to_json(psi)).amplitudes, psi.amplitudes)
+    rho = random_density(3, seed=5)
+    assert np.allclose(eio.density_from_json(eio.density_to_json(rho)).entries, rho.entries,
+                       rtol=0, atol=1e-15)
+    op = np.arange(6.0).reshape(2, 3) * (1 + 2j)
+    assert np.array_equal(eio.operator_from_json(eio.operator_to_json(op)), op)
+    protocol = correction_protocol()
+    back = eio.protocol_from_json(eio.protocol_to_json(protocol))
+    assert eio.canonical_json(eio.protocol_to_json(back)) == eio.canonical_json(
+        eio.protocol_to_json(protocol))
+    one_way = one_way_reduce(protocol, bell_state(2))
+    again = eio.one_way_from_json(eio.one_way_to_json(one_way))
+    assert all(map(np.array_equal, one_way.alice_kraus + one_way.bob_unitaries,
+                   again.alice_kraus + again.bob_unitaries))
+
+
 def test_spectrum_stepfn_measure_round_trips():
     from entlab import atomic_measure, spectral_scale, spectrum
 
@@ -211,6 +234,51 @@ def test_malformed_documents_are_rejected():
         )
     with pytest.raises(InvalidInputError):
         eio.spectrum_from_json({"kind": "spectrum", "values": ["a"]})
+
+
+def _one_instrument_protocol(kraus):
+    branch = {"kraus": kraus, "labels": ["0"]}
+    return {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": {"": branch}}]}
+
+
+@pytest.mark.parametrize(
+    "kraus, offender",
+    [
+        ([[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]], "got [True, 0] at kraus[0][0][0]"),
+        ([[[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]], "got ['0', 0] at kraus[0][0][1]"),
+        ([[[[1, 0], [0, 0]], [[0, None], [1, 0]]]], "got [0, None] at kraus[0][1][0]"),
+        ([[[[1, 0], [0, 0]], [None, [1, 0]]]], "got None at kraus[0][1][0]"),
+        ([[[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]]], "got [1, 0, 0] at kraus[0][1][1]"),
+        ([[[[1, 0], [0, 0]], [[1, 0]]]], "kraus[0][1] has 1 entries, kraus[0][0] has 2"),
+        ([], "got [] at kraus"),
+    ],
+    ids=["bool", "string", "null-number", "null-pair", "three-long-pair", "ragged-rows",
+         "no-outcomes"],
+)
+def test_array_parser_names_the_offending_entry(kraus, offender):
+    with pytest.raises(InvalidInputError) as info:
+        eio.protocol_from_json(_one_instrument_protocol(kraus))
+    assert str(info.value).startswith("kraus ") and offender in str(info.value)
+
+
+def test_array_parser_refuses_a_shape_that_does_not_match_the_entries():
+    entries = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    good = eio.operator_from_json({"kind": "operator", "shape": [2, 2], "entries": entries})
+    assert np.array_equal(good, np.diag([1.0, 1.0]))
+    with pytest.raises(InvalidInputError, match=r"shape \[2, 3\] does not match entries \[2, 2\]"):
+        eio.operator_from_json({"kind": "operator", "shape": [2, 3], "entries": entries})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_kraus_entries_are_refused_on_emit(bad):
+    k = np.eye(2, dtype=complex)
+    k[1, 0] = complex(0.0, bad)
+    protocol = OneWayProtocol((k,), (np.eye(2),))
+    with pytest.raises(InvalidInputError, match="NaN/Inf"):
+        eio.canonical_json(eio.one_way_to_json(protocol))
+    with pytest.raises(InvalidInputError, match="NaN/Inf"):
+        eio.canonical_json(eio.protocol_to_json(
+            locc_protocol([locc_round("A", {(): Instrument((k,), ("0",))})])))
 
 
 def test_type_label_json_shapes():
@@ -568,6 +636,27 @@ def test_cli_kappa_profile_accepts_extreme_finite_times(capsys):
     assert [float(row["deviation"]) for row in rows] == pytest.approx([2.0, 2.0], abs=1e-15)
 
 
+@pytest.mark.parametrize("t_min", ["-1e-5", "-1e3", "-1e308"])
+def test_cli_negative_float_values_parse_space_separated(t_min, capsys):
+    """A negative value written apart from its option reaches the command
+    (argparse alone reads -1e-5 as an option and exits 2)."""
+    argv = ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "2",
+            "--t-min", t_min, "--t-max", "0.5", "--steps", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(stdio.StringIO(out)))
+    assert float(rows[0]["t"]) == float(t_min) and float(rows[-1]["t"]) == 0.5
+    assert all(0.0 <= float(row["deviation"]) <= 2.0 for row in rows)
+
+
+def test_cli_space_separated_minus_inf_keeps_the_finite_span_refusal():
+    done = _run_entlab(["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "2",
+                        "--t-min", "-inf", "--t-max", "0.5", "--steps", "3"])
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("entlab: ") and "--t-min" in lines[0]
+
+
 @pytest.mark.parametrize(
     "t_min, t_max",
     [("nan", "1"), ("0", "inf"), ("-inf", "0"), ("-1e308", "1e308"), ("1", "0")],
@@ -580,3 +669,134 @@ def test_cli_kappa_profile_non_finite_grid_is_a_usage_error(t_min, t_max):
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("entlab: ") and "--t-max" in lines[0]
+
+
+# --------------------------------------------------------------------------- #
+#                  Golden bytes of `locc simulate` / `locc reduce`             #
+# --------------------------------------------------------------------------- #
+
+def _golden_haar(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _golden_pairs(mat):
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+
+def golden_protocol(d, rounds, leaves, first, seed):
+    """A seeded protocol document and source state, built with NumPy and
+    ``json`` alone so the input bytes do not depend on entlab's emitter.
+
+    Every branch of a round gets one instrument: rank-one projective,
+    coarse two-outcome projective, a mixture of two unitaries, a lone
+    subnormalized ``sqrt(0.6) u`` (completed by ``__rest__``), or one
+    unitary, as the room left under a geometric leaf budget allows.
+    Parties alternate starting with ``first``."""
+    rng = np.random.default_rng(seed)
+    parties = ("A", "B") if first == "A" else ("B", "A")
+    histories = [()]
+    doc_rounds = []
+    for r in range(rounds):
+        budget = min(leaves, round(leaves ** ((r + 1) / rounds)))
+        branches, grown = {}, []
+        for i, history in enumerate(histories):
+            room = budget - len(grown) - (len(histories) - i - 1)
+            u = _golden_haar(rng, d)
+            kind = int(rng.integers(0, 4)) if room >= 2 else -1
+            if kind == 0 and room >= d:
+                kraus = [np.outer(u[:, j], u[:, j].conj()) for j in range(d)]
+                labels = made = [str(j) for j in range(d)]
+            elif kind in (0, 1):
+                top = u[:, :2] @ u[:, :2].conj().T
+                kraus, labels = [top, np.eye(d) - top], ["lo", "hi"]
+                made = labels
+            elif kind == 2:
+                q = float(rng.uniform(0.2, 0.8))
+                kraus = [math.sqrt(q) * u, math.sqrt(1.0 - q) * _golden_haar(rng, d)]
+                labels = made = ["p", "q"]
+            elif kind == 3:
+                kraus, labels = [math.sqrt(0.6) * u], ["s"]
+                made = ["s", "__rest__"]
+            else:
+                kraus, labels = [u], ["u"]
+                made = labels
+            branches[",".join(history)] = {"kraus": [_golden_pairs(k) for k in kraus],
+                                           "labels": labels}
+            grown.extend(history + (label,) for label in made)
+        doc_rounds.append({"party": parties[r % 2], "branches": branches})
+        histories = grown
+    psi = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    psi /= np.linalg.norm(psi)
+    state = {"kind": "pure_bipartite", "dims": [d, d], "amplitudes": _golden_pairs(psi.ravel())}
+    return {"kind": "locc_protocol", "rounds": doc_rounds}, state
+
+
+# (d, rounds, leaf budget, first party) -> sha256 of the protocol input and
+# of `locc simulate` and `locc reduce` stdout.  The digests were taken
+# before the array-native parser and emitter replaced the per-entry ones,
+# with NumPy 2.4 and its bundled OpenBLAS on x86-64.  Where LAPACK builds
+# other inputs, the byte checks do not apply and are skipped.
+GOLDEN_DIGESTS = {
+    (3, 6, 64, 'A'): (
+        '0e93a1e5160cf8c4048dbd88fd41606992c644a60a26df5cb7bc113ca55dec3c',
+        '34ef5f9db846d4c3dd4552a0624ba22feb69cfb246f500c10725548b7536b096',
+        '9f6364d6d4ec7f8fe3e799e069190f281a4fcd7f6c87e1e8fadc129e5e399696'),
+    (3, 6, 64, 'B'): (
+        '92cd929452a6478f5104be7139f16784fd8527ba4d23f66ae05221e9905c52e3',
+        '227e7ad3e5b002181f519024bdd114acd13af42b0d2b3ffb4645cf5089f21149',
+        '9bd4fcbc962706b888205346f3e3b5df2f84a2f28cc28ef25cc3f2d4be7d570a'),
+    (3, 8, 256, 'A'): (
+        'd8b66a8607f545bd13d792415ea5cef96ddf8e269bb19dbe2b4d2d9c62c9c337',
+        '64948b842d090ee9991141330521a2b7eb429c5ec93b83bb6e75c62ed3d1e3bd',
+        'b0b292d5c776a60031545c69104ddebdb8b8df7a9d41b4f85ed68f5b2ba217a2'),
+    (3, 8, 256, 'B'): (
+        '95bea74dc3c345e0668619eada99b1262eb1184c4804dfc06870fc03eead5623',
+        '4295bdf28ad3c4e56a87003a22b6276f985e81538de4d83fd6b40da7ffa06506',
+        '847691f9690690118625a405125190e35a16302bed902410c7987b4e01c9e3b1'),
+    (4, 6, 64, 'A'): (
+        '83e602ea25ddfd6205bcfed7ee8e32900f3f1f139c106c0f27dd6706bd3d6403',
+        '5cf1d323bba49ca442b8e221189228315a207f7584016882dd1f1d4db82ab78c',
+        '56521b7ed3e5ee5aabaa902fe024a6c49dc65475a0b23d5b4be87ad0fbf2a38c'),
+    (4, 6, 64, 'B'): (
+        '17e880471c87eec7226c3be5a273f9c32124f014e0dc4183d49c249bd3bedd44',
+        '5d0e8c042f8fc657028297f4c7d77b2595ee235cccf38f0f49c95291707a5653',
+        'c40dd83ebbb5e343667b21291d689e55220e5fc0ab803ad5f66dc2e10a54778c'),
+    (4, 8, 256, 'A'): (
+        'ff0dd7c9d58dec3862fed354d940c859127473cd0b7ae1221907dd2a1a1ca993',
+        '396014a5fe89ca14b33dddd365c3f3b7961086eaf6d154870d6c7986bf07cf41',
+        '054e76116178061da39f12a3070c4a5dedd0147c46c05c1d7fab20ff5887cf3c'),
+    (4, 8, 256, 'B'): (
+        '6723aad5f438de5913f40f91e6f81cc0fdcd43494d695e5df3e104298cca50a4',
+        '9a264a13a27be8d1bed558ea4bc63fe22122323701f441ba2f0592b432a5150a',
+        'fd53d71cca43f7bfb6c4ea08edeba1af530ad6468bb3c42b7370bf14f06d4391'),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS),
+                         ids=lambda c: "d{}-r{}-leaves{}-{}".format(*c))
+def test_locc_simulate_and_reduce_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    d, rounds, leaves, first = case
+    doc, state = golden_protocol(d, rounds, leaves, first, seed=[d, leaves, ord(first)])
+    reduced = one_way_reduce(eio.protocol_from_json(doc), eio.state_from_json(state))
+    again = eio.one_way_from_json(json.loads(eio.canonical_json(eio.one_way_to_json(reduced))))
+    for ours, theirs in ((reduced.alice_kraus, again.alice_kraus),
+                         (reduced.bob_unitaries, again.bob_unitaries)):
+        assert len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
+
+    protocol_path, psi_path = tmp_path / "protocol.json", tmp_path / "psi.json"
+    protocol_path.write_text(json.dumps(doc))
+    psi_path.write_text(json.dumps(state))
+    pinned_input, pinned_simulate, pinned_reduce = GOLDEN_DIGESTS[case]
+    if _sha(protocol_path.read_text() + psi_path.read_text()) != pinned_input:
+        # the inputs' Haar unitaries come from LAPACK's QR
+        pytest.skip("this platform's LAPACK builds other golden inputs")
+    code, simulated, _ = run_cli(["locc", "simulate", str(protocol_path), str(psi_path)], capsys)
+    assert code == 0 and _sha(simulated) == pinned_simulate
+    code, reduced_text, _ = run_cli(["locc", "reduce", str(protocol_path), str(psi_path)], capsys)
+    assert code == 0 and _sha(reduced_text) == pinned_reduce
