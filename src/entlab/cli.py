@@ -307,16 +307,13 @@ def _cmd_kappa_profile(args, config: CommandConfig) -> int:
 
 
 def _cmd_catalysis_decay(args, config: CommandConfig) -> int:
+    # each spec refuses a bad lambda or m before the period is taken from it
     m_list = sorted(set(_parse_int_list(args.m_list, "--m-list")))
-    period = math.log(1.0 / args.lam)
-    rows = [
-        {
-            "m": m,
-            "t": period,
-            "deviation": catalytic_deviation(LambdaFamilySpec(args.lam, m), period),
-        }
-        for m in m_list
-    ]
+    specs = [LambdaFamilySpec(args.lam, m) for m in m_list]
+    rows = []
+    for spec in specs:
+        period = math.log(1.0 / spec.lambda_)
+        rows.append({"m": spec.m, "t": period, "deviation": catalytic_deviation(spec, period)})
     emit_sweep(rows, ["m", "t", "deviation"], config)
     return 0
 

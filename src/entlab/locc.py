@@ -2,13 +2,12 @@
 protocol simulation, one-way reduction, and one-shot entanglement.
 
 Feasibility of pure-state LOCC conversion is classical majorization of the
-Schmidt spectra (target majorizes source).  Synthesis follows the standard
-route: mix the source marginal out of the target marginal with at most d
-partial isometries (the source spectrum as a mixture of permutations of the
-target's), turn each term into an Alice Kraus operator
-``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``, and give Bob
-``v_x = (w_psi^dagger u_x w_phi)^T``, with w_psi and w_phi the polar factors
-of the two states' matrices (Nielsen; no per-branch connector search).
+Schmidt spectra (target majorizes source).  Synthesis works in the two
+states' Schmidt frames, psi = E diag(s) F^T and phi = G diag(t) H^T
+(Nielsen; Jensen and Schack): the source weights s^2 are a mixture of at
+most d permutations p_x of the target weights t^2, Alice measures with
+``k_x = G[:, p_x] diag(sqrt(w_x) t[p_x] / s) E^dagger`` and Bob applies
+the gathered partial isometry ``v_x = H[:, p_x] F^dagger``.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from .quantum import (
     DensityMatrix,
     LocalIsometryPair,
     PureBipartiteState,
-    SchmidtDecomposition,
     _padded_eigendata,
-    _psd_sqrt,
     marginal,
     pure_state,
     schmidt,
@@ -284,6 +281,20 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
     return terms
 
 
+def _mixing_terms(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """Source weights a cut to their support, and the permutohedron terms
+    (w_x, p_x) with the cut a = sum_x w_x b[p_x].  a and b are descending and
+    of equal length; a majorized by b is decided on them first, raising
+    :class:`InfeasibleError`."""
+    if not majorizes(spectrum(b), spectrum(a)):
+        raise InfeasibleError("source spectrum is not majorized by the mixed state's")
+    # no term may move weight outside the source's support
+    a = np.where(_in_support(a), a, 0.0)
+    return a, _permutohedron_terms(a, b)
+
+
 def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> MixingDecomposition:
     """Express rho_psi as a probabilistic unitary (partial-isometry) mixture
     of rho_phi.  Requires spectrum(rho_psi) to be majorized by
@@ -291,11 +302,7 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
     m = max(rho_psi.dim, rho_phi.dim)
     a, va = _padded_eigendata(rho_psi, m)
     b, vb = _padded_eigendata(rho_phi, m)
-    if not majorizes(spectrum(b), spectrum(a)):
-        raise InfeasibleError("source spectrum is not majorized by the mixed state's")
-    # no term may move weight outside rho_psi's support
-    a[~_in_support(a)] = 0.0
-    terms = _permutohedron_terms(a, b)
+    _, terms = _mixing_terms(a, b)
     return MixingDecomposition(
         tuple(w for w, _ in terms),
         tuple(va @ vb[:, perm].conj().T for _, perm in terms),
@@ -312,15 +319,9 @@ def _in_support(vals: np.ndarray) -> np.ndarray:
     return vals > SUPPORT_CUT * vals[..., :1]
 
 
-def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Support eigenvalues of rho, descending, and their eigenvectors."""
-    vals, vecs = _padded_eigendata(rho, rho.dim)
-    keep = _in_support(vals)
-    return vals[keep], vecs[:, keep]
-
-
 def support_projector(rho: DensityMatrix) -> np.ndarray:
-    basis = _support(rho)[1]
+    vals, vecs = _padded_eigendata(rho, rho.dim)
+    basis = vecs[:, _in_support(vals)]
     return basis @ basis.conj().T
 
 
@@ -329,57 +330,51 @@ def _completeness_residual(kraus: Sequence[np.ndarray], support: np.ndarray) -> 
     return float(np.abs(np.linalg.eigvalsh(sum(k.conj().T @ k for k in kraus) - support)).max())
 
 
-def _polar_factor(decomp: SchmidtDecomposition) -> np.ndarray:
-    """Polar factor E F^T of a state's (d_A, d_B) matrix E diag(s) F^T,
-    over the Schmidt weights s^2 inside the support."""
-    keep = _in_support(decomp.coefficients**2)
-    return decomp.basis_A[:, keep] @ decomp.basis_B[:, keep].T
-
-
 def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneWayProtocol:
     """One-way protocol for a feasible pure-state conversion.
 
-    Alice's Kraus operators are
-    ``k_x = sqrt(p_x) rho_phi^{1/2} u_x^dagger rho_psi^{-1/2}``
-    from the mixing decomposition of the marginals; each branch then has
-    A-marginal exactly p_x rho_phi.  With the polar factors w_psi = E F^T
-    and w_phi = G H^T of psi = E diag(s) F^T and phi = G diag(t) H^T (cut
-    to the support), branch x is sqrt(p_x) phi w_phi^dagger u_x^dagger
-    w_psi as a matrix, so Bob's partial isometry is
-    ``v_x = (w_psi^dagger u_x w_phi)^T`` in closed form.  At most max(d_A)
-    branches; a protocol whose completeness residual on the source support
-    exceeds ``COMPLETENESS_TOL`` is refused with
-    :class:`NumericalFailureError`.
+    In the Schmidt frames psi = E diag(s) F^T and phi = G diag(t) H^T,
+    zero-padded to one length, the support weights s^2 are
+    sum_x w_x t^2[p_x] over at most that many permutations p_x.  Branch x
+    is ``k_x = G[:, p_x] diag(sqrt(w_x) t[p_x] / s) E^dagger`` for Alice and
+    the partial isometry ``v_x = H[:, p_x] F^dagger`` for Bob, on the support
+    columns, so (k_x (x) v_x) psi = sqrt(w_x) phi.  A support weight below
+    ``SUPPORT_FLOOR``, a branch probability off w_x by more than
+    ``BRANCH_TOL`` or a completeness residual above ``COMPLETENESS_TOL`` is
+    refused with :class:`NumericalFailureError`.
     """
-    rho_psi = marginal(psi, "A")
-    rho_phi = marginal(phi, "A")
-    # decides feasibility (raising InfeasibleError) and computes each
-    # marginal's eigendata, which the support and rho_phi^{1/2} below reuse
-    mix = mixing_decomposition(rho_psi, rho_phi)
-    kept, basis = _support(rho_psi)
-    if float(kept.min()) < SUPPORT_FLOOR:
-        raise NumericalFailureError(f"support eigenvalue {float(kept.min()):.3e} below "
-                                    f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {rho_psi.dim})")
-    inv_sqrt = (basis * kept**-0.5) @ basis.conj().T
-    sqrt_phi = _psd_sqrt(rho_phi)
-    w_psi_dag = _polar_factor(schmidt(psi)).conj().T
-    w_phi = _polar_factor(schmidt(phi))
-    alice = []
-    bob = []
-    for p_x, u_x in zip(mix.weights, mix.unitaries):
-        k = math.sqrt(p_x) * (sqrt_phi @ u_x.conj().T @ inv_sqrt)
-        vec = (k @ psi.matrix).ravel()
-        q = float(np.vdot(vec, vec).real)
-        if abs(q - p_x) > BRANCH_TOL:
-            raise NumericalFailureError(f"branch probability leaked: expected {p_x!r}, got {q!r}, "
-                                        f"off by more than {BRANCH_TOL:.0e} (d = {rho_psi.dim})")
-        alice.append(k)
-        bob.append((w_psi_dag @ u_x @ w_phi).T)
-    residual = _completeness_residual(alice, basis @ basis.conj().T)
+    src, tgt = schmidt(psi), schmidt(phi)
+    m = max(src.coefficients.size, tgt.coefficients.size)
+    pad = (0, m - tgt.coefficients.size)
+    a, terms = _mixing_terms(np.pad(src.coefficients**2, (0, m - src.coefficients.size)),
+                             np.pad(tgt.coefficients**2, pad))
+    keep = np.flatnonzero(a)
+    if float(a[keep].min()) < SUPPORT_FLOOR:
+        raise NumericalFailureError(f"support eigenvalue {float(a[keep].min()):.3e} below "
+                                    f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {psi.dims[0]})")
+    weights = np.array([w for w, _ in terms])
+    perms = np.array([perm for _, perm in terms])[:, keep]
+    e_dag = src.basis_A[:, keep].conj().T
+    # (G diag(t))[:, p_x] diag(1 / s) E^dagger, from the gathered rows of (G diag(t))^T
+    alice = (np.pad(tgt.basis_A * tgt.coefficients, ((0, 0), pad)).T[perms].transpose(0, 2, 1)
+             @ (e_dag / src.coefficients[keep, None]))
+    alice *= np.sqrt(weights)[:, None, None]
+    # squared branch norms from the real and imaginary parts, with no conjugated copy
+    parts = (alice @ psi.matrix).reshape(len(alice), -1).view(float)
+    q = np.einsum("xi,xi->x", parts, parts)
+    leaked = np.flatnonzero(np.abs(q - weights) > BRANCH_TOL)
+    if leaked.size:
+        x = leaked[0]
+        raise NumericalFailureError(f"branch probability leaked: expected {float(weights[x])!r}, "
+                                    f"got {float(q[x])!r}, off by more than {BRANCH_TOL:.0e} "
+                                    f"(d = {psi.dims[0]})")
+    residual = _completeness_residual(alice, e_dag.conj().T @ e_dag)
     if residual > COMPLETENESS_TOL:
         raise NumericalFailureError(
-            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {rho_psi.dim})"
+            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {psi.dims[0]})"
         )
+    bob = (np.pad(tgt.basis_B, ((0, 0), pad)).T[perms].transpose(0, 2, 1)
+           @ src.basis_B[:, keep].conj().T)
     return OneWayProtocol(tuple(alice), tuple(bob))
 
 

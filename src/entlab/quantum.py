@@ -8,7 +8,6 @@ Pure bipartite vectors use an A-major amplitude layout: the amplitude of
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -33,13 +32,6 @@ class DensityMatrix:
 
     def spectrum(self) -> Spectrum:
         return spectrum(np.linalg.eigvalsh(self.entries))
-
-    @functools.cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of the entries, computed once per matrix (the
-        constructors make the entries read-only).  Callers copy, never
-        write into, the arrays."""
-        return np.linalg.eigh(self.entries)
 
 
 def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
@@ -193,7 +185,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = rho._eigh
+    vals, vecs = np.linalg.eigh(rho.entries)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -261,7 +253,7 @@ def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarra
     """Descending eigenvalues (clipped at 0) and eigenbasis, zero-padded to
     m.  Plain eigh, not sorted_eigh: re-basing a cluster of close but
     distinct eigenvalues pairs vectors with the wrong eigenvalues."""
-    vals, vecs = rho._eigh
+    vals, vecs = np.linalg.eigh(rho.entries)
     order = np.argsort(-vals, kind="stable")
     vals = np.clip(vals[order], 0.0, None)
     return np.pad(vals, (0, m - rho.dim)), np.pad(vecs[:, order], ((0, 0), (0, m - rho.dim)))

@@ -68,11 +68,15 @@ def spectrum(values: Iterable[float]) -> Spectrum:
     """Build a canonical :class:`Spectrum` (sort, clip noise, strip zeros).
 
     Entries in ``[-INPUT_TOL, 0)`` are treated as roundoff and clipped to
-    zero; anything more negative is rejected.
+    zero; anything more negative, and NaN or an infinity, is rejected.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError("spectrum values must be a flat list")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidInputError(f"spectrum entry {i} is {float(arr[i])!r}, not a finite number")
     if arr.size and arr.min() < -INPUT_TOL:
         raise InvalidInputError(
             f"negative spectrum entry {arr.min():.3e} below clip tolerance {-INPUT_TOL:g}"

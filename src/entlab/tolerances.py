@@ -47,16 +47,19 @@ CLUSTER_GAP = 1e-10
 #                                  supports                                    #
 # --------------------------------------------------------------------------- #
 
-# Relative to the largest.  An eigenvalue of a marginal at or below this
-# times the largest lies outside its support: ``support_projector``,
-# synthesis's inverse square root, the polar factors of source and target
-# behind Bob's synthesized operators (on Schmidt weights) and the mixing's
-# source weights all use this one mask.  ``_mirror_bob`` cuts a branch's
-# Schmidt coefficients the same way.
+# Relative to the largest.  An eigenvalue of a marginal (or a Schmidt
+# weight) at or below this times the largest lies outside its support:
+# ``support_projector``, the mixing's source weights, and synthesis's
+# support columns, on which Alice's coefficients sqrt(w_x) t / s and Bob's
+# gathered columns are built, all use this one mask.  ``_mirror_bob`` cuts a
+# branch's Schmidt coefficients the same way.
 SUPPORT_CUT = 1e-12
-# Absolute.  A support eigenvalue below this lets the inverse square root
-# amplify rounding by more than 1e6; synthesis refuses such a source as
-# ill-conditioned.
+# Absolute.  A source support weight s^2 below this lets Alice's t / s
+# coefficient amplify rounding by more than 1e6; synthesis refuses such a
+# source as ill-conditioned.  The working limit is higher: the completeness
+# residual divides the mixing's rounding by s^2, and on 12 probes with a
+# smallest weight of 1e-10 (d = 4, 8, 16, Haar local frames, target s^1.5)
+# all 12 are refused by the residual (1.3e-9 to 5.5e-7), none by this floor.
 SUPPORT_FLOOR = 1e-12
 # Relative to the largest.  ``_mirror_bob``'s polar factor keeps the
 # singular directions of the mirrored operator above this times the largest.

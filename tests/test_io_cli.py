@@ -392,6 +392,24 @@ def test_cli_classify_examples_and_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "values, entry",
+    [("inf,1", "entry 0 is inf"), ("nan", "entry 0 is nan"), ("0.5,nan,0.5", "entry 1 is nan")],
+)
+def test_cli_classify_refuses_non_finite_entries(values, entry, capsys):
+    code, out, err = run_cli(["classify", "--spectrum", values], capsys)
+    assert code == 2 and out == ""
+    assert err == f"entlab: spectrum {entry}, not a finite number\n"
+
+
+def test_spectrum_document_with_non_finite_values_is_refused():
+    """json.loads reads NaN and Infinity; the spectrum refuses them."""
+    for raw in ('[NaN, 1.0]', '[1.0, Infinity]'):
+        doc = json.loads('{"kind": "spectrum", "values": %s}' % raw)
+        with pytest.raises(InvalidInputError, match="not a finite number"):
+            eio.spectrum_from_json(doc)
+
+
 # --------------------------------------------------------------------------- #
 #                               CLI: sweeps                                    #
 # --------------------------------------------------------------------------- #
@@ -460,6 +478,15 @@ def test_cli_catalysis_decay_hand_values(capsys):
     assert float(rows[0]["deviation"]) == catalytic_deviation(LambdaFamilySpec(0.5, 1), math.log(2))
     assert float(rows[0]["deviation"]) == pytest.approx(4 / 3, abs=1e-12)
     assert float(rows[1]["deviation"]) == pytest.approx(8 / 9, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", ["0", "-0.5", "1.5"])
+def test_cli_catalysis_decay_refuses_lambda_outside_the_unit_interval(lam, capsys):
+    """The period log(1/lambda) is taken only after the family spec accepts
+    lambda, so a bad one is a one-line refusal, not a traceback."""
+    code, out, err = run_cli(["catalysis", "decay", "--lambda", lam, "--m-list", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"entlab: lambda must lie strictly between 0 and 1, got {float(lam)!r}\n"
 
 
 # --------------------------------------------------------------------------- #

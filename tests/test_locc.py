@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entlab import locc
 from entlab.errors import (
     InfeasibleError,
     InvalidInputError,
@@ -282,6 +283,51 @@ def test_nielsen_mismatched_dims():
         assert v.shape == (3, 4)
 
 
+def in_haar_frames(weights, dims, rng):
+    """State with the given Schmidt weights on ``dims``, in Haar local frames."""
+    state = weighted_state(weights, dims)
+    return pure_state(dims, apply_local(state, haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)))
+
+
+@pytest.mark.parametrize(
+    "dims_psi, a, dims_phi, b",
+    [((6, 3), [0.5, 0.3, 0.2], (4, 2), [0.8, 0.2]),
+     ((5, 2), [0.6, 0.4], (2, 5), [0.7, 0.3]),
+     ((4, 4), [0.4, 0.3, 0.2, 0.1], (6, 2), [0.75, 0.25])],
+    ids=["6x3_to_4x2", "5x2_to_2x5", "4x4_to_6x2"],
+)
+def test_nielsen_rectangular_schmidt_frames(dims_psi, a, dims_phi, b):
+    """Sources and targets whose Schmidt frames are shorter than a local
+    dimension (d_A > d_B included) synthesize, verify, and give Alice
+    (d_A', d_A) and Bob (d_B', d_B) operators."""
+    rng = np.random.default_rng(list(dims_psi + dims_phi))
+    for _ in range(5):
+        psi, phi = in_haar_frames(a, dims_psi, rng), in_haar_frames(b, dims_phi, rng)
+        proto = nielsen_synthesize(psi, phi)
+        assert verify_protocol(proto, psi, phi).passed
+        assert len(proto.alice_kraus) <= max(min(dims_psi), min(dims_phi))
+        for k, v in zip(proto.alice_kraus, proto.bob_unitaries):
+            assert k.shape == (dims_phi[0], dims_psi[0])
+            assert v.shape == (dims_phi[1], dims_psi[1])
+            proj = v.conj().T @ v
+            assert np.abs(proj @ proj - proj).max() < 1e-12
+
+
+def test_nielsen_uses_one_schmidt_decomposition_per_state(monkeypatch):
+    """Synthesis reads both parties' frames off one SVD per state: no
+    marginal, eigendecomposition or explicit mixing unitaries."""
+    calls = []
+    monkeypatch.setattr(locc, "schmidt", lambda state: calls.append(state) or schmidt(state))
+    for name in ("marginal", "mixing_decomposition"):
+        monkeypatch.setattr(locc, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh called"))
+    psi, phi = random_feasible_pair(np.random.default_rng(5), (5, 3), (4, 4))
+    proto = nielsen_synthesize(psi, phi)
+    assert calls == [psi, phi]
+    monkeypatch.undo()
+    assert verify_protocol(proto, psi, phi).passed
+
+
 def test_nielsen_ill_conditioned_support():
     eps = 5e-13
     psi = state_from_schmidt(np.sqrt([0.4, 0.3, 0.3 - eps, eps]))
@@ -344,6 +390,16 @@ def test_nielsen_synthesis_large_d_verifies_or_refuses(d, shape):
         return
     assert verify_protocol(proto, psi, phi).passed
     assert len(proto.alice_kraus) <= d
+
+
+@pytest.mark.parametrize("shape", ["generic", "tie_heavy", "zero_padded"])
+def test_nielsen_bob_operators_are_partial_isometries(shape):
+    """Bob's operators are gathers of orthonormal Schmidt columns, so each
+    is a partial isometry to rounding, whatever the spectrum's ties."""
+    psi, phi = sized_pair(32, shape)
+    for v in nielsen_synthesize(psi, phi).bob_unitaries:
+        proj = v.conj().T @ v
+        assert np.abs(proj @ proj - proj).max() < 1e-12
 
 
 def test_nielsen_source_with_a_1e10_support_weight():

@@ -10,6 +10,7 @@ reproduce.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_spectrum_clips_tiny_negatives_and_rejects_real_ones():
     assert s.values == (0.5, 0.5)
     with pytest.raises(InvalidInputError):
         spectrum([0.5, -1e-3])
+
+
+@pytest.mark.parametrize(
+    "values, text",
+    [([math.nan, 1.0], "spectrum entry 0 is nan"), ([1.0, math.inf], "spectrum entry 1 is inf"),
+     ([0.5, -math.inf, 0.5], "spectrum entry 1 is -inf")],
+    ids=["nan", "inf", "minus_inf"],
+)
+def test_spectrum_rejects_non_finite_entries(values, text):
+    """NaN would be stripped as a zero and inf kept as a weight; both are
+    refused, naming the entry, also where the total is checked."""
+    for build in (spectrum, state_spectrum):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}, not a finite number$"):
+            build(values)
 
 
 def test_state_spectrum_normalization_gate():

@@ -28,7 +28,6 @@ from entlab.errors import (
 )
 from entlab.locc import (
     Instrument,
-    MixingDecomposition,
     _mirror_bob,
     locc_protocol,
     locc_round,
@@ -112,8 +111,7 @@ def test_refusals_name_residual_tolerance_and_size(monkeypatch):
     assert re.search(r"residual 1\.0\d\de-07 exceeds 1e-08 \(dims = \(2, 2\)\)", str(info.value))
 
     # a mixing term that moves the source weight out of its support
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    monkeypatch.setattr(locc, "mixing_decomposition", lambda a, b: MixingDecomposition((1.0,), (swap,)))
+    monkeypatch.setattr(locc, "_permutohedron_terms", lambda a, b: [(1.0, np.array([1, 0]))])
     with pytest.raises(NumericalFailureError) as info:
         nielsen_synthesize(product_basis_state(2, 2), product_basis_state(2, 2))
     assert str(info.value) == (
