@@ -54,7 +54,8 @@ __all__ = ["CommandConfig", "emit_sweep", "dispatch", "main"]
 
 @dataclass(frozen=True)
 class CommandConfig:
-    """Global flags shared by every subcommand."""
+    """Output flags: ``--out`` on every subcommand, ``--format`` on the table
+    commands (record commands always write JSON)."""
 
     out: Optional[str] = None
     format: str = "csv"
@@ -271,10 +272,11 @@ def _cmd_embezzle_sweep(args, config: CommandConfig) -> int:
     n_list = sorted(set(_parse_int_list(args.n_list, "--n-list")))
     target = bell_state(args.d) if args.target == "bell" else _load_state(args.target)
     start = _load_state(args.start) if args.start else product_basis_state(args.d, args.d)
+    rank = schmidt(target).rank  # the bound columns and meets_bound share the target's d
     rows = []
     for n in n_list:
         report = embezzle_report(n, start, target)
-        bound = vdh_bound(args.d, n)
+        bound = vdh_bound(rank, n)
         rows.append(
             {
                 "n": n,
@@ -340,9 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; parsing does not mutate it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="sweep output format"
-    )
+    table = argparse.ArgumentParser(add_help=False, parents=[common])
+    table.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
     parser = argparse.ArgumentParser(
         prog="entlab",
@@ -377,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi")
     p.set_defaults(handler=_cmd_locc_synth)
 
-    p = locc_sub.add_parser("simulate", parents=[common], help="run a protocol file on a state")
+    p = locc_sub.add_parser("simulate", parents=[table], help="run a protocol file on a state")
     p.add_argument("protocol")
     p.add_argument("psi")
     p.set_defaults(handler=_cmd_locc_simulate)
@@ -398,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     embezzle_parser = sub.add_parser("embezzle", help="embezzlement sweeps")
     embezzle_sub = embezzle_parser.add_subparsers(dest="embezzle_command", required=True)
-    p = embezzle_sub.add_parser("sweep", parents=[common], help="fidelity vs resource size")
-    p.add_argument("--d", type=int, required=True, help="target/bound dimension")
+    p = embezzle_sub.add_parser("sweep", parents=[table], help="fidelity vs resource size")
+    p.add_argument("--d", type=int, required=True, help="Bell target and |00> start dimension")
     p.add_argument("--n-list", required=True, help="comma-separated resource sizes")
     p.add_argument("--target", default="bell", help="'bell' or a pure_bipartite file")
     p.add_argument("--start", default=None, help="pure_bipartite file (default |00>)")
@@ -407,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kappa_parser = sub.add_parser("kappa", help="flow-deviation profiles")
     kappa_sub = kappa_parser.add_subparsers(dest="kappa_command", required=True)
-    p = kappa_sub.add_parser("profile", parents=[common], help="deviation over a time grid")
+    p = kappa_sub.add_parser("profile", parents=[table], help="deviation over a time grid")
     p.add_argument("--family", choices=("lambda",), required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -418,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     catalysis_parser = sub.add_parser("catalysis", help="catalytic deviation sweeps")
     catalysis_sub = catalysis_parser.add_subparsers(dest="catalysis_command", required=True)
-    p = catalysis_sub.add_parser("decay", parents=[common], help="deviation at the period vs m")
+    p = catalysis_sub.add_parser("decay", parents=[table], help="deviation at the period vs m")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m-list", required=True, help="comma-separated tensor powers")
     p.set_defaults(handler=_cmd_catalysis_decay)
@@ -465,7 +466,7 @@ def dispatch(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        config = CommandConfig(out=args.out, format=args.format)
+        config = CommandConfig(out=args.out, format=getattr(args, "format", "csv"))
         return args.handler(args, config)
     except InvalidInputError as exc:
         print(f"entlab: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
 """Embezzlement families, catalytic flow deviation, and factor-type labels.
 
 The harmonic ("van-Dam/Hayden style") family is handled entirely through its
-sorted Schmidt-coefficient lists, so reports for ``n`` in the millions cost
-milliseconds; dense state vectors are only materialized on request for small
-``n``.  The lambda-family diagnostics use the binomial masses of the m-fold
-spectral state instead of expanding ``2**m`` tensor-power entries, and never
-form an atom: the kappa profile runs on centred log-positions and the
-catalytic deviation is a closed form in the masses, so neither has a limit on
-m.  Only ``lambda_family_measure``, which returns the true atoms, is refused
-once they underflow float64 (m = 678 at lambda = 0.5).
+sorted Schmidt-coefficient lists, so a report for ``n`` in the millions takes
+a fraction of a second; dense state vectors are only materialized on request
+for small ``n``.  A report builds the harmonic list once and decomposes each
+state once; its oracle, ``orbit_trace_defect``, takes the A-marginal
+spectrum route on its own code.  The lambda-family diagnostics use the
+binomial masses of the m-fold spectral state instead of expanding ``2**m``
+tensor-power entries, and never form an atom: the kappa profile runs on
+centred log-positions and the catalytic deviation is a closed form in the
+masses, so neither has a limit on m.  Only ``lambda_family_measure``, which
+returns the true atoms, is refused once they underflow float64 (m = 678 at
+lambda = 0.5).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .quantum import PureBipartiteState, haar_unitary, schmidt, state_from_schmidt
+from .quantum import PureBipartiteState, _sorted_overlap, haar_unitary, schmidt, state_from_schmidt
 from .spectra import (
     AtomicMeasure,
     Spectrum,
@@ -169,11 +172,13 @@ def vdh_bound(d: int, n: int) -> VdhBound:
     return VdhBound(epsilon=eps, fidelity_bound=min(bound, 1.0))
 
 
-def _sorted_products(n: int, phi: PureBipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """Descending Schmidt coefficients of ``(harmonic state) (x) phi`` and the
-    index map that sorts the raw outer-product list."""
-    base = vdh_coefficients(n)
-    raw = np.multiply.outer(base, schmidt(phi).coefficients).ravel()
+def _sorted_products(
+    base: np.ndarray, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Descending Schmidt coefficients of ``(harmonic state) (x) phi``, from
+    the harmonic list ``base`` and phi's coefficients, and the index map that
+    sorts the raw outer-product list."""
+    raw = np.multiply.outer(base, coefficients).ravel()
     order = np.argsort(-raw, kind="stable")
     return raw[order], order
 
@@ -186,26 +191,18 @@ def embezzle_report(
     dimension-counting bound check.
 
     Everything is computed from the two sorted product-coefficient lists
-    (lengths ``n * min(dims)``); ``meets_bound`` compares ``sqrt(F)`` against
+    (lengths ``n * min(dims)``), built from one harmonic list and one Schmidt
+    decomposition per state; ``meets_bound`` compares ``sqrt(F)`` against
     ``1 - log d / log n`` with ``d`` the Schmidt rank of the target.  That
     comparison is a guarantee only when ``phi_start`` is a product state; for
     other starts it is reported as a plain boolean with no promise attached.
     """
-    s_list, perm_s = _sorted_products(n, phi_start)
-    t_list, perm_t = _sorted_products(n, phi_target)
-    size = max(s_list.size, t_list.size)
-    s_pad, t_pad = (np.pad(x, (0, size - x.size)) for x in (s_list, t_list))
-    if np.array_equal(s_pad, t_pad):
-        # Identical coefficient lists mean fidelity 1 exactly; do not let the
-        # dot product's last-ulp rounding leak through the square root below.
-        fid = 1.0
-    else:
-        fid = min(float(s_pad @ t_pad) ** 2, 1.0)
-    d = schmidt(phi_target).rank
-    if n >= 2:
-        threshold = 1.0 - math.log(d) / math.log(n)
-    else:
-        threshold = -math.inf
+    base = vdh_coefficients(n)
+    target = schmidt(phi_target)
+    s_list, perm_s = _sorted_products(base, schmidt(phi_start).coefficients)
+    t_list, perm_t = _sorted_products(base, target.coefficients)
+    fid = _sorted_overlap(s_list, t_list)
+    threshold = 1.0 - math.log(target.rank) / math.log(n) if n >= 2 else -math.inf
     return EmbezzleReport(
         fidelity=fid,
         trace_error=2.0 * math.sqrt(max(1.0 - fid, 0.0)),
@@ -218,17 +215,22 @@ def orbit_trace_defect(
     n: int, phi_start: PureBipartiteState, phi_target: PureBipartiteState
 ) -> float:
     """Minimal trace distance between the two dressed states over local
-    unitaries, computed through the A-marginal eigenvalue route: classical
-    fidelity of the sorted marginal spectra, then ``2 sqrt(1 - F)``.
+    unitaries, computed through the A-marginal eigenvalue route: the dressed
+    A-marginal spectra (squared harmonic-times-Schmidt products, sorted
+    descending), their classical fidelity, then ``2 sqrt(1 - F)``.
 
-    This is an independent code path from :func:`embezzle_report` (spectra
-    and square roots instead of coefficient products); the two must agree to
-    near machine precision, which the test suite pins at 1e-9.
+    This is an independent code path from :func:`embezzle_report`: it builds
+    its own harmonic list and shares neither the permutation sort nor the
+    overlap routine; the two must agree to near machine precision, which the
+    test suite pins at 1e-9.
     """
-    s_list, _ = _sorted_products(n, phi_start)
-    t_list, _ = _sorted_products(n, phi_target)
-    size = max(s_list.size, t_list.size)
-    a, b = (np.pad(x**2, (0, size - x.size)) for x in (s_list, t_list))
+    base = vdh_coefficients(n)
+    a, b = (
+        np.sort(np.multiply.outer(base, schmidt(phi).coefficients).ravel() ** 2)[::-1]
+        for phi in (phi_start, phi_target)
+    )
+    size = max(a.size, b.size)
+    a, b = (np.pad(x, (0, size - x.size)) for x in (a, b))
     if np.array_equal(a, b):
         fid = 1.0
     else:

@@ -277,18 +277,19 @@ def orbit_distance_matrices(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 #                              local-unitary orbit                             #
 # --------------------------------------------------------------------------- #
 
+def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
+    """Squared inner product of two descending coefficient lists, zero-padded
+    to a common length and clipped at 1; exactly 1.0 for equal lists, so the
+    dot product's last-ulp rounding cannot leak into ``1 - F``."""
+    size = max(s.size, t.size)
+    s, t = (np.pad(x, (0, size - x.size)) for x in (s, t))
+    return 1.0 if np.array_equal(s, t) else min(float(s @ t) ** 2, 1.0)
+
+
 def lu_orbit_fidelity(psi: PureBipartiteState, phi: PureBipartiteState) -> float:
     """``sup_{u,v} |<psi|(u (x) v)|phi>|^2``: squared inner product of the
     sorted, zero-padded Schmidt coefficient lists."""
-    s = schmidt(psi).coefficients
-    t = schmidt(phi).coefficients
-    n = max(s.size, t.size)
-    sp = np.zeros(n)
-    tp = np.zeros(n)
-    sp[: s.size] = s
-    tp[: t.size] = t
-    val = float(np.dot(sp, tp)) ** 2
-    return min(val, 1.0)
+    return _sorted_overlap(schmidt(psi).coefficients, schmidt(phi).coefficients)
 
 
 def complete_isometry(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -391,12 +392,7 @@ def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (Gaussian QR with phase correction)."""
     if d < 1:
         raise InvalidInputError("dimension must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitaries(d, 1, seed)[0]
 
 
 def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entlab import embezzle
 from entlab.embezzle import (
     EmbezzleReport,
     LambdaFamilySpec,
@@ -43,6 +44,7 @@ from entlab.quantum import (
     lu_orbit_fidelity,
     product_basis_state,
     pure_state,
+    schmidt,
     state_from_schmidt,
 )
 from entlab.spectra import (
@@ -266,6 +268,64 @@ def test_trace_error_and_marginal_defect_are_the_same_number():
         same = embezzle_report(n, bell_state(2), bell_state(2))
         assert same.fidelity == 1.0 and same.trace_error == 0.0
         assert orbit_trace_defect(n, bell_state(2), bell_state(2)) == 0.0
+
+
+DEFECT_PAIRS = [
+    (product_basis_state(2, 2), bell_state(2)),
+    (bell_state(2), state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])),
+    (state_from_schmidt([math.sqrt(0.84), math.sqrt(0.16)]), bell_state(3)),
+    (bell_state(2), bell_state(2)),
+]
+
+
+def test_orbit_trace_defect_matches_sorted_product_formula_bitwise():
+    """The marginal-spectrum route squares the products before sorting; the
+    squares of the sorted product lists give the same bits."""
+
+    def sorted_squares(n, phi):
+        raw = np.multiply.outer(vdh_coefficients(n), schmidt(phi).coefficients).ravel()
+        return raw[np.argsort(-raw, kind="stable")] ** 2
+
+    for n in (1, 4, 16, 256):
+        for start, target in DEFECT_PAIRS:
+            a, b = sorted_squares(n, start), sorted_squares(n, target)
+            size = max(a.size, b.size)
+            a, b = (np.pad(x, (0, size - x.size)) for x in (a, b))
+            if np.array_equal(a, b):
+                fid = 1.0
+            else:
+                fid = min(float(np.sum(np.sqrt(a) * np.sqrt(b))) ** 2, 1.0)
+            assert orbit_trace_defect(n, start, target) == 2.0 * math.sqrt(max(1.0 - fid, 0.0))
+
+
+def test_orbit_trace_defect_shares_no_code_with_the_report(monkeypatch):
+    """The oracle runs without the report's sort, overlap routine or any
+    argsort, and gives the same values."""
+    want = [orbit_trace_defect(64, start, target) for start, target in DEFECT_PAIRS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit_trace_defect must not call this")
+
+    for name in ("_sorted_products", "_sorted_overlap"):
+        monkeypatch.setattr(embezzle, name, refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    assert [orbit_trace_defect(64, start, target) for start, target in DEFECT_PAIRS] == want
+
+
+def test_embezzle_report_builds_each_list_once(monkeypatch):
+    """One harmonic list and one Schmidt decomposition per state."""
+    calls = {"vdh_coefficients": 0, "schmidt": 0}
+    for name in calls:
+        original = getattr(embezzle, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(embezzle, name, counted)
+    report = embezzle_report(256, product_basis_state(2, 2), bell_state(3))
+    assert calls == {"vdh_coefficients": 1, "schmidt": 2}
+    assert report.meets_bound
 
 
 @settings(max_examples=60, deadline=None)

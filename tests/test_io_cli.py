@@ -40,6 +40,7 @@ from entlab import (
     simulate,
     spectrum,
     state_from_schmidt,
+    vdh_bound,
 )
 from entlab import io as eio
 from entlab.cli import CommandConfig, dispatch, emit_sweep
@@ -454,6 +455,23 @@ def test_cli_embezzle_sweep_with_files_and_out(tmp_path, state_files, capsys):
     assert float(rows[0]["fidelity"]) == expected.fidelity
 
 
+def test_cli_embezzle_sweep_bound_uses_target_rank(tmp_path, capsys):
+    """--d 2 with a rank-3 target: the bound columns and meets_bound both
+    use d = 3, the target's Schmidt rank."""
+    bell3 = write_doc(tmp_path, "bell3.json", eio.state_to_json(bell_state(3)))
+    argv = ["embezzle", "sweep", "--d", "2", "--n-list", "16,256", "--target", bell3]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = list(csv.DictReader(stdio.StringIO(out)))
+    assert rows[0]["fidelity_bound"] == "0.36452538268268825"
+    for row in rows:
+        bound = vdh_bound(3, int(row["n"]))
+        assert float(row["epsilon"]) == bound.epsilon
+        assert float(row["fidelity_bound"]) == bound.fidelity_bound
+        meets = math.sqrt(float(row["fidelity"])) >= 1.0 - math.log(3) / math.log(int(row["n"]))
+        assert row["meets_bound"] == ("true" if meets else "false")
+
+
 def test_cli_kappa_profile_columns_sorted_by_t(capsys):
     argv = [
         "kappa", "profile", "--family", "lambda", "--lambda", "0.5",
@@ -583,6 +601,31 @@ def test_cli_removed_global_flags_are_usage_errors(state_files, capsys, flag):
     code, out, err = run_cli(["oneshot", state_files["bell"], *flag], capsys)
     assert code == 2 and out == ""
     assert "usage:" in err and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_cli_format_only_on_table_commands(tmp_path, state_files, capsys):
+    """--format is a usage error on record commands; the four table commands
+    take it."""
+    for argv in (
+        ["classify", "--spectrum", "0.5,0.5"],
+        ["oneshot", state_files["bell"]],
+        ["locc", "decide", state_files["bell"], state_files["prod"]],
+    ):
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --format json" in err
+    synth = ["locc", "synth", state_files["bell"], state_files["phi73"]]
+    path = str(tmp_path / "synth.json")
+    assert run_cli(synth + ["--out", path], capsys)[0] == 0
+    for argv in (
+        ["locc", "simulate", path, state_files["bell"]],
+        ["embezzle", "sweep", "--d", "2", "--n-list", "16"],
+        ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "2",
+         "--t-min", "0", "--t-max", "0.5", "--steps", "3"],
+        ["catalysis", "decay", "--lambda", "0.5", "--m-list", "1,2"],
+    ):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and isinstance(json.loads(out), list)
 
 
 def test_cli_commands_back_to_back_in_one_process(state_files, capsys):

@@ -302,6 +302,13 @@ def test_lu_orbit_fidelity_by_hand():
     assert abs(lu_orbit_fidelity(a, a) - 1.0) < 1e-12
 
 
+def test_lu_orbit_fidelity_of_identical_lists_is_exactly_one():
+    """Equal coefficient lists give 1.0, not the dot product's last ulp."""
+    psi = random_pure_state((3, 4), 9)
+    assert lu_orbit_fidelity(psi, psi) == 1.0
+    assert lu_orbit_fidelity(product_basis_state(3, 1), product_basis_state(1, 5)) == 1.0
+
+
 def test_lu_orbit_fidelity_mismatched_shapes():
     """Zero-padding handles different dims and ranks."""
     a = state_from_schmidt([1.0], dims=(2, 2))
