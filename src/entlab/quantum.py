@@ -89,6 +89,8 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
 
 def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBipartiteState:
     """The computational product state |i>_A |j>_B."""
+    if not (0 <= i < dA and 0 <= j < dB):
+        raise InvalidInputError(f"basis indices (i, j) = ({i}, {j}) outside dims ({dA}, {dB})")
     v = np.zeros(dA * dB, dtype=complex)
     v[i * dB + j] = 1.0
     return pure_state((dA, dB), v)
@@ -105,9 +107,10 @@ def state_from_schmidt(coeffs: Iterable[float], dims: Optional[tuple[int, int]] 
     c = np.asarray(list(coeffs), dtype=float)
     if dims is None:
         dims = (c.size, c.size)
+    if c.size > min(dims):
+        raise InvalidInputError(f"{c.size} Schmidt coefficients do not fit dims {tuple(dims)}")
     m = np.zeros(dims, dtype=complex)
-    for i, ci in enumerate(c):
-        m[i, i] = ci
+    m[np.diag_indices(c.size)] = c
     return pure_state(dims, m.ravel())
 
 

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -281,7 +282,8 @@ class AtomicMeasure:
     """Finite positive measure on (0, oo): atoms + masses, atoms ascending.
 
     Construct through :func:`atomic_measure`, which merges positions that
-    coincide up to ``MERGE_TOL`` in the log domain.
+    coincide up to ``MERGE_TOL`` in the log domain, chaining runs of such
+    neighbours into one atom.
     """
 
     atoms: tuple[float, ...]
@@ -304,37 +306,40 @@ class AtomicMeasure:
         return bool(np.allclose(m, w, rtol=tol, atol=tol))
 
 
+def _merge_runs(pos: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge atoms that are the same real under ``MERGE_TOL``.
+
+    Sorted by position (stable), a new run starts wherever the log gap to
+    the previous atom exceeds ``MERGE_TOL``, so runs chain: atoms at log
+    offsets 0, 0.7e-12 and 1.4e-12 form one run.  Returns each run's first
+    position and its total mass.
+    """
+    order = np.argsort(pos, kind="stable")
+    pos, mass = pos[order], mass[order]
+    starts = np.flatnonzero(np.diff(np.log(pos), prepend=-np.inf) > MERGE_TOL)
+    return pos[starts], np.add.reduceat(mass, starts)
+
+
 def atomic_measure(atoms: Iterable[float], masses: Iterable[float]) -> AtomicMeasure:
     """Build an :class:`AtomicMeasure`, merging near-coincident atoms.
 
     Positions are compared in the log domain with absolute tolerance
     ``MERGE_TOL`` (= relative tolerance on the positions themselves), so
-    the flow action cannot split atoms that started out equal.
+    the flow action cannot split atoms that started out equal.  Merging
+    chains: sorted atoms whose consecutive log gaps are each within
+    ``MERGE_TOL`` become one atom at the smallest position, with their
+    summed mass, even when the run spans more than ``MERGE_TOL``.
     """
-    pos = np.asarray(list(atoms), dtype=float)
-    mass = np.asarray(list(masses), dtype=float)
+    pos = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
+    mass = np.asarray(masses if isinstance(masses, np.ndarray) else list(masses), dtype=float)
     if pos.shape != mass.shape or pos.ndim != 1:
         raise InvalidInputError("atoms and masses must be flat lists of equal length")
-    if pos.size == 0:
-        return AtomicMeasure((), ())
-    if pos.min() <= 0.0:
+    if pos.size and pos.min() <= 0.0:
         raise InvalidInputError("atoms must be strictly positive")
-    if mass.min() <= 0.0:
+    if mass.size and mass.min() <= 0.0:
         raise InvalidInputError("masses must be strictly positive")
-    order = np.argsort(pos)
-    pos, mass = pos[order], mass[order]
-    logs = np.log(pos)
-    out_pos: list[float] = [float(pos[0])]
-    out_mass: list[float] = [float(mass[0])]
-    anchor = logs[0]
-    for p, lp, m in zip(pos[1:], logs[1:], mass[1:]):
-        if lp - anchor <= MERGE_TOL:
-            out_mass[-1] += float(m)
-        else:
-            out_pos.append(float(p))
-            out_mass.append(float(m))
-            anchor = lp
-    return AtomicMeasure(tuple(out_pos), tuple(out_mass))
+    pos, mass = _merge_runs(pos, mass)
+    return AtomicMeasure(tuple(pos.tolist()), tuple(mass.tolist()))
 
 
 def spectral_state(s: Spectrum) -> AtomicMeasure:
@@ -467,26 +472,14 @@ def hs_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
 
 
 def tv_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
-    """Total variation of the atom-mass pattern: sum of |mass difference|
-    over the merged atom set.  An upper bound for ``hs_distance``."""
-    diffs: list[float] = []
-    i = j = 0
-    a1, w1 = m1.atoms, m1.masses
-    a2, w2 = m2.atoms, m2.masses
-    while i < len(a1) and j < len(a2):
-        if abs(math.log(a1[i]) - math.log(a2[j])) <= MERGE_TOL:
-            diffs.append(abs(w1[i] - w2[j]))
-            i += 1
-            j += 1
-        elif a1[i] < a2[j]:
-            diffs.append(w1[i])
-            i += 1
-        else:
-            diffs.append(w2[j])
-            j += 1
-    diffs.extend(w1[i:])
-    diffs.extend(w2[j:])
-    return float(math.fsum(diffs))
+    """Total variation of the atom-mass pattern: the total mass of
+    ``m1 - m2`` after merging the union of both atom sets under the
+    ``MERGE_TOL`` rule of :func:`atomic_measure` (runs chain across both
+    measures).  An upper bound for ``hs_distance``."""
+    _, diffs = _merge_runs(
+        np.concatenate((m1.atoms, m2.atoms)), np.concatenate((m1.masses, np.negative(m2.masses)))
+    )
+    return float(math.fsum(np.abs(diffs).tolist()))
 
 
 def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
@@ -621,16 +614,23 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     """Von Neumann and Renyi entropies of a state spectrum (natural log).
 
     ``H = -sum v log v``; ``H_alpha = log(sum v**alpha) / (1 - alpha)`` for
-    ``alpha`` in (0,1) or (1,oo); the Schmidt rank is the number of nonzero
-    entries.
+    finite ``alpha`` in (0,1) or (1,oo); the Schmidt rank is the number of
+    nonzero entries.  Where ``sum v**alpha`` falls below the normal float64
+    range (large ``alpha``), the largest entry ``v0`` is factored out:
+    ``H_alpha = alpha/(1 - alpha) log v0 + log(sum (v/v0)**alpha) / (1 - alpha)``.
     """
     if not s.is_state():
         raise InvalidInputError("entropies are defined for state spectra")
     vals = s.as_array()
     h = float(-math.fsum(v * math.log(v) for v in vals if v > 0))
     out: dict[float, float] = {}
-    for alpha in alphas:
-        if alpha <= 0 or alpha == 1.0:
+    for alpha in map(float, alphas):
+        if not (math.isfinite(alpha) and alpha > 0 and alpha != 1.0):
             raise InvalidInputError("Renyi order must lie in (0,1) or (1,oo)")
-        out[float(alpha)] = float(math.log(math.fsum(vals**alpha)) / (1.0 - alpha))
+        total = math.fsum(vals**alpha)
+        if total >= sys.float_info.min:
+            out[alpha] = math.log(total) / (1.0 - alpha)
+        else:
+            rest = math.fsum((vals / vals[0]) ** alpha)
+            out[alpha] = alpha / (1.0 - alpha) * math.log(vals[0]) + math.log(rest) / (1.0 - alpha)
     return EntropyReport(H=h, H_alpha=out, schmidt_rank=s.rank)

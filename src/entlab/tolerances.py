@@ -28,11 +28,13 @@ UNIT_VECTOR_TOL = 1e-8
 
 # Relative (absolute in log).  Two positive reals this close in log are the
 # same real: ``atomic_measure`` merges such atoms (so the flow never splits
-# coincident ones), ``tv_distance`` pairs them, ``catalytic_deviation``
-# treats a flow time this close to s periods log(1/lambda) as moving atom k
-# onto atom k - s, ``AtomicMeasure.isclose`` never resolves positions finer,
-# and ``classify_itpfi`` treats such spectrum entries and log-ratio gaps as
-# equal.
+# coincident ones) and ``tv_distance`` merges the atoms of both measures the
+# same way; in both the relation chains, so sorted atoms whose consecutive
+# log gaps are each within it form one run, however far the run spans.
+# ``catalytic_deviation`` treats a flow time this close to s periods
+# log(1/lambda) as moving atom k onto atom k - s, ``AtomicMeasure.isclose``
+# never resolves positions finer, and ``classify_itpfi`` treats such spectrum
+# entries and log-ratio gaps as equal.
 MERGE_TOL = 1e-12
 # Relative to max(1, q).  ``classify_itpfi`` accepts a log-ratio q as a
 # fraction with denominator at most ``RATIO_DENOMINATOR_CAP``, or as an

@@ -352,6 +352,15 @@ def test_cli_schmidt_and_monotones(state_files, capsys):
     assert record["schmidt_rank"] == 2
 
 
+def test_cli_monotones_large_and_non_finite_alpha(state_files, capsys):
+    code, out, _ = run_cli(["monotones", state_files["phi73"], "--alpha", "3000"], capsys)
+    assert code == 0
+    assert json.loads(out)["H_alpha"]["3000"] == pytest.approx(-3000 / 2999 * math.log(0.7), rel=1e-12)
+    for bad in ("inf", "nan"):
+        code, out, err = run_cli(["monotones", state_files["phi73"], "--alpha", bad], capsys)
+        assert code == 2 and out == "" and "Renyi order" in err
+
+
 def test_cli_distinguish_hand_values(tmp_path, capsys):
     rho = write_doc(tmp_path, "rho.json", eio.density_to_json(density(np.diag([0.7, 0.3]))))
     sig = write_doc(tmp_path, "sig.json", eio.density_to_json(density(np.diag([0.5, 0.5]))))

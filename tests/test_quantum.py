@@ -30,6 +30,7 @@ from entlab.quantum import (
     lu_align_unitaries,
     lu_orbit_fidelity,
     marginal,
+    orbit_distance_matrices,
     product_basis_state,
     pure_state,
     purify,
@@ -122,6 +123,21 @@ def test_product_and_bell_constructors():
     assert p.amplitudes[1 * 3 + 2] == 1.0
     b = bell_state(3)
     assert np.allclose(schmidt(b).coefficients, [1 / math.sqrt(3)] * 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: state_from_schmidt([0.6, 0.8], dims=(1, 2)), r"2 Schmidt coefficients .* \(1, 2\)"),
+        (lambda: product_basis_state(2, 2, i=5), r"\(5, 0\) outside dims \(2, 2\)"),
+        (lambda: product_basis_state(2, 2, i=-1), r"\(-1, 0\) outside dims \(2, 2\)"),
+        (lambda: product_basis_state(2, 3, j=3), r"\(0, 3\) outside dims \(2, 3\)"),
+    ],
+    ids=["schmidt-too-long", "i-too-large", "i-negative", "j-too-large"],
+)
+def test_constructors_refuse_indices_outside_dims(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 # --------------------------------------------------------------------------- #
@@ -444,6 +460,29 @@ def test_align_unitary_close_distinct_eigenvalues():
     moved = density(u @ r2.entries @ u.conj().T)
     want = orbit_distance(r1.spectrum(), r2.spectrum())
     assert abs(trace_distance(r1, moved) - want) <= 1e-12
+
+
+def random_density_of_rank(d, r, rng):
+    """Wishart density of rank r on C^d (``random_density`` is full rank)."""
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return density(g @ g.conj().T / np.linalg.norm(g) ** 2)
+
+
+def test_orbit_distance_matrices_oracle():
+    """On seeded pairs, d = 1-6 with full and deficient ranks, the spectral
+    formula equals the trace distance after ``align_unitary`` and undercuts
+    200 seeded Haar conjugations."""
+    rng = np.random.default_rng(21)
+    for d in range(1, 7):
+        us = haar_unitaries(d, 200, 100 + d)
+        for ranks in ((d, d), (1, d), (max(1, d - 1), max(1, d // 2))):
+            r1, r2 = (random_density_of_rank(d, r, rng) for r in ranks)
+            got = orbit_distance_matrices(r1, r2)
+            u = align_unitary(r1, r2)
+            assert abs(got - trace_distance(r1, density(u @ r2.entries @ u.conj().T))) <= 1e-12
+            moved = np.einsum("nab,bc,ndc->nad", us, r2.entries, us.conj())
+            sampled = np.abs(np.linalg.eigvalsh(moved - r1.entries[None])).sum(axis=1)
+            assert got <= sampled.min() + 1e-12
 
 
 def test_align_unitary_sampled_lower_bound():

@@ -343,6 +343,14 @@ def test_atomic_measure_merges_relative_neighbors():
     assert math.isclose(m.masses[0], 0.5, abs_tol=1e-15)
 
 
+def test_atomic_measure_chains_runs():
+    """Consecutive log gaps of 0.7e-12 chain into one atom although the run
+    spans 1.4e-12, more than ``MERGE_TOL``."""
+    m = atomic_measure([1.0 + 1.4e-12, 1.0, 1.0 + 7e-13], [0.5, 0.2, 0.3])
+    assert m.atoms == (1.0,)
+    assert math.isclose(m.masses[0], 1.0, abs_tol=1e-15)
+
+
 # --------------------------------------------------------------------------- #
 # the flow
 # --------------------------------------------------------------------------- #
@@ -476,6 +484,38 @@ def test_tv_distance_hand_values():
     m = spectral_state(state_spectrum([2 / 3, 1 / 3]))
     assert math.isclose(tv_distance(m, flow_act(m, math.log(2))), 4 / 3, abs_tol=1e-12)
     assert tv_distance(m, m) == 0.0
+
+
+def test_tv_distance_runs_bridge_the_other_measure():
+    """An atom of one measure within ``MERGE_TOL`` of two atoms of the other,
+    which are 1.4e-12 apart in log, joins them into one run."""
+    two = atomic_measure([1.0, 1.0 + 1.4e-12, 2.0], [0.375, 0.375, 0.25])
+    assert len(two.atoms) == 3
+    bridge = atomic_measure([1.0 + 7e-13, 3.0], [0.75, 0.25])
+    assert tv_distance(two, bridge) == tv_distance(bridge, two) == 0.5
+    heavier = atomic_measure([1.0 + 7e-13], [1.0])
+    assert tv_distance(two, heavier) == 0.25 + 0.25
+
+
+grid_atoms = st.lists(
+    st.tuples(st.sampled_from([0.125, 0.5, 1.0, 3.0, 7.0]), st.integers(1, 16)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(grid_atoms, grid_atoms)
+@settings(max_examples=100, deadline=None)
+def test_tv_distance_matches_dict_oracle(pairs1, pairs2):
+    """Grid atoms coincide exactly or sit far apart, and masses are multiples
+    of 1/8, so every sum is exact and the oracle must match bit for bit."""
+    oracle: dict[float, float] = {}
+    for sign, pairs in ((1.0, pairs1), (-1.0, pairs2)):
+        for atom, k in pairs:
+            oracle[atom] = oracle.get(atom, 0.0) + sign * k / 8
+    m1, m2 = (atomic_measure([a for a, _ in p], [k / 8 for _, k in p]) for p in (pairs1, pairs2))
+    want = math.fsum(abs(v) for v in oracle.values())
+    assert tv_distance(m1, m2) == tv_distance(m2, m1) == want
 
 
 def test_measure_distribution_matches_distribution_function():
@@ -658,6 +698,20 @@ def test_entropies_reject_degenerate_alpha():
     s = state_spectrum([0.5, 0.5])
     for bad in (0.0, 1.0, -2.0):
         with pytest.raises(InvalidInputError):
+            entanglement_entropies(s, [bad])
+
+
+def test_renyi_large_and_non_finite_orders():
+    """0.7**3000 underflows, so the sum is taken relative to the largest entry;
+    non-finite orders are refused like the other excluded ones."""
+    s = state_spectrum([0.7, 0.3])
+    h = entanglement_entropies(s, [2.0, 2000.0, 3000.0, 1e6]).H_alpha
+    assert math.isclose(h[3000.0], 3000 * math.log(0.7) / (1 - 3000), rel_tol=1e-15)
+    assert h[2.0] >= h[2000.0] >= h[3000.0] >= h[1e6] >= -math.log(0.7)
+    # alpha log v0 alone would overflow here
+    assert math.isclose(entanglement_entropies(flat_spectrum(10), [1e308]).H_alpha[1e308], math.log(10))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="Renyi order"):
             entanglement_entropies(s, [bad])
 
 
