@@ -32,6 +32,7 @@ import numpy as np
 from .embezzle import TypeLabel
 from .errors import InvalidInputError
 from .locc import (
+    HISTORY_SEP,
     Instrument,
     LoccProtocol,
     LoccRound,
@@ -74,9 +75,6 @@ __all__ = [
     "type_label_to_json",
     "HISTORY_SEP",
 ]
-
-# Histories (tuples of outcome labels) become single JSON object keys.
-HISTORY_SEP = ","
 
 
 # --------------------------------------------------------------------------- #
@@ -162,6 +160,8 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -219,6 +219,10 @@ def _complex_json(arr: np.ndarray) -> str:
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _complex_array(raw: Any, name: str, ndim: int) -> np.ndarray:
@@ -300,10 +304,10 @@ def state_to_json(psi: PureBipartiteState) -> dict:
 def state_from_json(doc: Mapping) -> PureBipartiteState:
     _expect_kind(doc, "pure_bipartite")
     dims = _field(doc, "dims")
-    if not isinstance(dims, Sequence) or len(dims) != 2:
-        raise InvalidInputError("dims must be a [dA, dB] pair")
+    if not isinstance(dims, (list, tuple)) or len(dims) != 2 or not all(map(_is_int, dims)):
+        raise InvalidInputError(f"dims must be a [dA, dB] pair of integers, got {dims!r}")
     amps = _complex_array(_field(doc, "amplitudes"), "amplitudes", 1)
-    return pure_state((int(dims[0]), int(dims[1])), amps)
+    return pure_state((dims[0], dims[1]), amps)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -316,8 +320,11 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 def density_from_json(doc: Mapping) -> DensityMatrix:
     _expect_kind(doc, "density")
+    dim = _field(doc, "dim")
+    if not _is_int(dim):
+        raise InvalidInputError(f"density 'dim' must be an integer, got {dim!r}")
     mat = _complex_array(_field(doc, "entries"), "entries", 2)
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] != int(_field(doc, "dim")):
+    if mat.shape[0] != mat.shape[1] or mat.shape[0] != dim:
         raise InvalidInputError("density 'dim' does not match the entry grid")
     return density(mat)
 
@@ -405,34 +412,20 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
     return locc_protocol(rounds)
 
 
-def _matrices(mats: Sequence[np.ndarray]) -> Any:
-    """One complex stack when the matrices share a shape (every protocol
-    entlab builds), else the matrices one by one; both emit the same JSON."""
-    if len({np.shape(m) for m in mats}) == 1:
-        return np.array(mats, dtype=complex)
-    return [np.asarray(m, dtype=complex) for m in mats]
-
-
 def one_way_to_json(protocol: OneWayProtocol) -> dict:
     return {
         "kind": "one_way",
-        "alice_kraus": _matrices(protocol.alice_kraus),
-        "bob_unitaries": _matrices(protocol.bob_unitaries),
+        "alice_kraus": np.array(protocol.alice_kraus, dtype=complex),
+        "bob_unitaries": np.array(protocol.bob_unitaries, dtype=complex),
     }
 
 
 def one_way_from_json(doc: Mapping) -> OneWayProtocol:
     _expect_kind(doc, "one_way")
-    alice_raw = _field(doc, "alice_kraus")
-    bob_raw = _field(doc, "bob_unitaries")
-    for name, raw in (("alice_kraus", alice_raw), ("bob_unitaries", bob_raw)):
-        if not isinstance(raw, (Sequence, np.ndarray)) or isinstance(raw, str) or not len(raw):
-            raise InvalidInputError(f"'{name}' must be a non-empty list of matrices")
-    alice = tuple(_complex_array(k, f"alice_kraus[{i}]", 2) for i, k in enumerate(alice_raw))
-    bob = tuple(_complex_array(u, f"bob_unitaries[{i}]", 2) for i, u in enumerate(bob_raw))
-    if len(alice) != len(bob):
-        raise InvalidInputError("alice_kraus and bob_unitaries must pair up one-to-one")
-    return OneWayProtocol(alice_kraus=alice, bob_unitaries=bob)
+    return OneWayProtocol(
+        tuple(_complex_array(_field(doc, "alice_kraus"), "alice_kraus", 3)),
+        tuple(_complex_array(_field(doc, "bob_unitaries"), "bob_unitaries", 3)),
+    )
 
 
 # --------------------------------------------------------------------------- #

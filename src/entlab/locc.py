@@ -30,7 +30,6 @@ from .quantum import (
     PureBipartiteState,
     _padded_eigendata,
     marginal,
-    pure_state,
     schmidt,
 )
 from .spectra import majorizes, spectrum, tensor_spectrum
@@ -39,6 +38,9 @@ from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, PO
 
 MAX_ROUNDS = 16
 REST_LABEL = "__rest__"
+# Histories (tuples of outcome labels) are joined with this into one string:
+# a JSON object key, a CSV cell.
+HISTORY_SEP = ","
 
 
 # --------------------------------------------------------------------------- #
@@ -59,8 +61,9 @@ class Instrument:
 
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:
     """Validate an instrument: equal square Kraus operators, distinct
-    labels, and sum k^dag k at most 1 within ``COMPLETENESS_TOL``.
-    ``kraus`` may be a sequence of matrices or a stack."""
+    non-empty labels free of ``HISTORY_SEP``, and sum k^dag k at most 1
+    within ``COMPLETENESS_TOL``.  ``kraus`` may be a sequence of matrices or
+    a stack."""
     if len(kraus) == 0:
         raise InvalidInputError("instrument needs at least one outcome")
     try:
@@ -74,6 +77,10 @@ def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instr
     labels = tuple(str(label) for label in labels)
     if len(labels) != len(ks) or len(set(labels)) != len(ks):
         raise InvalidInputError("labels must be distinct and match the outcome count")
+    for label in labels:
+        if not label or HISTORY_SEP in label:
+            raise InvalidInputError(f"label {label!r} must be non-empty and free of "
+                                    f"{HISTORY_SEP!r}, which joins histories")
     total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     # the largest absolute row sum bounds the top eigenvalue, so only an
     # instrument that may exceed completeness needs the eigvalsh
@@ -118,10 +125,20 @@ def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
 @dataclass(frozen=True, eq=False)
 class OneWayProtocol:
     """Alice measures (one Kraus per outcome), Bob applies the matching
-    partial isometry.  Probabilities are implied by the Kraus norms."""
+    partial isometry.  Probabilities are implied by the Kraus norms.  Each
+    side is one or more matrices of one shape, equally many on both sides."""
 
     alice_kraus: tuple[np.ndarray, ...]
     bob_unitaries: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if not 0 < len(self.alice_kraus) == len(self.bob_unitaries):
+            raise InvalidInputError("alice_kraus and bob_unitaries must pair up, one or more: got "
+                                    f"{len(self.alice_kraus)} and {len(self.bob_unitaries)}")
+        for name, ops in (("alice_kraus", self.alice_kraus), ("bob_unitaries", self.bob_unitaries)):
+            shapes = sorted(set(map(np.shape, ops)))
+            if len(shapes) > 1 or len(shapes[0]) != 2:
+                raise InvalidInputError(f"{name} must be matrices of one shape, got {shapes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,26 +355,34 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     sum_x w_x t^2[p_x] over at most that many permutations p_x.  Branch x
     is ``k_x = G[:, p_x] diag(sqrt(w_x) t[p_x] / s) E^dagger`` for Alice and
     the partial isometry ``v_x = H[:, p_x] F^dagger`` for Bob, on the support
-    columns, so (k_x (x) v_x) psi = sqrt(w_x) phi.  A support weight below
-    ``SUPPORT_FLOOR``, a branch probability off w_x by more than
-    ``BRANCH_TOL`` or a completeness residual above ``COMPLETENESS_TOL`` is
-    refused with :class:`NumericalFailureError`.
+    columns, so (k_x (x) v_x) psi = sqrt(w_x) phi.  Alice's s is taken as
+    the square root of the weights the terms rebuild, so her operators are
+    complete to rounding.  A support weight below ``SUPPORT_FLOOR``, a
+    branch probability off w_x by more than ``BRANCH_TOL``, or a rebuilt
+    weight or completeness residual off by more than ``COMPLETENESS_TOL``
+    (relative to s^2, or 64 m eps relative to the largest) is refused with
+    :class:`NumericalFailureError`.
     """
     src, tgt = schmidt(psi), schmidt(phi)
     m = max(src.coefficients.size, tgt.coefficients.size)
     pad = (0, m - tgt.coefficients.size)
-    a, terms = _mixing_terms(np.pad(src.coefficients**2, (0, m - src.coefficients.size)),
-                             np.pad(tgt.coefficients**2, pad))
+    t2 = np.pad(tgt.coefficients**2, pad)
+    a, terms = _mixing_terms(np.pad(src.coefficients**2, (0, m - src.coefficients.size)), t2)
     keep = np.flatnonzero(a)
-    if float(a[keep].min()) < SUPPORT_FLOOR:
-        raise NumericalFailureError(f"support eigenvalue {float(a[keep].min()):.3e} below "
+    s2 = a[keep]
+    if float(s2.min()) < SUPPORT_FLOOR:
+        raise NumericalFailureError(f"support eigenvalue {float(s2.min()):.3e} below "
                                     f"{SUPPORT_FLOOR:g}: ill-conditioned (d = {psi.dims[0]})")
     weights = np.array([w for w, _ in terms])
     perms = np.array([perm for _, perm in terms])[:, keep]
+    # Alice divides by the weights the terms rebuild, a_hat = sum_x w_x t^2[p_x],
+    # not by s^2, so her operators are complete to rounding however small s^2
+    # is; a zero a_hat (a term leaving the support) keeps s^2 for the leak check
+    a_hat = weights @ t2[perms]
     e_dag = src.basis_A[:, keep].conj().T
-    # (G diag(t))[:, p_x] diag(1 / s) E^dagger, from the gathered rows of (G diag(t))^T
+    # (G diag(t))[:, p_x] diag(a_hat^-1/2) E^dagger, from the gathered rows of (G diag(t))^T
     alice = (np.pad(tgt.basis_A * tgt.coefficients, ((0, 0), pad)).T[perms].transpose(0, 2, 1)
-             @ (e_dag / src.coefficients[keep, None]))
+             @ (e_dag / np.sqrt(np.where(a_hat > 0.0, a_hat, s2))[:, None]))
     alice *= np.sqrt(weights)[:, None, None]
     # squared branch norms from the real and imaginary parts, with no conjugated copy
     parts = (alice @ psi.matrix).reshape(len(alice), -1).view(float)
@@ -368,7 +393,12 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
         raise NumericalFailureError(f"branch probability leaked: expected {float(weights[x])!r}, "
                                     f"got {float(q[x])!r}, off by more than {BRANCH_TOL:.0e} "
                                     f"(d = {psi.dims[0]})")
-    residual = _completeness_residual(alice, e_dag.conj().T @ e_dag)
+    # a_hat off s^2 by more than the mixing's rounding is a majorization miss,
+    # refused as the completeness residual the division by s^2 would have left
+    miss = np.abs(a_hat - s2)
+    over = miss > np.maximum(COMPLETENESS_TOL * s2, 64 * m * np.finfo(float).eps * s2.max())
+    residual = (float((miss[over] / s2[over]).max()) if over.any()
+                else _completeness_residual(alice, e_dag.conj().T @ e_dag))
     if residual > COMPLETENESS_TOL:
         raise NumericalFailureError(
             f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {psi.dims[0]})"
@@ -382,14 +412,15 @@ def verify_protocol(
     protocol: OneWayProtocol, psi: PureBipartiteState, phi: PureBipartiteState
 ) -> VerificationReport:
     """Check completeness on the source support, per-branch target overlap,
-    and total probability; the report carries failures instead of raising."""
+    and total probability; the report carries failures instead of raising.
+    Operators that do not map psi's dims to phi's raise InvalidInputError."""
+    (a_out, a_in), (b_out, b_in) = protocol.alice_kraus[0].shape, protocol.bob_unitaries[0].shape
+    if ((a_in, b_in), (a_out, b_out)) != (psi.dims, phi.dims):
+        raise InvalidInputError(f"protocol maps {(a_in, b_in)} to {(a_out, b_out)}, "
+                                f"not {psi.dims} to {phi.dims}")
     overlaps = []
     probs = []
     for k, v in zip(protocol.alice_kraus, protocol.bob_unitaries):
-        if k.shape[1] != psi.dims[0] or v.shape[1] != psi.dims[1]:
-            raise InvalidInputError("protocol operator shapes do not match the source state")
-        if k.shape[0] != phi.dims[0] or v.shape[0] != phi.dims[1]:
-            raise InvalidInputError("protocol operator shapes do not match the target state")
         mid = k @ psi.matrix
         probs.append(float(np.einsum("xy,xy->", mid.conj(), mid).real))
         out = (mid @ v.T).ravel()
@@ -593,24 +624,27 @@ def one_way_branches(
     probability is the squared norm of the resulting vector, after both
     Alice's Kraus operator and Bob's operator.  It equals the norm after
     Alice's Kraus alone only when Bob's operator is an isometry on the
-    branch support.  Labels are the outcome indices.
+    branch support.  Branches at or below ``MASS_CUT`` are pruned; labels are
+    the outcome indices.  Operators not acting on psi's dims are refused.
     """
-    if len(protocol.alice_kraus) != len(protocol.bob_unitaries):
-        raise InvalidInputError("alice_kraus and bob_unitaries must pair up one-to-one")
+    (a_out, a_in), (b_out, b_in) = protocol.alice_kraus[0].shape, protocol.bob_unitaries[0].shape
+    if (a_in, b_in) != psi.dims:
+        raise InvalidInputError(f"protocol acts on {(a_in, b_in)}, the state has {psi.dims}")
     mat = psi.matrix
-    out: list[Branch] = []
+    out = np.empty((len(protocol.alice_kraus), a_out, b_out), dtype=complex)
+    probs, hists = [], []
     for x, (k_op, w_op) in enumerate(zip(protocol.alice_kraus, protocol.bob_unitaries)):
-        if k_op.shape[1] != psi.dims[0] or w_op.shape[1] != psi.dims[1]:
-            raise InvalidInputError(
-                f"branch {x} operators do not act on a {psi.dims} state"
-            )
-        new = k_op @ mat @ w_op.T
+        # a pruned branch's row is taken by the next branch
+        new = np.matmul(k_op @ mat, w_op.T, out=out[len(probs)])
         prob = float(np.vdot(new, new).real)
-        if prob <= MASS_CUT:
-            continue
-        state = pure_state((k_op.shape[0], w_op.shape[0]), new.ravel() / math.sqrt(prob))
-        out.append(Branch(probability=prob, state=state, history=(str(x),)))
-    return tuple(out)
+        if prob > MASS_CUT:
+            probs.append(prob)
+            hists.append((str(x),))
+    vecs = out[: len(probs)].reshape(len(probs), a_out * b_out)
+    vecs /= np.sqrt(probs)[:, None]
+    vecs.flags.writeable = False
+    return tuple(Branch(p, PureBipartiteState((a_out, b_out), vec), hist)
+                 for p, vec, hist in zip(probs, vecs, hists))
 
 
 # --------------------------------------------------------------------------- #

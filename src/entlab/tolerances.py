@@ -53,15 +53,17 @@ CLUSTER_GAP = 1e-10
 # weight) at or below this times the largest lies outside its support:
 # ``support_projector``, the mixing's source weights, and synthesis's
 # support columns, on which Alice's coefficients sqrt(w_x) t / s and Bob's
-# gathered columns are built, all use this one mask.  ``_mirror_bob`` cuts a
-# branch's Schmidt coefficients the same way.
+# gathered columns are built, all use this one mask on the weights s^2.
+# ``_mirror_bob`` applies the same factor to a branch's Schmidt coefficients
+# s instead, so there it cuts the weights at its square, 1e-24.
 SUPPORT_CUT = 1e-12
 # Absolute.  A source support weight s^2 below this lets Alice's t / s
 # coefficient amplify rounding by more than 1e6; synthesis refuses such a
-# source as ill-conditioned.  The working limit is higher: the completeness
-# residual divides the mixing's rounding by s^2, and on 12 probes with a
-# smallest weight of 1e-10 (d = 4, 8, 16, Haar local frames, target s^1.5)
-# all 12 are refused by the residual (1.3e-9 to 5.5e-7), none by this floor.
+# source as ill-conditioned.  Above it the limit is this floor: Alice divides
+# by the weights the mixing rebuilds, not by s^2, so the mixing's absolute
+# rounding is never divided by a small weight, and 30 of 30 probes with a
+# smallest weight of 1e-10 or 2e-12 (d = 4, 8, 16, Haar local frames,
+# target s^1.5) synthesize and verify with residuals below 5e-15.
 SUPPORT_FLOOR = 1e-12
 # Relative to the largest.  ``_mirror_bob``'s polar factor keeps the
 # singular directions of the mirrored operator above this times the largest.
@@ -78,7 +80,10 @@ SCHMIDT_ZERO = 1e-10
 # projector (the identity for an instrument).  An instrument may exceed
 # completeness by this, and the simulator adds no complement outcome within
 # it; a synthesized or verified protocol's completeness residual, and its
-# probability sum's distance from 1, may be at most this.
+# probability sum's distance from 1, may be at most this.  Relative to s^2,
+# it also bounds how far a source weight the synthesis mixing rebuilds may
+# miss s^2 (with a floor of 64 m eps times the largest weight), so a
+# majorization miss beyond rounding is still refused.
 COMPLETENESS_TOL = 1e-9
 # Absolute.  A branch entlab builds matches what it was built to match: the
 # synthesis branch probability its mixing weight, the two A-marginals that

@@ -574,6 +574,42 @@ def test_cli_simulate_and_reduce_scripted_protocol(tmp_path, state_files, capsys
         assert overlap >= 1 - 1e-7
 
 
+def _one_way_inputs(name):
+    if name == "bell-phi73":
+        psi = bell_state(2)
+        return nielsen_synthesize(psi, state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])), psi
+    if name == "rectangular":
+        psi = random_pure_state((4, 4), 8)
+        phi = state_from_schmidt([math.sqrt(0.8), math.sqrt(0.2)], dims=(2, 3))
+        return nielsen_synthesize(psi, phi), psi
+    doc, state = golden_protocol(4, 10, 1024, "A", seed=[4, 1024, 1])
+    psi = eio.state_from_json(state)
+    return one_way_reduce(eio.protocol_from_json(doc), psi), psi
+
+
+@pytest.mark.parametrize("name", ["bell-phi73", "rectangular", "reduced-1024"])
+def test_one_way_branches_match_the_per_branch_formula(name):
+    """Branch by branch: k @ M @ v.T, its vdot, pruned at MASS_CUT; the
+    probabilities and histories are the formula's bits, each state is its
+    vector over the root of that probability."""
+    protocol, psi = _one_way_inputs(name)
+    expected = []
+    for x, (k, v) in enumerate(zip(protocol.alice_kraus, protocol.bob_unitaries)):
+        new = k @ psi.matrix @ v.T
+        prob = float(np.vdot(new, new).real)
+        if prob > 1e-12:
+            expected.append((prob, new, (str(x),)))
+    branches = one_way_branches(protocol, psi)
+    assert [(b.probability, b.history) for b in branches] == [(p, h) for p, _, h in expected]
+    for branch, (prob, new, _) in zip(branches, expected):
+        assert branch.state.dims == new.shape
+        assert np.abs(branch.state.amplitudes - new.ravel() / math.sqrt(prob)).max() < 1e-15
+    if name == "reduced-1024":
+        assert len(protocol.alice_kraus) == len(branches) == 1024
+    elif name == "rectangular":
+        assert new.shape == (2, 3) and len(branches) > 1
+
+
 def test_one_way_branches_validation():
     protocol = nielsen_synthesize(
         bell_state(2), state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])
@@ -588,6 +624,69 @@ def test_one_way_branches_validation():
 # --------------------------------------------------------------------------- #
 #                            CLI: errors and process                           #
 # --------------------------------------------------------------------------- #
+
+def test_one_way_document_with_mixed_shapes_is_refused(tmp_path, state_files, capsys):
+    """One complex stack per side: a Bob operator of another shape is a ragged
+    stack, refused naming the entry, where it used to run with branches of
+    different dimensions."""
+    doc = {"kind": "one_way", "alice_kraus": _golden_pairs(np.array([np.diag([1.0, 0.0]),
+                                                                     np.diag([0.0, 1.0])])),
+           "bob_unitaries": [_golden_pairs(np.eye(2)), _golden_pairs(np.eye(2, 3))]}
+    with pytest.raises(InvalidInputError) as info:
+        eio.one_way_from_json(doc)
+    assert str(info.value) == ("bob_unitaries is ragged: bob_unitaries[1][0] has 3 entries, "
+                               "bob_unitaries[0][0] has 2")
+    code, out, err = run_cli(["locc", "simulate", write_doc(tmp_path, "mixed.json", doc),
+                              state_files["bell"]], capsys)
+    assert code == 2 and out == "" and "ragged" in err
+
+
+def test_unpaired_one_way_document_is_refused(tmp_path, state_files, capsys):
+    doc = {"kind": "one_way", "alice_kraus": _golden_pairs(np.array([np.diag([1.0, 0.0]),
+                                                                     np.diag([0.0, 1.0])])),
+           "bob_unitaries": [_golden_pairs(np.eye(2))]}
+    code, out, err = run_cli(["locc", "simulate", write_doc(tmp_path, "unpaired.json", doc),
+                              state_files["bell"]], capsys)
+    assert code == 2 and out == ""
+    assert err == "entlab: alice_kraus and bob_unitaries must pair up, one or more: got 2 and 1\n"
+
+
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli(["schmidt", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"entlab: {path} is not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "dims", [["a", 2], [2.9, 1], [2.0, 2], [True, 4], [2], "22"],
+    ids=["string", "fraction", "integral-float", "bool", "one-entry", "not-a-list"],
+)
+def test_state_dims_must_be_two_json_integers(dims):
+    doc = dict(eio.state_to_json(bell_state(2)), dims=dims)
+    with pytest.raises(InvalidInputError, match=r"dims must be a \[dA, dB\] pair of integers"):
+        eio.state_from_json(doc)
+
+
+@pytest.mark.parametrize("dim", ["x", 2.0, True, None], ids=["string", "float", "bool", "null"])
+def test_density_dim_must_be_a_json_integer(dim):
+    doc = dict(eio.density_to_json(random_density(2, seed=1)), dim=dim)
+    with pytest.raises(InvalidInputError, match="density 'dim' must be an integer"):
+        eio.density_from_json(doc)
+
+
+def test_non_integer_dims_exit_2_on_the_cli(tmp_path, capsys):
+    """``"dims": [2.9, 1]`` used to be read as (2, 1) and succeed, and
+    ``["a", 2]`` to end in a ValueError traceback."""
+    amplitudes = [[1.0, 0.0], [0.0, 0.0]]
+    for dims in ([2.9, 1], ["a", 2], [2.5, 2]):
+        doc = {"kind": "pure_bipartite", "dims": dims, "amplitudes": amplitudes}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["schmidt", str(path)], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+
 
 def test_cli_error_exit_codes(tmp_path, state_files, capsys):
     code, _, _ = run_cli(["oneshot", str(tmp_path / "missing.json")], capsys)

@@ -433,6 +433,29 @@ def test_nielsen_source_with_a_1e10_support_weight():
         assert np.abs(proj @ proj - proj).max() < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_nielsen_sources_with_a_1e10_smallest_weight_verify(seed):
+    """Alice divides by the weights the mixing rebuilds, so its absolute
+    rounding (~1e-17) is never divided by a small source weight: Haar-frame
+    sources with a smallest weight of 1e-10 and target s^1.5 all verify."""
+    d = (4, 8, 16)[seed % 3]
+    rng = np.random.default_rng([11, seed])
+    s = np.sort(rng.random(d))[::-1]
+    s[-1] = 0.0
+    s /= s.sum()
+    s[-1] = 1e-10
+    s /= s.sum()
+
+    def in_random_frames(weights):
+        state = state_from_schmidt(np.sqrt(weights))
+        return pure_state((d, d), apply_local(state, haar_unitary(d, rng), haar_unitary(d, rng)))
+
+    psi = in_random_frames(s)
+    phi = in_random_frames(s**1.5 / (s**1.5).sum())
+    report = verify_protocol(nielsen_synthesize(psi, phi), psi, phi)
+    assert report.passed and report.completeness_residual < 1e-13
+
+
 def test_nielsen_just_outside_the_polytope():
     """A pair that misses majorization by 6e-11, which locc_feasible accepts,
     synthesizes and verifies."""
@@ -534,6 +557,29 @@ def test_verify_protocol_shape_mismatch():
         verify_protocol(proto, b, bell_state(3))
 
 
+@pytest.mark.parametrize(
+    "alice, bob, message",
+    [
+        ((), (), "must pair up, one or more: got 0 and 0"),
+        ((P0, P1), (EYE2,), "must pair up, one or more: got 2 and 1"),
+        ((P0,), (np.ones(2),), "bob_unitaries must be matrices of one shape, got [(2,)]"),
+        ((np.ones((1, 2, 2)),), (EYE2,), "alice_kraus must be matrices of one shape"),
+        ((P0, np.eye(3)), (EYE2, EYE2), "alice_kraus must be matrices of one shape, "
+                                        "got [(2, 2), (3, 3)]"),
+        ((P0, P1), (EYE2, np.ones((2, 3))), "bob_unitaries must be matrices of one shape, "
+                                            "got [(2, 2), (2, 3)]"),
+    ],
+    ids=["empty", "unpaired", "vector", "stack", "mixed-alice", "mixed-bob"],
+)
+def test_one_way_protocol_refuses_a_malformed_shape(alice, bob, message):
+    """A one-way protocol is built only from paired matrices, one shape per
+    side: verify_protocol on 2 Kraus operators and 1 Bob operator can no
+    longer drop the unpaired branch."""
+    with pytest.raises(InvalidInputError) as info:
+        OneWayProtocol(alice, bob)
+    assert message in str(info.value)
+
+
 # --------------------------------------------------------------------------- #
 #                                 simulation                                   #
 # --------------------------------------------------------------------------- #
@@ -549,6 +595,15 @@ def test_instrument_validation():
         instrument([P0, P1], labels=["x", "x"])
     with pytest.raises(InvalidInputError):
         instrument([1.1 * EYE2])
+
+
+@pytest.mark.parametrize("label", ["a,b", ""], ids=["separator", "empty"])
+def test_instrument_refuses_a_label_that_breaks_a_history(label):
+    """Histories are joined with HISTORY_SEP into JSON keys and CSV cells, so
+    a label that is empty or holds the separator would not come back."""
+    with pytest.raises(InvalidInputError) as info:
+        instrument([P0, P1], labels=[label, "z"])
+    assert repr(label) in str(info.value) and repr(locc.HISTORY_SEP) in str(info.value)
 
 
 def test_simulate_empty_protocol():
