@@ -14,9 +14,10 @@ formatter: one finiteness check, one formatting pass over the flattened
 floats, then pairs, rows, matrices and stacks joined as strings.  The
 parsers read each such field with one array parser: one type pass over the
 flattened numbers (bools, strings and null are refused), one ``np.array``
-call and a shape check (ragged lists and pairs that are not 2-long are
-refused).  Only a refusal walks the entries in Python, to name the
-offending one.  The bytes are those of formatting every float on its own.
+call, a shape check (ragged lists and pairs that are not 2-long are
+refused) and a finiteness check (``json.loads`` reads ``NaN`` and
+``Infinity``; both are refused).  Only a refusal walks the entries in
+Python, to name the offending one.  The bytes are those of formatting every float on its own.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .locc import (
     LoccProtocol,
     LoccRound,
     OneWayProtocol,
-    instrument,
-    locc_protocol,
-    locc_round,
 )
 from .quantum import DensityMatrix, PureBipartiteState, density, pure_state
 from .spectra import (
@@ -227,17 +225,20 @@ def _is_int(v: Any) -> bool:
 
 def _complex_array(raw: Any, name: str, ndim: int) -> np.ndarray:
     """Parse field ``name``: non-empty lists nested ``ndim`` deep around
-    ``[re, im]`` pairs, as one complex array with ``ndim`` axes.  A complex
-    array of that rank (as the ``*_to_json`` functions leave it) passes."""
+    finite ``[re, im]`` pairs, as one complex array with ``ndim`` axes.  A
+    finite complex array of that rank (as the ``*_to_json`` functions leave
+    it) passes."""
     if isinstance(raw, np.ndarray) and raw.dtype == complex and raw.ndim == ndim and raw.size:
-        return raw
+        if np.isfinite(raw).all():
+            return raw
+        raw = np.stack((raw.real, raw.imag), axis=-1).tolist()
     try:
         flat = raw
         for _ in range(ndim):
             flat = list(chain.from_iterable(flat))
         if set(map(type, flat)) <= {float, int} or all(map(_is_number, flat)):
             arr = np.array(raw, dtype=float)
-            if arr.ndim == ndim + 1 and arr.shape[-1] == 2 and arr.size:
+            if arr.ndim == ndim + 1 and arr.shape[-1] == 2 and arr.size and np.isfinite(arr).all():
                 return arr.view(complex)[..., 0]
     except (TypeError, ValueError, OverflowError):
         pass
@@ -251,9 +252,11 @@ def _complex_refusal(raw: Any, name: str, ndim: int) -> str:
 
     def walk(node: Any, level: int, path: str) -> Optional[str]:
         if level == ndim:
-            if isinstance(node, (list, tuple)) and len(node) == 2 and all(map(_is_number, node)):
+            if not (isinstance(node, (list, tuple)) and len(node) == 2 and all(map(_is_number, node))):
+                return f"{name} entries must be [re, im] pairs, got {node!r} at {path}"
+            if all(math.isfinite(v) for v in node if isinstance(v, float)):
                 return None
-            return f"{name} entries must be [re, im] pairs, got {node!r} at {path}"
+            return f"{name} entries must be finite, got {node!r} at {path}"
         if not isinstance(node, (list, tuple)) or not node:
             return f"{name} must be non-empty lists nested {ndim} deep, got {node!r} at {path}"
         width, first = widths.setdefault(level, (len(node), path))
@@ -376,10 +379,10 @@ def _instrument_to_json(instr: Instrument) -> dict:
 
 def _instrument_from_json(doc: Mapping) -> Instrument:
     kraus = _complex_array(_field(doc, "kraus"), "kraus", 3)
-    labels_raw = _field(doc, "labels")
-    if not isinstance(labels_raw, Sequence) or any(not isinstance(l, str) for l in labels_raw):
-        raise InvalidInputError("instrument 'labels' must be a list of strings")
-    return instrument(kraus, list(labels_raw))
+    labels = _field(doc, "labels")
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise InvalidInputError(f"instrument 'labels' must be a list of strings, got {labels!r}")
+    return Instrument(kraus, tuple(labels))
 
 
 def protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -406,10 +409,13 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
             raise InvalidInputError("round 'branches' must be an object keyed by history")
         branches = {}
         for key, sub in branches_raw.items():
-            history = tuple(filter(None, key.split(HISTORY_SEP)))
+            history = tuple(key.split(HISTORY_SEP)) if key else ()
+            if not all(history):
+                raise InvalidInputError(f"history key {key!r} must be '' or non-empty labels "
+                                        f"joined by {HISTORY_SEP!r}")
             branches[history] = _instrument_from_json(sub)
-        rounds.append(locc_round(str(_field(entry, "party")), branches))
-    return locc_protocol(rounds)
+        rounds.append(LoccRound(str(_field(entry, "party")), branches))
+    return LoccProtocol(tuple(rounds))
 
 
 def one_way_to_json(protocol: OneWayProtocol) -> dict:

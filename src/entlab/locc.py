@@ -13,7 +13,7 @@ the gathered partial isometry ``v_x = H[:, p_x] F^dagger``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,73 +49,121 @@ HISTORY_SEP = ","
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """One Kraus operator per outcome, stacked as an (outcomes, d, d)
-    complex array; may be subnormalized (sum k^dag k <= 1)."""
+    """One Kraus operator per outcome, stacked as an (outcomes, d, d) finite
+    complex array, and distinct labels; may be subnormalized (sum k^dag k <= 1)."""
 
     kraus: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kraus", np.asarray(self.kraus, dtype=complex))
+        if len(self.kraus) == 0:
+            raise InvalidInputError("instrument needs at least one outcome")
+        try:
+            ks = np.asarray(self.kraus, dtype=complex)
+        except (TypeError, ValueError):
+            ks = None
+        if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
+            raise InvalidInputError("instrument Kraus operators must be equal square matrices")
+        if not np.isfinite(ks).all():
+            raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
+        labels = tuple(map(str, self.labels))
+        if len(labels) != len(ks) or len(set(labels)) != len(ks):
+            raise InvalidInputError("labels must be distinct and match the outcome count")
+        for label in labels:
+            if not label or HISTORY_SEP in label:
+                raise InvalidInputError(f"label {label!r} must be non-empty and free of "
+                                        f"{HISTORY_SEP!r}, which joins histories")
+        object.__setattr__(self, "kraus", ks)
+        object.__setattr__(self, "labels", labels)
 
 
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:
-    """Validate an instrument: equal square Kraus operators, distinct
-    non-empty labels free of ``HISTORY_SEP``, and sum k^dag k at most 1
-    within ``COMPLETENESS_TOL``.  ``kraus`` may be a sequence of matrices or
-    a stack."""
-    if len(kraus) == 0:
-        raise InvalidInputError("instrument needs at least one outcome")
-    try:
-        ks = np.asarray(kraus, dtype=complex)
-    except (TypeError, ValueError):
-        ks = None
-    if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
-        raise InvalidInputError("instrument Kraus operators must be equal square matrices")
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(ks)))
-    labels = tuple(str(label) for label in labels)
-    if len(labels) != len(ks) or len(set(labels)) != len(ks):
-        raise InvalidInputError("labels must be distinct and match the outcome count")
-    for label in labels:
-        if not label or HISTORY_SEP in label:
-            raise InvalidInputError(f"label {label!r} must be non-empty and free of "
-                                    f"{HISTORY_SEP!r}, which joins histories")
-    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-    # the largest absolute row sum bounds the top eigenvalue, so only an
-    # instrument that may exceed completeness needs the eigvalsh
-    if np.abs(total).sum(axis=1).max() > 1.0 + COMPLETENESS_TOL:
-        top = float(np.linalg.eigvalsh(total)[-1])
-        if top > 1.0 + COMPLETENESS_TOL:
-            raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
-                                    f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
-    return Instrument(ks, labels)
+    """Validate an instrument: an :class:`Instrument` whose sum k^dag k is
+    at most 1 within ``COMPLETENESS_TOL``.  ``kraus`` may be a sequence of
+    matrices or a stack; labels default to the outcome indices."""
+    instr = Instrument(kraus, [str(i) for i in range(len(kraus))] if labels is None else labels)
+    _completions(instr.kraus, np.array([len(instr.kraus)]))
+    return instr
+
+
+def _completions(kraus: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The completeness rule for the instruments stacked in ``kraus``,
+    ``counts`` outcomes each: sum k^dag k may exceed 1 by at most
+    ``COMPLETENESS_TOL``, and one short of 1 by more gains the outcome
+    sqrt(1 - sum k^dag k) after its own, with one stacked ``eigh`` for all.
+    Returns which instruments are short and the completed stack."""
+    ends = np.cumsum(counts)
+    # reduceat adds each instrument's terms in outcome order, so the totals
+    # (and the complements) carry the bits of a running sum over operators
+    totals = np.add.reduceat(kraus.conj().transpose(0, 2, 1) @ kraus, ends - counts, axis=0)
+    gaps = np.eye(kraus.shape[1]) - totals
+    # a gap's largest absolute row sum bounds its eigenvalues, so only the
+    # instruments that may be incomplete or super-normalized need the eigh
+    loose = np.flatnonzero(np.abs(gaps).sum(axis=2).max(axis=1) > COMPLETENESS_TOL)
+    vals, vecs = np.linalg.eigh(gaps[loose])
+    over = np.flatnonzero(vals[:, 0] < -COMPLETENESS_TOL)
+    if over.size:
+        top = 1.0 - float(vals[over[0], 0])
+        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
+                                f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
+    incomplete = vals[:, -1] > COMPLETENESS_TOL
+    vals, vecs = vals[incomplete], vecs[incomplete]
+    short = np.zeros(len(counts), dtype=bool)
+    short[loose[incomplete]] = True
+    comps = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return short, np.insert(kraus, ends[short], comps, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
 class LoccRound:
     """One communication round: the acting party and, per message history,
-    the instrument it applies."""
+    the instrument it applies.  The round checks its instruments once, when
+    built (one or more, one dimension, none over complete), and keeps them
+    completed in one stack, with every outcome's label and each history's rows."""
 
     party: str
     branches: Mapping[tuple[str, ...], Instrument]
+    _kraus: np.ndarray = field(init=False, repr=False)
+    _labels: tuple[str, ...] = field(init=False, repr=False)
+    _rows: Mapping[tuple[str, ...], range] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.party not in ("A", "B"):
+            raise InvalidInputError(f"party must be 'A' or 'B', got {self.party!r}")
+        branches = {tuple(map(str, hist)): instr for hist, instr in self.branches.items()}
+        instrs = list(branches.values())
+        if not all(isinstance(instr, Instrument) for instr in instrs):
+            raise InvalidInputError("branch values must be Instruments")
+        dims = sorted({instr.kraus.shape[1] for instr in instrs})
+        if len(dims) != 1:
+            raise InvalidInputError(f"a round needs instruments on one dimension, got {dims}")
+        counts = np.array([len(instr.labels) for instr in instrs])
+        short, kraus = _completions(np.concatenate([instr.kraus for instr in instrs]), counts)
+        labels = []
+        for instr, rest in zip(instrs, short.tolist()):
+            if rest and REST_LABEL in instr.labels:
+                raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
+            labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
+        stops = np.cumsum(counts + short).tolist()
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "_kraus", kraus)
+        object.__setattr__(self, "_labels", tuple(labels))
+        object.__setattr__(self, "_rows", dict(zip(branches, map(range, [0] + stops[:-1], stops))))
 
 
 def locc_round(party: str, branches: Mapping) -> LoccRound:
-    if party not in ("A", "B"):
-        raise InvalidInputError(f"party must be 'A' or 'B', got {party!r}")
-    fixed = {}
-    for hist, instr in branches.items():
-        key = tuple(map(str, hist))
-        if not isinstance(instr, Instrument):
-            raise InvalidInputError("branch values must be Instruments")
-        fixed[key] = instr
-    return LoccRound(party, fixed)
+    return LoccRound(party, branches)
 
 
 @dataclass(frozen=True, eq=False)
 class LoccProtocol:
+    """Rounds run in order, at most ``MAX_ROUNDS`` of them."""
+
     rounds: tuple[LoccRound, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rounds) > MAX_ROUNDS:
+            raise InvalidInputError(f"protocol depth {len(self.rounds)} exceeds the cap {MAX_ROUNDS}")
 
 
 def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
@@ -442,54 +490,6 @@ def verify_protocol(
 #                                 simulation                                   #
 # --------------------------------------------------------------------------- #
 
-def _completed(instrs: Sequence[Instrument], dim: int) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Validate a round's instruments against the acting dimension and give
-    each subnormalized one the deterministic complement outcome
-    sqrt(1 - sum k^dag k), labelled ``REST_LABEL``, with at most one
-    stacked ``eigh`` for the round.  Returns every outcome's Kraus operator (a
-    stack, instruments in order), its label, and its instrument's index."""
-    for instr in instrs:
-        if instr.kraus.shape[1] != dim:
-            raise InvalidInputError(
-                f"instrument acts on dimension {instr.kraus.shape[1]}, state has {dim}"
-            )
-    kraus = np.concatenate([instr.kraus for instr in instrs])
-    counts = np.array([len(instr.kraus) for instr in instrs])
-    ends = np.cumsum(counts)
-    # reduceat adds each instrument's terms in outcome order, so the totals
-    # (and the complements) carry the bits of a running sum over operators
-    totals = np.add.reduceat(kraus.conj().transpose(0, 2, 1) @ kraus, ends - counts, axis=0)
-    gaps = np.eye(dim) - totals
-    # a gap's largest absolute row sum bounds its eigenvalues, so only the
-    # instruments that may be incomplete or super-normalized need the eigh
-    loose = np.flatnonzero(np.abs(gaps).sum(axis=2).max(axis=1) > COMPLETENESS_TOL)
-    vals, vecs = np.linalg.eigh(gaps[loose])
-    over = np.flatnonzero(vals[:, 0] < -COMPLETENESS_TOL)
-    if over.size:
-        top = 1.0 - float(vals[over[0], 0])
-        raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
-                                f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
-    incomplete = vals[:, -1] > COMPLETENESS_TOL
-    vals, vecs = vals[incomplete], vecs[incomplete]
-    short = np.zeros(len(instrs), dtype=bool)
-    short[loose[incomplete]] = True
-    labels = []
-    for instr, rest in zip(instrs, short.tolist()):
-        if rest and REST_LABEL in instr.labels:
-            raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
-        labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
-    if short.any():
-        roots = np.sqrt(np.clip(vals, 0.0, None))
-        comps = (vecs * roots[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        kraus = np.insert(kraus, ends[short], comps, axis=0)
-    return kraus, labels, np.repeat(np.arange(len(instrs)), counts + short)
-
-
-def _check_depth(protocol: LoccProtocol) -> None:
-    if len(protocol.rounds) > MAX_ROUNDS:
-        raise InvalidInputError(f"protocol depth {len(protocol.rounds)} exceeds the cap {MAX_ROUNDS}")
-
-
 def _round_outcomes(
     rnd: LoccRound, dims: tuple[int, int], hists: Sequence[tuple[str, ...]], vecs: np.ndarray
 ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -498,34 +498,39 @@ def _round_outcomes(
     Returns, per outcome with probability above ``MASS_CUT`` given its
     branch: the branch index, the label, the Kraus operator, that
     probability q, and the normalized post-measurement vector (the last
-    three stacked).  Instruments are completed first.  All outcomes go
-    through one stacked product; each q is the ``vdot`` of its own vector.
+    three stacked).  Each branch takes its history's rows of the round's
+    completed stack.  All outcomes go through one stacked product; each q
+    is the ``vdot`` of its own vector.
     """
-    instrs = []
+    runs = []
     for hist in hists:
-        instr = rnd.branches.get(hist)
-        if instr is None:
+        run = rnd._rows.get(hist)
+        if run is None:
             raise InvalidInputError(f"no instrument for reachable history {hist!r}")
-        instrs.append(instr)
+        runs.append(run)
     alice = rnd.party == "A"
-    kraus, labels, branch = _completed(instrs, dims[0] if alice else dims[1])
+    dim = dims[0] if alice else dims[1]
+    if rnd._kraus.shape[1] != dim:
+        raise InvalidInputError(f"instrument acts on dimension {rnd._kraus.shape[1]}, state has {dim}")
+    branch = np.repeat(np.arange(len(hists)), list(map(len, runs)))
+    rows = np.array([i for run in runs for i in run])
+    kraus = rnd._kraus[rows]
     mats = vecs.reshape((-1,) + dims)[branch]
     new = (kraus @ mats if alice else mats @ kraus.transpose(0, 2, 1)).reshape(len(branch), -1)
     q = np.array([np.vdot(v, v).real for v in new])
     kept = np.flatnonzero(q > MASS_CUT)
     q = q[kept]
-    return (branch[kept], [labels[i] for i in kept.tolist()], kraus[kept], q,
+    return (branch[kept], [rnd._labels[i] for i in rows[kept].tolist()], kraus[kept], q,
             new[kept] / np.sqrt(q)[:, None])
 
 
 def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, ...]:
     """Exact breadth-first expansion of the protocol on a pure state.
 
-    Subnormalized instruments are completed; branches of probability at most
-    ``MASS_CUT`` are pruned.  Leaves come back in deterministic label
-    order.  Protocols deeper than ``MAX_ROUNDS`` are refused.
+    Subnormalized instruments take the completion their round built;
+    branches of probability at most ``MASS_CUT`` are pruned.  Leaves come
+    back in deterministic label order.
     """
-    _check_depth(protocol)
     probs, hists, vecs = np.ones(1), [()], psi.amplitudes[None]
     for rnd in protocol.rounds:
         branch, labels, _, q, vecs = _round_outcomes(rnd, psi.dims, hists, vecs)
@@ -596,10 +601,8 @@ def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayPro
 
     Alice rounds compose directly; each Bob operator is mirrored through the
     current branch state into an Alice operator and a Bob partial isometry.
-    Every round runs stacked over its branches.  Protocols deeper than
-    ``MAX_ROUNDS`` are refused.
+    Every round runs stacked over its branches.
     """
-    _check_depth(protocol)
     alice = support_projector(marginal(psi, "A"))[None]
     bob = support_projector(marginal(psi, "B"))[None]
     hists, vecs = [()], psi.amplitudes[None]

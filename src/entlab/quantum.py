@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, orbit_distance, spectrum
+from .spectra import Spectrum, _refuse_non_finite, orbit_distance, spectrum
 from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SCHMIDT_ZERO
 
 
@@ -44,6 +44,7 @@ def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("density matrix must be square")
+    _refuse_non_finite(arr, "density")
     if np.abs(arr - arr.conj().T).max() > INPUT_TOL:
         raise InvalidInputError(f"density matrix is not Hermitian within {INPUT_TOL:g}")
     arr = (arr + arr.conj().T) / 2.0
@@ -77,6 +78,7 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
                      dtype=complex).ravel()
     if dA < 1 or dB < 1 or arr.size != dA * dB:
         raise InvalidInputError(f"amplitude length {arr.size} != {dA}*{dB}")
+    _refuse_non_finite(arr, "amplitudes")
     n = np.linalg.norm(arr)
     if n == 0.0:
         raise InvalidInputError("zero vector is not a state")

@@ -65,6 +65,14 @@ class Spectrum:
         return out
 
 
+def _refuse_non_finite(arr: np.ndarray, name: str) -> None:
+    """Refuse NaN and infinities in ``arr``, naming the first by its index."""
+    if not np.isfinite(arr).all():
+        at = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        raise InvalidInputError(f"{name} entry {at[0] if len(at) == 1 else at} is "
+                                f"{arr[at].item()!r}, not a finite number")
+
+
 def spectrum(values: Iterable[float]) -> Spectrum:
     """Build a canonical :class:`Spectrum` (sort, clip noise, strip zeros).
 
@@ -74,10 +82,7 @@ def spectrum(values: Iterable[float]) -> Spectrum:
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError("spectrum values must be a flat list")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidInputError(f"spectrum entry {i} is {float(arr[i])!r}, not a finite number")
+    _refuse_non_finite(arr, "spectrum")
     if arr.size and arr.min() < -INPUT_TOL:
         raise InvalidInputError(
             f"negative spectrum entry {arr.min():.3e} below clip tolerance {-INPUT_TOL:g}"
@@ -149,12 +154,14 @@ def step_function(breakpoints: Sequence[float], levels: Sequence[float]) -> Step
 
     Adjacent equal levels are merged and zero-width segments dropped, so the
     result has strictly increasing breakpoints and strictly decreasing
-    levels ending in 0.
+    levels ending in 0.  NaN and infinities are refused.
     """
     bps = np.asarray(breakpoints, dtype=float)
     lvs = np.asarray(levels, dtype=float)
     if bps.ndim != 1 or lvs.ndim != 1 or lvs.size != bps.size + 1:
         raise InvalidInputError("need exactly one more level than breakpoints")
+    _refuse_non_finite(bps, "breakpoints")
+    _refuse_non_finite(lvs, "levels")
     if np.any(bps <= 0):
         raise InvalidInputError("breakpoints must be positive")
     if np.any(bps[1:] <= bps[:-1]):
@@ -328,12 +335,15 @@ def atomic_measure(atoms: Iterable[float], masses: Iterable[float]) -> AtomicMea
     the flow action cannot split atoms that started out equal.  Merging
     chains: sorted atoms whose consecutive log gaps are each within
     ``MERGE_TOL`` become one atom at the smallest position, with their
-    summed mass, even when the run spans more than ``MERGE_TOL``.
+    summed mass, even when the run spans more than ``MERGE_TOL``.  NaN and
+    infinite atoms or masses are refused.
     """
     pos = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
     mass = np.asarray(masses if isinstance(masses, np.ndarray) else list(masses), dtype=float)
     if pos.shape != mass.shape or pos.ndim != 1:
         raise InvalidInputError("atoms and masses must be flat lists of equal length")
+    _refuse_non_finite(pos, "atoms")
+    _refuse_non_finite(mass, "masses")
     if pos.size and pos.min() <= 0.0:
         raise InvalidInputError("atoms must be strictly positive")
     if mass.size and mass.min() <= 0.0:

@@ -270,6 +270,98 @@ def test_array_parser_refuses_a_shape_that_does_not_match_the_entries():
         eio.operator_from_json({"kind": "operator", "shape": [2, 3], "entries": entries})
 
 
+_EYE_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_P0_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+_P1_PAIRS = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _measure_then(branches):
+    """Alice measures a/b, then Bob applies ``branches`` (history key ->
+    instrument document)."""
+    first = {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": ["a", "b"]}
+    return {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": {"": first}},
+                                                {"party": "B", "branches": branches}]}
+
+
+_IDENTITY = {"kraus": [_EYE_PAIRS], "labels": ["i"]}
+_NAN_KRAUS = {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]], "labels": ["i"]}
+_IDENTITY3 = {"kraus": [np.stack([np.eye(3), np.zeros((3, 3))], axis=-1).tolist()],
+              "labels": ["i"]}
+_SIMULATE = ["locc", "simulate", "{doc}", "{bell}"]
+_REDUCE = ["locc", "reduce", "{doc}", "{bell}"]
+
+# name -> (document, parser, command reading it or None, refusal); the
+# documents go through JSON text, which json.loads reads NaN and Infinity from
+REFUSED_DOCUMENTS = {
+    "state-nan": (
+        {"kind": "pure_bipartite", "dims": [1, 2], "amplitudes": [[math.nan, 0], [1, 0]]},
+        eio.state_from_json, ["schmidt", "{doc}"],
+        "amplitudes entries must be finite, got [nan, 0] at amplitudes[0]"),
+    "density-inf": (
+        {"kind": "density", "dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, math.inf]]]},
+        eio.density_from_json, ["distinguish", "{doc}", "{doc}"],
+        "entries entries must be finite, got [0, inf] at entries[1][1]"),
+    "kraus-nan": (
+        _measure_then({"a": _IDENTITY, "b": _NAN_KRAUS}), eio.protocol_from_json, _SIMULATE,
+        "kraus entries must be finite, got [nan, 0] at kraus[0][1][1]"),
+    "labels-string": (
+        {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": {
+            "": {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": "01"}}}]},
+        eio.protocol_from_json, _REDUCE, "instrument 'labels' must be a list of strings, got '01'"),
+    "aliased-keys": (
+        _measure_then({"a": _IDENTITY, "a,": _IDENTITY, "b": _IDENTITY}),
+        eio.protocol_from_json, _SIMULATE,
+        "history key 'a,' must be '' or non-empty labels joined by ','"),
+    "empty-key-parts": (
+        {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": {",,": _IDENTITY}}]},
+        eio.protocol_from_json, _SIMULATE,
+        "history key ',,' must be '' or non-empty labels joined by ','"),
+    "two-dimensions": (
+        _measure_then({"a": _IDENTITY, "b": _IDENTITY3}), eio.protocol_from_json, _REDUCE,
+        "one dimension, got [2, 3]"),
+    "depth-17": (
+        {"kind": "locc_protocol", "rounds": [
+            {"party": "A", "branches": {",".join(["i"] * k): _IDENTITY}} for k in range(17)]},
+        eio.protocol_from_json, _SIMULATE, "protocol depth 17 exceeds the cap 16"),
+    "operator-nan": (
+        {"kind": "operator", "shape": [1, 1], "entries": [[[math.nan, 0]]]},
+        eio.operator_from_json, None,
+        "entries entries must be finite, got [nan, 0] at entries[0][0]"),
+    "measure-nan": (
+        {"kind": "measure", "atoms": [math.nan], "masses": [1.0]},
+        eio.measure_from_json, None, "atoms entry 0 is nan, not a finite number"),
+    "step-function-nan": (
+        {"kind": "step_function", "breakpoints": [math.nan], "levels": [1.0, 0.0]},
+        eio.step_function_from_json, None, "breakpoints entry 0 is nan, not a finite number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_DOCUMENTS))
+def test_malformed_document_is_refused_by_parser_and_cli(name, tmp_path, state_files, capsys):
+    """Each document parses from JSON text (NaN and Infinity included) and
+    is refused by its parser, naming the offending entry, key or field; the
+    command that reads it exits 2 with the same message."""
+    doc, parse, command, message = REFUSED_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError) as info:
+        parse(json.loads(path.read_text()))
+    assert message in str(info.value)
+    if command is not None:
+        argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and message in err
+
+
+def test_non_finite_complex_array_from_memory_is_refused():
+    """A complex array left in a document by the ``*_to_json`` helpers is
+    taken as it is only when it is finite."""
+    entries = np.array([[1.0, complex(0.0, math.nan)]])
+    with pytest.raises(InvalidInputError) as info:
+        eio.operator_from_json({"kind": "operator", "shape": [1, 2], "entries": entries})
+    assert "entries entries must be finite, got [0.0, nan] at entries[0][1]" in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_kraus_entries_are_refused_on_emit(bad):
     k = np.eye(2, dtype=complex)

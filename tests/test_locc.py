@@ -698,6 +698,58 @@ def test_simulate_error_paths(run):
         run(locc_protocol([locc_round("A", {(): sub})]), b)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instrument([math.nan * EYE2], ["0"]), "must be finite, got NaN/Inf"),
+        (lambda: instrument([np.array([[1.0, math.inf], [0.0, 0.0]])]),
+         "must be finite, got NaN/Inf"),
+        (lambda: locc_round("A", {(): instrument([EYE2]), ("0",): instrument([np.eye(3)])}),
+         "one dimension, got [2, 3]"),
+        (lambda: locc_round("B", {}), "one dimension, got []"),
+        (lambda: locc_round("A", {("z",): Instrument([1.2 * EYE2], ["0"])}), "super-normalized"),
+        (lambda: locc_round("A", {(): instrument([0.5 * EYE2], ["__rest__"])}), "reserved"),
+        (lambda: locc_protocol([locc_round("A", {("0",) * k: instrument([EYE2])})
+                                for k in range(17)]),
+         "protocol depth 17 exceeds the cap 16"),
+    ],
+    ids=["nan-kraus", "inf-kraus", "two-dimensions", "no-instrument", "super-normalized",
+         "reserved-label", "depth-17"],
+)
+def test_protocol_parts_are_checked_when_built(build, message):
+    """An instrument, round or protocol that no run could complete is
+    refused when it is built, also on a history no state reaches."""
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert message in str(info.value)
+
+
+def test_simulate_and_reduce_complete_no_instrument_again(monkeypatch):
+    """A round completes its instruments when it is built; running the
+    protocol only looks the completed rows up."""
+    u = haar_unitary(2, 12)
+    prot = locc_protocol([
+        locc_round("B", {(): instrument([P0, P1], ["0", "1"])}),
+        locc_round("A", {("0",): instrument([math.sqrt(0.6) * u], ["u"]),
+                         ("1",): instrument([SWAP], ["x"])}),
+    ])
+    psi = random_pure_state((2, 2), 5)
+    leaves, reduced = simulate(prot, psi), one_way_reduce(prot, psi)
+
+    def refuse(*args):
+        raise AssertionError("an instrument was checked after its round was built")
+
+    monkeypatch.setattr(locc, "_completions", refuse)
+    again = simulate(prot, psi)
+    assert [l.history for l in again] == [("0", "u"), ("0", "__rest__"), ("1", "x")]
+    assert [l.probability for l in again] == [l.probability for l in leaves]
+    assert all(np.array_equal(a.state.amplitudes, b.state.amplitudes)
+               for a, b in zip(again, leaves))
+    twice = one_way_reduce(prot, psi)
+    assert all(map(np.array_equal, twice.alice_kraus, reduced.alice_kraus))
+    assert all(map(np.array_equal, twice.bob_unitaries, reduced.bob_unitaries))
+
+
 # --------------------------------------------------------------------------- #
 #                              one-way reduction                               #
 # --------------------------------------------------------------------------- #

@@ -118,6 +118,22 @@ def test_pure_state_validates():
         pure_state((2, 2), [1.0, 0.1, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [(lambda: pure_state((1, 2), [math.nan, 1.0]), "amplitudes entry 0 is (nan+0j)"),
+     (lambda: pure_state((1, 2), [1.0, complex(0.0, math.inf)]), "amplitudes entry 1 is infj"),
+     (lambda: density([[1.0, 0.0], [0.0, math.nan]]), "density entry (1, 1) is (nan+0j)"),
+     (lambda: density([[1.0, -math.inf], [0.0, 0.0]]), "density entry (0, 1) is (-inf+0j)")],
+    ids=["state-nan", "state-inf", "density-nan", "density-minus-inf"],
+)
+def test_state_constructors_refuse_non_finite_entries(build, text):
+    """A NaN amplitude passed the norm test (NaN compares false) and gave an
+    all-NaN state; NaN and infinities are refused, naming the entry."""
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == f"{text}, not a finite number"
+
+
 def test_product_and_bell_constructors():
     p = product_basis_state(2, 3, 1, 2)
     assert p.amplitudes[1 * 3 + 2] == 1.0

@@ -151,6 +151,26 @@ def test_spectrum_rejects_non_finite_entries(values, text):
             build(values)
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [(lambda: atomic_measure([math.nan, 1.0], [0.5, 0.5]), "atoms entry 0 is nan"),
+     (lambda: atomic_measure([1.0, math.inf], [0.5, 0.5]), "atoms entry 1 is inf"),
+     (lambda: atomic_measure([1.0, 2.0], [math.inf, 0.5]), "masses entry 0 is inf"),
+     (lambda: atomic_measure([1.0], [math.nan]), "masses entry 0 is nan"),
+     (lambda: step_function([math.nan], [1.0, 0.0]), "breakpoints entry 0 is nan"),
+     (lambda: step_function([1.0, math.inf], [2.0, 1.0, 0.0]), "breakpoints entry 1 is inf"),
+     (lambda: step_function([1.0], [math.inf, 0.0]), "levels entry 0 is inf")],
+    ids=["atom-nan", "atom-inf", "mass-inf", "mass-nan", "breakpoint-nan", "breakpoint-inf",
+         "level-inf"],
+)
+def test_measure_and_step_function_reject_non_finite_entries(build, text):
+    """A NaN atom was dropped by the merge (its mass moved to a neighbour),
+    and infinite atoms, masses and breakpoints were kept; all are refused,
+    naming the entry as the spectrum does."""
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}, not a finite number$"):
+        build()
+
+
 def test_state_spectrum_normalization_gate():
     assert state_spectrum([0.5, 0.5]).is_state()
     with pytest.raises(InvalidInputError):
