@@ -152,10 +152,23 @@ def write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _unique_object(pairs: list[tuple[str, Any]], path: str) -> dict:
+    """One JSON object as a dict, refusing a repeated key (plain
+    ``json.load`` would keep its last value and drop the others unseen)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"{path} repeats the key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=lambda pairs: _unique_object(pairs, path))
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -28,13 +28,14 @@ from .quantum import (
     DensityMatrix,
     LocalIsometryPair,
     PureBipartiteState,
+    _in_support,
     _padded_eigendata,
     marginal,
     schmidt,
 )
 from .spectra import majorizes, spectrum, tensor_spectrum
 from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, POLAR_CUT,
-                         SUPPORT_CUT, SUPPORT_FLOOR)
+                         SUPPORT_FLOOR)
 
 MAX_ROUNDS = 16
 REST_LABEL = "__rest__"
@@ -116,10 +117,11 @@ def _completions(kraus: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class LoccRound:
-    """One communication round: the acting party and, per message history,
-    the instrument it applies.  The round checks its instruments once, when
-    built (one or more, one dimension, none over complete), and keeps them
-    completed in one stack, with every outcome's label and each history's rows."""
+    """One communication round: the acting party and, per message history (a
+    tuple of label strings), the instrument it applies.  The round checks its
+    instruments once, when built (one or more, one dimension, none over
+    complete), and keeps them completed in one stack, with every outcome's
+    label and each history's rows."""
 
     party: str
     branches: Mapping[tuple[str, ...], Instrument]
@@ -130,7 +132,10 @@ class LoccRound:
     def __post_init__(self) -> None:
         if self.party not in ("A", "B"):
             raise InvalidInputError(f"party must be 'A' or 'B', got {self.party!r}")
-        branches = {tuple(map(str, hist)): instr for hist, instr in self.branches.items()}
+        branches = dict(self.branches)
+        for hist in branches:
+            if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
+                raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
         instrs = list(branches.values())
         if not all(isinstance(instr, Instrument) for instr in instrs):
             raise InvalidInputError("branch values must be Instruments")
@@ -377,12 +382,6 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
 # --------------------------------------------------------------------------- #
 #                             one-way synthesis                                #
 # --------------------------------------------------------------------------- #
-
-def _in_support(vals: np.ndarray) -> np.ndarray:
-    """Mask of the descending eigenvalues (or singular values) inside the
-    support: above ``SUPPORT_CUT`` times the largest (along the last axis)."""
-    return vals > SUPPORT_CUT * vals[..., :1]
-
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
     vals, vecs = _padded_eigendata(rho, rho.dim)
@@ -658,14 +657,11 @@ def slocc(psi: PureBipartiteState, phi: PureBipartiteState) -> SloccResult:
     """Single-filter SLOCC conversion: feasible iff the target Schmidt rank
     does not exceed the source's; the canonical filter rescales Schmidt
     weights with success probability 1/max_i(phi_i/psi_i)."""
-    dp = schmidt(psi)
-    df = schmidt(phi)
-    s2 = np.asarray(dp.spectrum.values)
-    t2 = np.asarray(df.spectrum.values)
-    if t2.size > s2.size:
+    dp, df = schmidt(psi), schmidt(phi)
+    r = df.rank
+    if r > dp.rank:
         return SloccResult(False, None, 0.0)
-    r = t2.size
-    ratios = t2 / s2[:r]
+    ratios = df.coefficients[:r] ** 2 / dp.coefficients[:r] ** 2
     max_ratio = float(ratios.max())
     diag_vals = np.sqrt(ratios / max_ratio)
     a_filter = (df.basis_A[:, :r] * diag_vals) @ dp.basis_A[:, :r].conj().T
@@ -680,9 +676,9 @@ def slocc(psi: PureBipartiteState, phi: PureBipartiteState) -> SloccResult:
 def one_shot_entanglement(psi: PureBipartiteState) -> OneShotReport:
     """Largest n such that psi (x) |00> -> residual (x) Phi_n is feasible:
     n_max = floor(min_k k / S_k) over the top-k Schmidt partial sums."""
-    values = np.asarray(schmidt(psi).spectrum.values)
-    partial = np.cumsum(values)
-    ks = np.arange(1, values.size + 1)
+    dec = schmidt(psi)
+    partial = np.cumsum(dec.coefficients[: dec.rank] ** 2)
+    ks = np.arange(1, partial.size + 1)
     # every S_k <= 1, so k / S_k >= 1 and n_max >= 1
     n_max = int(math.floor(float((ks / partial).min()) + FLOOR_SLACK))
     return OneShotReport(n_max, math.log2(n_max))

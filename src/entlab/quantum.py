@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
 from .spectra import Spectrum, _refuse_non_finite, orbit_distance, spectrum
-from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SCHMIDT_ZERO
+from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SUPPORT_CUT
 
 
 # --------------------------------------------------------------------------- #
@@ -121,7 +121,9 @@ class SchmidtDecomposition:
     """``psi = sum_i s_i |a_i> (x) |b_i>`` with orthonormal column families.
 
     ``coefficients`` is the full descending singular-value list (length
-    ``min(dims)``, zeros included); ``spectrum`` strips them.
+    ``min(dims)``, zeros and rounding included).  ``rank`` counts the
+    support, the weights s^2 that ``_in_support`` keeps, and ``spectrum``
+    holds those weights only.
     """
 
     coefficients: np.ndarray
@@ -130,11 +132,11 @@ class SchmidtDecomposition:
 
     @property
     def spectrum(self) -> Spectrum:
-        return spectrum(self.coefficients**2)
+        return spectrum(self.coefficients[: self.rank] ** 2)
 
     @property
     def rank(self) -> int:
-        return self.spectrum.rank
+        return int(_in_support(self.coefficients**2).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +150,12 @@ class LocalIsometryPair:
 # --------------------------------------------------------------------------- #
 #                           Schmidt data and marginals                         #
 # --------------------------------------------------------------------------- #
+
+def _in_support(vals: np.ndarray) -> np.ndarray:
+    """Mask of the descending eigenvalues (or singular values) inside the
+    support: above ``SUPPORT_CUT`` times the largest (along the last axis)."""
+    return vals > SUPPORT_CUT * vals[..., :1]
+
 
 def schmidt(psi: PureBipartiteState) -> SchmidtDecomposition:
     """Schmidt decomposition via SVD of the (d_A, d_B) reshaping.
@@ -357,10 +365,11 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
     """B-side partial isometry v with ``(1 (x) v) phi2 = phi1``.
 
     Exists iff the A-marginals coincide (Uhlmann).  With the Schmidt
-    decompositions phi_k = E_k diag(s_k) F_k^T cut to the coefficients above
-    ``SCHMIDT_ZERO``, ``v = F_1 polar(E_1^T conj(E_2)) F_2^dagger``: the two
-    A-bases differ by a unitary inside each degenerate eigenspace, and the
-    polar factor of their overlap is that unitary.
+    decompositions phi_k = E_k diag(s_k) F_k^T cut to their supports
+    (``_in_support`` on the coefficients s_k, so the weights are cut at
+    ``SUPPORT_CUT`` squared), ``v = F_1 polar(E_1^T conj(E_2)) F_2^dagger``:
+    the two A-bases differ by a unitary inside each degenerate eigenspace,
+    and the polar factor of their overlap is that unitary.
     """
     if phi1.dims[0] != phi2.dims[0]:
         raise NoConnectorError("A-side dimensions differ")
@@ -372,8 +381,7 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
             f"A-marginals differ beyond {tol}: trace distance {dist:.3e} (d_A = {phi1.dims[0]})"
         )
     d1, d2 = schmidt(phi1), schmidt(phi2)
-    keep1 = d1.coefficients > SCHMIDT_ZERO
-    keep2 = d2.coefficients > SCHMIDT_ZERO
+    keep1, keep2 = _in_support(d1.coefficients), _in_support(d2.coefficients)
     # polar factor of E_1^T conj(E_2), the nearest partial isometry
     uw, _, vwh = np.linalg.svd(d1.basis_A[:, keep1].T @ d2.basis_A[:, keep2].conj(),
                                full_matrices=False)

@@ -49,13 +49,14 @@ CLUSTER_GAP = 1e-10
 #                                  supports                                    #
 # --------------------------------------------------------------------------- #
 
-# Relative to the largest.  An eigenvalue of a marginal (or a Schmidt
-# weight) at or below this times the largest lies outside its support:
-# ``support_projector``, the mixing's source weights, and synthesis's
-# support columns, on which Alice's coefficients sqrt(w_x) t / s and Bob's
-# gathered columns are built, all use this one mask on the weights s^2.
-# ``_mirror_bob`` applies the same factor to a branch's Schmidt coefficients
-# s instead, so there it cuts the weights at its square, 1e-24.
+# Relative to the largest.  ``quantum._in_support`` is the one support mask.
+# Weight form: an eigenvalue of a marginal or a Schmidt weight s^2 at or
+# below this times the largest lies outside the support; the Schmidt rank
+# and spectrum, ``support_projector``, the mixing's source weights and
+# synthesis's support columns cut so.  Coefficient form:
+# ``connect_purifications`` and ``_mirror_bob`` build operators that must
+# reproduce amplitudes, so they cut the Schmidt coefficients s at this times
+# the largest, the weights at its square, 1e-24.
 SUPPORT_CUT = 1e-12
 # Absolute.  A source support weight s^2 below this lets Alice's t / s
 # coefficient amplify rounding by more than 1e6; synthesis refuses such a
@@ -68,9 +69,6 @@ SUPPORT_FLOOR = 1e-12
 # Relative to the largest.  ``_mirror_bob``'s polar factor keeps the
 # singular directions of the mirrored operator above this times the largest.
 POLAR_CUT = 1e-13
-# Absolute.  ``connect_purifications`` maps no Schmidt coefficient at or
-# below this: the state has no amplitude there.
-SCHMIDT_ZERO = 1e-10
 
 # --------------------------------------------------------------------------- #
 #                                  protocols                                   #

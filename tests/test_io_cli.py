@@ -573,6 +573,44 @@ def test_cli_embezzle_sweep_bound_uses_target_rank(tmp_path, capsys):
         assert row["meets_bound"] == ("true" if meets else "false")
 
 
+# Schmidt coefficients (0.8, 0.6, 0) in Haar frames, in 17-digit text; the
+# SVD of these amplitudes returns a third coefficient of rounding size, not 0
+RANK2_STATE = (
+    '{"kind": "pure_bipartite", "dims": [3, 3], "amplitudes": ['
+    '[0.21753336285688224, 0.2278021182412038], '
+    '[0.12108403358445996, -0.0051750365464698226], '
+    '[0.052832148768463219, -0.12604733098996559], '
+    '[0.24471014383853842, 0.3768736764039462], '
+    '[-0.19567170326730998, -0.4496576065432481], '
+    '[0.15940527872441712, -0.2022431267977888], '
+    '[-0.061238938796872852, 0.44438477574748042], '
+    '[-0.060001019036623665, 0.34918586961834386], '
+    '[0.16367980325317591, -0.07183040132994499]]}'
+)
+
+
+def test_cli_reads_the_support_rank_of_a_rank_lost_to_rounding(tmp_path, capsys):
+    """schmidt, monotones, slocc and embezzle sweep all count the support,
+    rank 2, where the SVD leaves a third coefficient of rounding size."""
+    path = tmp_path / "rank2.json"
+    path.write_text(RANK2_STATE)
+    bell3 = write_doc(tmp_path, "bell3.json", eio.state_to_json(bell_state(3)))
+    code, out, _ = run_cli(["schmidt", str(path)], capsys)
+    record = json.loads(out)
+    assert code == 0 and record["rank"] == 2 and len(record["spectrum"]) == 2
+    assert len(record["coefficients"]) == 3 and record["coefficients"][2] < 1e-15
+    code, out, _ = run_cli(["monotones", str(path)], capsys)
+    assert code == 0 and json.loads(out)["schmidt_rank"] == 2
+    code, out, _ = run_cli(["slocc", str(path), bell3], capsys)
+    assert code == 0 and json.loads(out) == {"feasible": False, "success_prob": 0}
+    argv = ["embezzle", "sweep", "--d", "3", "--n-list", "1024", "--target", str(path)]
+    code, out, _ = run_cli(argv, capsys)
+    (row,) = csv.DictReader(stdio.StringIO(out))
+    assert code == 0
+    assert float(row["epsilon"]) == pytest.approx(math.sqrt(2 * math.log(2) / math.log(1024)),
+                                                  rel=1e-14)
+
+
 def test_cli_kappa_profile_columns_sorted_by_t(capsys):
     argv = [
         "kappa", "profile", "--family", "lambda", "--lambda", "0.5",
@@ -794,6 +832,34 @@ def test_cli_error_exit_codes(tmp_path, state_files, capsys):
     wrong_kind = write_doc(tmp_path, "wrong.json", eio.spectrum_to_json(spectrum([1.0])))
     code, _, _ = run_cli(["oneshot", wrong_kind], capsys)
     assert code == 2
+
+
+# a key repeated in one JSON object: plain json.load keeps the last value
+REPEATED_KEYS = {
+    "state": (["schmidt", "{doc}"], "dims",
+              '{"kind": "pure_bipartite", "dims": [1, 1], "dims": [2, 2], '
+              '"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}'),
+    "protocol": (_SIMULATE, "a",
+                 json.dumps(_measure_then({"a": _IDENTITY, "b": _IDENTITY}))
+                 .replace('"b": {', '"a": {')),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_repeated_json_key_is_refused(name, tmp_path, state_files, capsys):
+    """A repeated key (two ``"a"`` branches in one round would keep only the
+    last instrument) is refused by the loader, naming the key and the file,
+    and the command reading the document exits 2."""
+    command, key, text = REPEATED_KEYS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    message = f"{path} repeats the key {key!r} in one object"
+    with pytest.raises(InvalidInputError) as info:
+        eio.load_document(str(path))
+    assert str(info.value) == message
+    argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and message in err
 
 
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol", "1e-9"]], ids=["seed", "tol"])

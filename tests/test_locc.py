@@ -712,9 +712,13 @@ def test_simulate_error_paths(run):
         (lambda: locc_protocol([locc_round("A", {("0",) * k: instrument([EYE2])})
                                 for k in range(17)]),
          "protocol depth 17 exceeds the cap 16"),
+        (lambda: locc_round("A", {"ab": instrument([EYE2])}),
+         "history key 'ab' must be a tuple of label strings"),
+        (lambda: locc_round("A", {(0,): instrument([EYE2]), ("0",): instrument([SWAP])}),
+         "history key (0,) must be a tuple of label strings"),
     ],
     ids=["nan-kraus", "inf-kraus", "two-dimensions", "no-instrument", "super-normalized",
-         "reserved-label", "depth-17"],
+         "reserved-label", "depth-17", "string-history", "integer-label-history"],
 )
 def test_protocol_parts_are_checked_when_built(build, message):
     """An instrument, round or protocol that no run could complete is
@@ -912,6 +916,15 @@ def test_slocc_filter_exactness(seed):
     assert overlap >= 1.0 - 1e-9
     top = float(np.linalg.svd(res.filter.op_A, compute_uv=False).max())
     assert abs(top - 1.0) < 1e-12
+
+
+def test_slocc_cannot_raise_a_rank_lost_to_rounding():
+    """Schmidt coefficients (0.8, 0.6, 0) in Haar frames have rank 2 though
+    the SVD's third coefficient is rounding, not 0; SLOCC cannot reach the
+    rank-3 Bell state."""
+    m = haar_unitary(3, 0) @ np.diag([0.8, 0.6, 0.0]) @ haar_unitary(3, 100).T
+    res = slocc(pure_state((3, 3), m.ravel()), bell_state(3))
+    assert (res.feasible, res.filter, res.success_prob) == (False, None, 0.0)
 
 
 def test_slocc_rank_deficient_target():

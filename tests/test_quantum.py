@@ -42,7 +42,7 @@ from entlab.quantum import (
     trace_distance,
     uhlmann_optimizer,
 )
-from entlab.spectra import orbit_distance
+from entlab.spectra import entanglement_entropies, orbit_distance
 
 # --------------------------------------------------------------------------- #
 #                         oracles (independent code paths)                     #
@@ -178,6 +178,27 @@ def test_schmidt_product_state_rank_one():
     d = schmidt(product_basis_state(3, 4, 2, 1))
     assert d.rank == 1
     assert d.spectrum.values == (1.0,)
+
+
+def rotated_rank_two_state():
+    """Schmidt coefficients (0.8, 0.6, 0) in Haar frames; the SVD returns a
+    third coefficient of rounding size instead of 0."""
+    m = haar_unitary(3, 0) @ np.diag([0.8, 0.6, 0.0]) @ haar_unitary(3, 100).T
+    return pure_state((3, 3), m.ravel())
+
+
+def test_schmidt_rank_and_spectrum_count_the_support():
+    """A weight at or below ``SUPPORT_CUT`` times the largest is outside the
+    support: rank and spectrum drop it, the coefficients keep it."""
+    d = schmidt(rotated_rank_two_state())
+    assert d.coefficients.size == 3 and d.coefficients[2] < 1e-15
+    assert d.rank == 2
+    assert d.spectrum.values == pytest.approx((0.64, 0.36), abs=1e-15)
+    assert len(d.spectrum.values) == 2
+    report = entanglement_entropies(d.spectrum, [0.01])
+    assert report.schmidt_rank == 2
+    assert report.H_alpha[0.01] == pytest.approx(math.log(0.64**0.01 + 0.36**0.01) / 0.99,
+                                                 rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -564,6 +585,16 @@ def test_connect_purifications_rank_deficient_rotated_frames():
     proj = v.conj().T @ v
     assert np.abs(proj @ proj - proj).max() < 1e-12
     assert np.abs(apply_local(phi2, None, v) - phi1.amplitudes).max() < 1e-5
+
+
+def test_connect_purifications_maps_every_support_coefficient():
+    """A 1e-11 Schmidt coefficient is inside the support (above
+    ``SUPPORT_CUT`` times the largest), so the connector maps it too and
+    rebuilds phi1 to rounding."""
+    phi1 = state_from_schmidt([math.sqrt(1.0 - 1e-22), 1e-11])
+    phi2 = pure_state((2, 2), apply_local(phi1, None, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    v = connect_purifications(phi1, phi2).op_B
+    assert np.abs(apply_local(phi2, None, v) - phi1.amplitudes).max() < 1e-15
 
 
 def test_connect_purifications_rejects_different_marginals():
