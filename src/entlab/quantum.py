@@ -122,8 +122,8 @@ class SchmidtDecomposition:
 
     ``coefficients`` is the full descending singular-value list (length
     ``min(dims)``, zeros and rounding included).  ``rank`` counts the
-    support, the weights s^2 that ``_in_support`` keeps, and ``spectrum``
-    holds those weights only.
+    support, the coefficients that ``_in_support`` keeps, and ``spectrum``
+    holds their weights s^2 only.
     """
 
     coefficients: np.ndarray
@@ -136,7 +136,7 @@ class SchmidtDecomposition:
 
     @property
     def rank(self) -> int:
-        return int(_in_support(self.coefficients**2).sum())
+        return int(_in_support(self.coefficients).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +366,7 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
 
     Exists iff the A-marginals coincide (Uhlmann).  With the Schmidt
     decompositions phi_k = E_k diag(s_k) F_k^T cut to their supports
-    (``_in_support`` on the coefficients s_k, so the weights are cut at
-    ``SUPPORT_CUT`` squared), ``v = F_1 polar(E_1^T conj(E_2)) F_2^dagger``:
+    (the Schmidt rank), ``v = F_1 polar(E_1^T conj(E_2)) F_2^dagger``:
     the two A-bases differ by a unitary inside each degenerate eigenspace,
     and the polar factor of their overlap is that unitary.
     """
@@ -381,11 +380,11 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
             f"A-marginals differ beyond {tol}: trace distance {dist:.3e} (d_A = {phi1.dims[0]})"
         )
     d1, d2 = schmidt(phi1), schmidt(phi2)
-    keep1, keep2 = _in_support(d1.coefficients), _in_support(d2.coefficients)
+    r1, r2 = d1.rank, d2.rank
     # polar factor of E_1^T conj(E_2), the nearest partial isometry
-    uw, _, vwh = np.linalg.svd(d1.basis_A[:, keep1].T @ d2.basis_A[:, keep2].conj(),
+    uw, _, vwh = np.linalg.svd(d1.basis_A[:, :r1].T @ d2.basis_A[:, :r2].conj(),
                                full_matrices=False)
-    v = d1.basis_B[:, keep1] @ uw @ vwh @ d2.basis_B[:, keep2].conj().T
+    v = d1.basis_B[:, :r1] @ uw @ vwh @ d2.basis_B[:, :r2].conj().T
     v.flags.writeable = False
     return LocalIsometryPair(None, v)
 

@@ -50,13 +50,10 @@ CLUSTER_GAP = 1e-10
 # --------------------------------------------------------------------------- #
 
 # Relative to the largest.  ``quantum._in_support`` is the one support mask.
-# Weight form: an eigenvalue of a marginal or a Schmidt weight s^2 at or
-# below this times the largest lies outside the support; the Schmidt rank
-# and spectrum, ``support_projector``, the mixing's source weights and
-# synthesis's support columns cut so.  Coefficient form:
-# ``connect_purifications`` and ``_mirror_bob`` build operators that must
-# reproduce amplitudes, so they cut the Schmidt coefficients s at this times
-# the largest, the weights at its square, 1e-24.
+# Schmidt data is cut on the coefficients s: the Schmidt rank and spectrum,
+# ``connect_purifications`` and ``_mirror_bob``.  Eigenvalues of a marginal
+# and the mixing's weights s^2 (``support_projector``, ``_mixing_terms``, so
+# synthesis's support columns) are cut on the weights.
 SUPPORT_CUT = 1e-12
 # Absolute.  A source support weight s^2 below this lets Alice's t / s
 # coefficient amplify rounding by more than 1e6; synthesis refuses such a

@@ -927,6 +927,15 @@ def test_slocc_cannot_raise_a_rank_lost_to_rounding():
     assert (res.feasible, res.filter, res.success_prob) == (False, None, 0.0)
 
 
+def test_slocc_keeps_a_small_resolved_coefficient():
+    """A Schmidt coefficient of 3.2e-7 is far above rounding, so the state
+    has rank 2 and SLOCC reaches Bell_2 with probability 2 * 1e-13."""
+    psi = state_from_schmidt([math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)])
+    res = slocc(psi, bell_state(2))
+    assert res.feasible is True
+    assert res.success_prob == pytest.approx(2e-13, rel=1e-9)
+
+
 def test_slocc_rank_deficient_target():
     psi = bell_state(3)
     phi = weighted_state([0.8, 0.2], dims=(3, 3))

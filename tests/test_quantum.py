@@ -188,8 +188,8 @@ def rotated_rank_two_state():
 
 
 def test_schmidt_rank_and_spectrum_count_the_support():
-    """A weight at or below ``SUPPORT_CUT`` times the largest is outside the
-    support: rank and spectrum drop it, the coefficients keep it."""
+    """A coefficient at or below ``SUPPORT_CUT`` times the largest is outside
+    the support: rank and spectrum drop it, the coefficients keep it."""
     d = schmidt(rotated_rank_two_state())
     assert d.coefficients.size == 3 and d.coefficients[2] < 1e-15
     assert d.rank == 2
@@ -199,6 +199,14 @@ def test_schmidt_rank_and_spectrum_count_the_support():
     assert report.schmidt_rank == 2
     assert report.H_alpha[0.01] == pytest.approx(math.log(0.64**0.01 + 0.36**0.01) / 0.99,
                                                  rel=1e-12)
+
+
+def test_schmidt_rank_keeps_a_small_resolved_coefficient():
+    """The support is cut on the coefficients: 3.2e-7 is a real coefficient
+    (the SVD resolves it to about 1e-16), so it stays in rank and spectrum."""
+    d = schmidt(state_from_schmidt([math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)]))
+    assert d.rank == 2
+    assert d.spectrum.values[1] == pytest.approx(1e-13, rel=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
