@@ -2,22 +2,25 @@
 
 The harmonic ("van-Dam/Hayden style") family is handled entirely through its
 sorted Schmidt-coefficient lists, so a report for ``n`` in the millions takes
-a fraction of a second; dense state vectors are only materialized on request
-for small ``n``.  A report builds the harmonic list once and decomposes each
-state once; its oracle, ``orbit_trace_defect``, takes the A-marginal
-spectrum route on its own code.  The lambda-family diagnostics use the
-binomial masses of the m-fold spectral state instead of expanding ``2**m``
-tensor-power entries, and never form an atom: the kappa profile runs on
-centred log-positions and the catalytic deviation is a closed form in the
-masses, so neither has a limit on m.  Only ``lambda_family_measure``, which
-returns the true atoms, is refused once they underflow float64 (m = 678 at
-lambda = 0.5).
+tens of milliseconds; dense state vectors are only materialized on request
+for small ``n``.  A report builds the harmonic list once, with its harmonic
+number summed exactly, and decomposes each state once; it sorts a product
+list only when the interleaved list is out of order, and argsorts nothing
+until ``permutations`` is read.  Its oracle, ``orbit_trace_defect``, takes
+the A-marginal spectrum route on its own code.  The lambda-family
+diagnostics use the binomial masses of the m-fold spectral state instead of
+expanding ``2**m`` tensor-power entries, and never form an atom: the kappa
+profile runs on centred log-positions and the catalytic deviation is a
+closed form in the masses, so neither has a limit on m.  Only
+``lambda_family_measure``, which returns the true atoms, is refused once
+they underflow float64 (m = 678 at lambda = 0.5).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -105,15 +108,29 @@ class VdhBound:
 class EmbezzleReport:
     """Outcome of borrowing a target state against a harmonic resource.
 
-    ``permutations`` holds the two index maps (start side, target side) that
-    sort the raw product coefficient lists into descending order; they are the
-    combinatorial core of the witnessing local unitaries.
+    ``harmonic``, ``start_coefficients`` and ``target_coefficients`` are the
+    lists the report was computed from: the harmonic Schmidt coefficients and
+    each state's full Schmidt coefficient list, zeros included.
     """
 
     fidelity: float
     trace_error: float
     meets_bound: bool
-    permutations: tuple[np.ndarray, np.ndarray]
+    harmonic: np.ndarray = field(repr=False)
+    start_coefficients: np.ndarray = field(repr=False)
+    target_coefficients: np.ndarray = field(repr=False)
+
+    @cached_property
+    def permutations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two index maps (start side, target side) that stably sort the
+        raw product coefficient lists ``outer(harmonic, coefficients).ravel()``
+        into descending order; they are the combinatorial core of the
+        witnessing local unitaries.  Built on first read, by a stable argsort
+        of each raw list, and kept."""
+        return tuple(
+            np.argsort(-np.multiply.outer(self.harmonic, c).ravel(), kind="stable")
+            for c in (self.start_coefficients, self.target_coefficients)
+        )
 
 
 @dataclass(frozen=True)
@@ -130,13 +147,35 @@ class TypeLabel:
 #                               Harmonic family                                #
 # --------------------------------------------------------------------------- #
 
+def _fsum_descending(x: np.ndarray) -> float:
+    """``math.fsum(x)`` for a descending array of positive floats below 2**53:
+    the exact sum, rounded once.
+
+    The terms with binary exponent e are a contiguous run, each an integer
+    mantissa ``m < 2**53`` times ``2**(e - 53)``.  A run's mantissas are summed
+    in int64 as 26-bit high and low halves, which cannot overflow below 2**36
+    terms; the runs are combined as Python ints and the total is divided once
+    by a power of two, which Python's int division rounds correctly.
+    """
+    top, bottom = math.frexp(x[0])[1], math.frexp(x[-1])[1]
+    exponents = range(top, bottom - 1, -1)
+    stops = x.size - np.searchsorted(x[::-1], [math.ldexp(1.0, e - 1) for e in exponents])
+    total, start = 0, 0
+    for e, stop in zip(exponents, stops.tolist()):
+        m = np.ldexp(x[start:stop], 53 - e).astype(np.int64)
+        total = 2 * total + (int(np.sum(m >> 26)) << 26) + int(np.sum(m & (2**26 - 1)))
+        start = stop
+    return total / (1 << (53 - bottom))
+
+
 def vdh_coefficients(n: int) -> np.ndarray:
     """Descending Schmidt coefficients ``c_n / sqrt(alpha)``, alpha = 1..n,
-    with ``c_n`` the inverse square root of the n-th harmonic number."""
+    with ``c_n`` the inverse square root of the n-th harmonic number.  The
+    harmonic number is the correctly rounded sum of the terms ``1 / alpha``,
+    bit for bit ``math.fsum``'s."""
     spec = VdhSpec(n)
-    alphas = np.arange(1, spec.n + 1, dtype=float)
-    inv = 1.0 / alphas
-    c = 1.0 / math.sqrt(math.fsum(inv))
+    inv = 1.0 / np.arange(1, spec.n + 1, dtype=float)
+    c = 1.0 / math.sqrt(_fsum_descending(inv))
     return c * np.sqrt(inv)
 
 
@@ -172,15 +211,26 @@ def vdh_bound(d: int, n: int) -> VdhBound:
     return VdhBound(epsilon=eps, fidelity_bound=min(bound, 1.0))
 
 
-def _sorted_products(
-    base: np.ndarray, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_products(base: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Descending Schmidt coefficients of ``(harmonic state) (x) phi``, from
-    the harmonic list ``base`` and phi's coefficients, and the index map that
-    sorts the raw outer-product list."""
-    raw = np.multiply.outer(base, coefficients).ravel()
-    order = np.argsort(-raw, kind="stable")
-    return raw[order], order
+    the harmonic list ``base`` and phi's coefficients: ``base.size *
+    coefficients.size`` entries, the products with phi's exact zeros last.
+
+    Only the nonzero products are ordered.  Their interleaved outer-product
+    list is already non-increasing when phi has one nonzero coefficient or
+    equal ones (a product start, a maximally entangled target), and is then
+    kept as it is; otherwise it is sorted by value.  Ties hold equal values,
+    so the list equals the raw list's stable descending sort bit for bit.
+    """
+    out = np.zeros(base.size * coefficients.size)
+    nonzero = coefficients[coefficients > 0]
+    head = out[: base.size * nonzero.size]
+    grid = head.reshape(base.size, nonzero.size)
+    for j, c in enumerate(nonzero):  # one long multiply per column beats outer's short rows
+        np.multiply(base, c, out=grid[:, j])
+    if np.any(head[1:] > head[:-1]):
+        head[:] = np.sort(head)[::-1]
+    return out
 
 
 def embezzle_report(
@@ -198,16 +248,18 @@ def embezzle_report(
     other starts it is reported as a plain boolean with no promise attached.
     """
     base = vdh_coefficients(n)
-    target = schmidt(phi_target)
-    s_list, perm_s = _sorted_products(base, schmidt(phi_start).coefficients)
-    t_list, perm_t = _sorted_products(base, target.coefficients)
-    fid = _sorted_overlap(s_list, t_list)
+    start, target = schmidt(phi_start), schmidt(phi_target)
+    fid = _sorted_overlap(
+        _sorted_products(base, start.coefficients), _sorted_products(base, target.coefficients)
+    )
     threshold = 1.0 - math.log(target.rank) / math.log(n) if n >= 2 else -math.inf
     return EmbezzleReport(
         fidelity=fid,
         trace_error=2.0 * math.sqrt(max(1.0 - fid, 0.0)),
         meets_bound=bool(math.sqrt(fid) >= threshold),
-        permutations=(perm_s, perm_t),
+        harmonic=base,
+        start_coefficients=start.coefficients,
+        target_coefficients=target.coefficients,
     )
 
 
@@ -220,9 +272,11 @@ def orbit_trace_defect(
     descending), their classical fidelity, then ``2 sqrt(1 - F)``.
 
     This is an independent code path from :func:`embezzle_report`: it builds
-    its own harmonic list and shares neither the permutation sort nor the
+    its own harmonic list and shares neither the product sort nor the
     overlap routine; the two must agree to near machine precision, which the
-    test suite pins at 1e-9.
+    test suite pins at 1e-9.  The one piece they share is
+    :func:`vdh_coefficients`, whose normalization the test suite pins to
+    ``1 / sqrt(math.fsum(1 / alpha))`` bit for bit.
     """
     base = vdh_coefficients(n)
     a, b = (

@@ -40,6 +40,7 @@ from entlab.embezzle import (
 )
 from entlab.errors import InvalidInputError
 from entlab.quantum import (
+    _sorted_overlap,
     bell_state,
     lu_orbit_fidelity,
     product_basis_state,
@@ -160,6 +161,17 @@ def test_vdh_coefficients_hand_values():
         assert math.fsum(c**2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_vdh_normalization_is_math_fsum_bitwise():
+    """The harmonic number is summed exactly and rounded once, so the list
+    equals the one normalized by ``math.fsum`` bit for bit, across the
+    boundaries of each binary-exponent run of the terms 1 / alpha."""
+    sizes = list(range(1, 257)) + [2**k + j for k in range(1, 22) for j in (-1, 0, 1)]
+    for n in sorted(set(sizes)):
+        inv = 1.0 / np.arange(1, n + 1, dtype=float)
+        expect = 1.0 / math.sqrt(math.fsum(inv)) * np.sqrt(inv)
+        assert np.array_equal(vdh_coefficients(n), expect), n
+
+
 def test_vdh_state_small_and_materialization_cap():
     s1 = vdh_state(1)
     assert s1.dims == (1, 1)
@@ -252,6 +264,48 @@ def test_embezzle_permutations_sort_the_product_lists():
     raw = np.multiply.outer(vdh_coefficients(4), np.array([math.sqrt(0.84), math.sqrt(0.16)])).ravel()
     assert np.all(np.diff(raw[perm_target]) <= 1e-15)
     assert np.array_equal(np.sort(perm_start), np.arange(8))
+
+
+BIT_STARTS = [
+    product_basis_state(2, 2),
+    product_basis_state(3, 3),
+    state_from_schmidt([0.8, 0.6, 0.0]),
+    state_from_schmidt([1.0], dims=(2, 3)),
+]
+BIT_TARGETS = [
+    bell_state(2),
+    bell_state(3),
+    state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)]),
+    state_from_schmidt(np.sqrt([0.5, 0.3, 0.2])),
+    state_from_schmidt([math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+    state_from_schmidt([math.sqrt(0.6), math.sqrt(0.4)], dims=(2, 5)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 17, 256, 4097, 2**16 + 5])
+def test_embezzle_report_is_the_argsort_formula_bitwise(n, monkeypatch):
+    """The report sorts no raw list, yet gives the bits of stably argsorting
+    the full product lists (exact zeros included) and taking their overlap;
+    ``permutations`` is that argsort, built when read."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embezzle_report must not argsort")
+
+    base = vdh_coefficients(n)
+    for start in BIT_STARTS:
+        for target in BIT_TARGETS:
+            raws = [np.multiply.outer(base, schmidt(phi).coefficients).ravel() for phi in (start, target)]
+            orders = [np.argsort(-raw, kind="stable") for raw in raws]
+            fid = _sorted_overlap(*(raw[order] for raw, order in zip(raws, orders)))
+            rank = schmidt(target).rank
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "argsort", refuse)
+                report = embezzle_report(n, start, target)
+            assert report.fidelity == fid
+            assert report.trace_error == 2.0 * math.sqrt(max(1.0 - fid, 0.0))
+            meets = n < 2 or math.sqrt(fid) >= 1.0 - math.log(rank) / math.log(n)
+            assert report.meets_bound == meets
+            assert all(np.array_equal(p, o) for p, o in zip(report.permutations, orders))
 
 
 def test_trace_error_and_marginal_defect_are_the_same_number():

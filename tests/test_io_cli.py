@@ -537,6 +537,18 @@ def test_cli_embezzle_sweep_csv_contract(capsys):
         assert float(row["fidelity"]) == rec["fidelity"]
 
 
+def test_cli_embezzle_sweep_prints_the_readme_table(capsys):
+    """The README's `embezzle sweep` example, byte for byte, with the CSV
+    writer's CRLF line ends in place of the README's newlines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "$ entlab embezzle sweep --d 2 --n-list 16,256 --target bell\n"
+    lines = readme.split(command, 1)[1].split("\n\n", 1)[0].split("\n")
+    expect = "".join(line + "\r\n" for line in lines)
+    assert len(lines) == 3
+    code, out, _ = run_cli(command[len("$ entlab "):].split(), capsys)
+    assert code == 0 and out == expect
+
+
 def test_cli_embezzle_sweep_with_files_and_out(tmp_path, state_files, capsys):
     out_path = tmp_path / "sweep.csv"
     argv = [
