@@ -9,15 +9,19 @@ problem is reported as :class:`InvalidInputError`.
 
 Complex data (amplitudes, density and operator entries, Kraus stacks) moves
 as whole arrays.  The ``*_to_json`` functions put complex NumPy arrays into
-the documents, and :func:`canonical_json` writes each with one flat
-formatter: one finiteness check, one formatting pass over the flattened
-floats, then pairs, rows, matrices and stacks joined as strings.  The
-parsers read each such field with one array parser: one type pass over the
-flattened numbers (bools, strings and null are refused), one ``np.array``
-call, a shape check (ragged lists and pairs that are not 2-long are
-refused) and a finiteness check (``json.loads`` reads ``NaN`` and
-``Infinity``; both are refused).  Only a refusal walks the entries in
-Python, to name the offending one.  The bytes are those of formatting every float on its own.
+the documents, and :func:`canonical_json` writes each with one ``%.17g``
+template shaped like one matrix of it (its last two axes), filled once per
+matrix; the outer axes are joined as strings.  The bytes are those of
+formatting every float on its own.  The parsers read each such field with
+one flat build: one type and one length check per nesting level, one type
+pass over the numbers (bools, strings and null are refused), one
+``np.array`` call on the flat list of floats, a reshape and a finiteness
+check (``json.loads`` reads ``NaN`` and ``Infinity``; both are refused).  A
+protocol round is read the same way as one stack of all its Kraus
+operators, each instrument a view of it.  Only a refusal walks the entries
+in Python, to name the offending one; a round with anything to refuse is
+read one instrument at a time, so the refusal names the same entry in the
+same words.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -210,18 +214,21 @@ def _float_list(raw: Any, name: str) -> list[float]:
 def _complex_json(arr: np.ndarray) -> str:
     """JSON text of a complex array (at least 1-d) as nested lists of
     ``[re, im]`` pairs, byte for byte what :func:`format_float` gives each
-    float: one format call per innermost row, then rows, matrices and
-    stacks joined as strings."""
+    float (``%.17g`` and ``format(x, ".17g")`` share one C routine).  One
+    ``%`` template shaped like one matrix (the last two axes, or the one
+    axis of a vector) is filled once per matrix of the stack, so neither the
+    template nor the floats in hand outgrow a matrix; the outer axes are
+    joined as strings."""
     if not np.isfinite(arr).all():
         raise InvalidInputError("refusing to serialize NaN/Inf")
-    floats = np.ascontiguousarray(arr).view(float).ravel().tolist()
-    width = arr.shape[-1]
-    row = "[" + ", ".join(["[{:.17g}, {:.17g}]"] * width) + "]"
-    if width:
-        items = list(map(row.format, *[iter(floats)] * (2 * width)))
-    else:
-        items = [row] * math.prod(arr.shape[:-1])
-    for axis in range(arr.ndim - 2, -1, -1):
+    inner = arr.shape[-2:]
+    template = "[%.17g, %.17g]"
+    for width in reversed(inner):
+        template = "[" + ", ".join([template] * width) + "]"
+    mats = np.ascontiguousarray(arr).view(float).reshape(math.prod(arr.shape[:-2]),
+                                                          2 * math.prod(inner))
+    items = [template % tuple(mat.tolist()) for mat in mats]
+    for axis in range(arr.ndim - 3, -1, -1):
         n = arr.shape[axis]
         items = ["[" + ", ".join(items[i * n : (i + 1) * n]) + "]"
                  for i in range(math.prod(arr.shape[:axis]))]
@@ -236,26 +243,52 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_list(v: Any) -> bool:
+    return isinstance(v, (list, tuple, np.ndarray))
+
+
+def _pair_stack(nodes: list, depth: int) -> Optional[np.ndarray]:
+    """``nodes``, each non-empty lists nested ``depth`` deep around finite
+    ``[re, im]`` pairs, all of one shape, as one float array of shape
+    ``(len(nodes), ..., 2)``; None when anything in them would be refused.
+    Built flat: per nesting level one type and one length check, then one
+    type pass over the numbers, one ``np.array`` call on the flat list, a
+    reshape and one finiteness check."""
+    shape = [len(nodes)]
+    level = nodes
+    try:
+        for _ in range(depth + 1):
+            if not (set(map(type, level)) <= {list} or all(map(_is_list, level))):
+                return None
+            widths = set(map(len, level))
+            if len(widths) != 1 or 0 in widths:
+                return None
+            shape.extend(widths)
+            level = list(chain.from_iterable(level))
+        if shape[-1] != 2 or not (set(map(type, level)) <= {float, int}
+                                  or all(map(_is_number, level))):
+            return None
+        flat = np.array(level, dtype=float)
+    except (TypeError, OverflowError):
+        return None
+    return flat.reshape(shape) if np.isfinite(flat).all() else None
+
+
 def _complex_array(raw: Any, name: str, ndim: int) -> np.ndarray:
     """Parse field ``name``: non-empty lists nested ``ndim`` deep around
     finite ``[re, im]`` pairs, as one complex array with ``ndim`` axes.  A
     finite complex array of that rank (as the ``*_to_json`` functions leave
-    it) passes."""
+    it) passes.  The check is :func:`_pair_stack`'s flat build; only a
+    refusal walks the entries (:func:`_complex_refusal`) to name the
+    offending one."""
     if isinstance(raw, np.ndarray) and raw.dtype == complex and raw.ndim == ndim and raw.size:
         if np.isfinite(raw).all():
             return raw
         raw = np.stack((raw.real, raw.imag), axis=-1).tolist()
-    try:
-        flat = raw
-        for _ in range(ndim):
-            flat = list(chain.from_iterable(flat))
-        if set(map(type, flat)) <= {float, int} or all(map(_is_number, flat)):
-            arr = np.array(raw, dtype=float)
-            if arr.ndim == ndim + 1 and arr.shape[-1] == 2 and arr.size and np.isfinite(arr).all():
-                return arr.view(complex)[..., 0]
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidInputError(_complex_refusal(raw, name, ndim))
+    pairs = _pair_stack([raw], ndim)
+    if pairs is None:
+        raise InvalidInputError(_complex_refusal(raw, name, ndim))
+    return pairs.view(complex)[0, ..., 0]
 
 
 def _complex_refusal(raw: Any, name: str, ndim: int) -> str:
@@ -390,12 +423,44 @@ def _instrument_to_json(instr: Instrument) -> dict:
     return {"kraus": instr.kraus, "labels": list(instr.labels)}
 
 
-def _instrument_from_json(doc: Mapping) -> Instrument:
-    kraus = _complex_array(_field(doc, "kraus"), "kraus", 3)
+def _history(key: str) -> tuple[str, ...]:
+    history = tuple(key.split(HISTORY_SEP)) if key else ()
+    if not all(history):
+        raise InvalidInputError(f"history key {key!r} must be '' or non-empty labels "
+                                f"joined by {HISTORY_SEP!r}")
+    return history
+
+
+def _labels(doc: Mapping) -> tuple[str, ...]:
     labels = _field(doc, "labels")
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise InvalidInputError(f"instrument 'labels' must be a list of strings, got {labels!r}")
-    return Instrument(kraus, tuple(labels))
+    return tuple(labels)
+
+
+def _instrument_from_json(doc: Mapping) -> Instrument:
+    kraus = _complex_array(_field(doc, "kraus"), "kraus", 3)
+    return Instrument(kraus, _labels(doc))
+
+
+def _round_branches(raw: Mapping) -> dict[tuple[str, ...], Instrument]:
+    """A round's ``branches`` object, its Kraus operators parsed as one
+    stack (:func:`_pair_stack`) and each instrument a view of it.  When
+    anything in the round would be refused, the round is parsed one
+    instrument at a time instead, so the refusal names the same entry."""
+    try:
+        docs = list(raw.values())
+        kraus = [doc["kraus"] for doc in docs]
+        counts = list(map(len, kraus))
+        if all(map(_is_list, kraus)) and all(counts):
+            pairs = _pair_stack(list(chain.from_iterable(kraus)), 2)
+            if pairs is not None:
+                stack = pairs.view(complex)[..., 0]
+                return {_history(key): Instrument(stack[stop - count : stop], _labels(doc))
+                        for key, doc, count, stop in zip(raw, docs, counts, accumulate(counts))}
+    except (TypeError, KeyError, AttributeError, InvalidInputError):
+        pass
+    return {_history(key): _instrument_from_json(doc) for key, doc in raw.items()}
 
 
 def protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -420,14 +485,7 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
         branches_raw = _field(entry, "branches")
         if not isinstance(branches_raw, Mapping):
             raise InvalidInputError("round 'branches' must be an object keyed by history")
-        branches = {}
-        for key, sub in branches_raw.items():
-            history = tuple(key.split(HISTORY_SEP)) if key else ()
-            if not all(history):
-                raise InvalidInputError(f"history key {key!r} must be '' or non-empty labels "
-                                        f"joined by {HISTORY_SEP!r}")
-            branches[history] = _instrument_from_json(sub)
-        rounds.append(LoccRound(str(_field(entry, "party")), branches))
+        rounds.append(LoccRound(str(_field(entry, "party")), _round_branches(branches_raw)))
     return LoccProtocol(tuple(rounds))
 
 

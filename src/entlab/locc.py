@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -133,9 +134,12 @@ class LoccRound:
         if self.party not in ("A", "B"):
             raise InvalidInputError(f"party must be 'A' or 'B', got {self.party!r}")
         branches = dict(self.branches)
-        for hist in branches:
-            if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
-                raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
+        # one type pass over every key and label; any other type is walked, to name a bad key
+        if not (set(map(type, branches)) <= {tuple}
+                and set(map(type, chain.from_iterable(branches))) <= {str}):
+            for hist in branches:
+                if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
+                    raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
         instrs = list(branches.values())
         if not all(isinstance(instr, Instrument) for instr in instrs):
             raise InvalidInputError("branch values must be Instruments")

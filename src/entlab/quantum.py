@@ -293,9 +293,10 @@ def orbit_distance_matrices(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
     """Squared inner product of two descending coefficient lists, zero-padded
     to a common length and clipped at 1; exactly 1.0 for equal lists, so the
-    dot product's last-ulp rounding cannot leak into ``1 - F``."""
+    dot product's last-ulp rounding cannot leak into ``1 - F``.  A list
+    already at the common length is used as it is, not copied."""
     size = max(s.size, t.size)
-    s, t = (np.pad(x, (0, size - x.size)) for x in (s, t))
+    s, t = (x if x.size == size else np.pad(x, (0, size - x.size)) for x in (s, t))
     return 1.0 if np.array_equal(s, t) else min(float(s @ t) ** 2, 1.0)
 
 

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entlab
 from entlab import (
@@ -150,6 +152,34 @@ def test_state_density_operator_round_trips():
     assert np.array_equal(back_op, op)
 
 
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308]
+
+
+def _nested_format(arr: np.ndarray) -> str:
+    if arr.ndim == 0:
+        return f"[{eio.format_float(arr.real)}, {eio.format_float(arr.imag)}]"
+    return "[" + ", ".join(map(_nested_format, arr)) + "]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    data=st.data(),
+    view=st.sampled_from(["plain", "reversed", "transposed", "strided"]),
+)
+def test_complex_array_text_is_format_float_of_every_float(shape, data, view):
+    """The template emitter writes the bytes of formatting every float on
+    its own, for any shape (zero-length axes too) and any memory layout."""
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    count = 2 * math.prod(shape)
+    values = data.draw(st.lists(floats, min_size=count, max_size=count))
+    arr = np.array(values, dtype=float).view(complex).reshape(shape)
+    arr = {"plain": arr, "reversed": arr[..., ::-1], "transposed": arr.T,
+           "strided": np.repeat(arr, 2, axis=0)[::2]}[view]
+    assert eio.canonical_json(arr) == _nested_format(arr)
+
+
 def test_documents_round_trip_without_json_text():
     """The *_to_json documents hold complex fields as arrays; the parsers
     take them back as they are."""
@@ -260,6 +290,40 @@ def test_array_parser_names_the_offending_entry(kraus, offender):
     with pytest.raises(InvalidInputError) as info:
         eio.protocol_from_json(_one_instrument_protocol(kraus))
     assert str(info.value).startswith("kraus ") and offender in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"kraus": [], "labels": []},
+         "kraus must be non-empty lists nested 3 deep, got [] at kraus"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[1, 0]]]], "labels": ["i"]},
+         "kraus is ragged: kraus[0][1] has 1 entries, kraus[0][0] has 2"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]], "labels": ["i"]},
+         "kraus entries must be [re, im] pairs, got [True, 0] at kraus[0][1][1]"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], "labels": ["i"]},
+         "kraus entries must be [re, im] pairs of finite floats"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": "i"},
+         "instrument 'labels' must be a list of strings, got 'i'"),
+    ],
+    ids=["no-outcomes", "ragged-rows", "bool", "too-large-int", "labels-string"],
+)
+def test_round_refusal_names_the_entry_in_the_second_instrument(second, message):
+    """A round's instruments are parsed as one stack; when the second one
+    would be refused, the refusal is the one the instrument gets on its own."""
+    doc = json.loads(json.dumps(_measure_then({"a": _IDENTITY, "b": second})))
+    with pytest.raises(InvalidInputError) as info:
+        eio.protocol_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_round_stack_gives_each_instrument_its_own_outcomes():
+    doc = _measure_then({"a": {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": ["x", "y"]},
+                         "b": {"kraus": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], "labels": ["s"]}})
+    bob = eio.protocol_from_json(doc).rounds[1]
+    assert bob.branches[("a",)].labels == ("x", "y")
+    assert np.array_equal(bob.branches[("a",)].kraus, [np.diag([1, 0]), np.diag([0, 1])])
+    assert np.array_equal(bob.branches[("b",)].kraus, [[[0, 1], [1, 0]]])
 
 
 def test_array_parser_refuses_a_shape_that_does_not_match_the_entries():
