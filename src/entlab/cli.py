@@ -154,9 +154,9 @@ def _cmd_schmidt(args, config: CommandConfig) -> int:
     decomposition = schmidt(_load_state(args.file))
     _emit_record(
         {
-            "coefficients": [float(c) for c in decomposition.coefficients],
+            "coefficients": decomposition.coefficients,
             "rank": decomposition.rank,
-            "spectrum": list(decomposition.spectrum.values),
+            "spectrum": decomposition.spectrum.values,
         },
         config,
     )

@@ -379,7 +379,7 @@ def density_from_json(doc: Mapping) -> DensityMatrix:
 
 
 def spectrum_to_json(s: Spectrum) -> dict:
-    return {"kind": "spectrum", "values": list(s.values)}
+    return {"kind": "spectrum", "values": s.values}
 
 
 def spectrum_from_json(doc: Mapping) -> Spectrum:
@@ -390,8 +390,8 @@ def spectrum_from_json(doc: Mapping) -> Spectrum:
 def step_function_to_json(f: StepFunction) -> dict:
     return {
         "kind": "step_function",
-        "breakpoints": list(f.breakpoints),
-        "levels": list(f.levels),
+        "breakpoints": f.breakpoints,
+        "levels": f.levels,
     }
 
 
@@ -404,7 +404,7 @@ def step_function_from_json(doc: Mapping) -> StepFunction:
 
 
 def measure_to_json(m: AtomicMeasure) -> dict:
-    return {"kind": "measure", "atoms": list(m.atoms), "masses": list(m.masses)}
+    return {"kind": "measure", "atoms": m.atoms, "masses": m.masses}
 
 
 def measure_from_json(doc: Mapping) -> AtomicMeasure:

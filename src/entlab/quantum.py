@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, _refuse_non_finite, orbit_distance, spectrum
+from .spectra import Spectrum, _as_array, _refuse_non_finite, orbit_distance, spectrum
 from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SUPPORT_CUT
 
 
@@ -41,7 +41,7 @@ def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     ``[-INPUT_TOL, 0)`` are clipped to zero and the matrix renormalized;
     anything worse is rejected.
     """
-    arr = np.asarray(entries, dtype=complex)
+    arr = _as_array(entries, "density", complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("density matrix must be square")
     _refuse_non_finite(arr, "density")
@@ -74,8 +74,7 @@ class PureBipartiteState:
 
 def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipartiteState:
     dA, dB = int(dims[0]), int(dims[1])
-    arr = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
-                     dtype=complex).ravel()
+    arr = _as_array(amplitudes, "amplitudes", complex).ravel()
     if dA < 1 or dB < 1 or arr.size != dA * dB:
         raise InvalidInputError(f"amplitude length {arr.size} != {dA}*{dB}")
     _refuse_non_finite(arr, "amplitudes")
@@ -106,7 +105,7 @@ def bell_state(d: int = 2) -> PureBipartiteState:
 
 def state_from_schmidt(coeffs: Iterable[float], dims: Optional[tuple[int, int]] = None) -> PureBipartiteState:
     """Diagonal state with the given Schmidt coefficients."""
-    c = np.asarray(list(coeffs), dtype=float)
+    c = _as_array(coeffs, "Schmidt coefficients")
     if dims is None:
         dims = (c.size, c.size)
     if c.size > min(dims):

@@ -7,9 +7,11 @@ arithmetic on floats: no quadrature, no sampling.
 
 Conventions
 -----------
-* A spectrum is a finite list of non-negative reals sorted non-increasing,
-  trailing zeros stripped.  A *state* spectrum sums to 1 (within
-  ``INPUT_TOL``).
+* ``Spectrum``, ``StepFunction`` and ``AtomicMeasure`` hold their data as
+  read-only float64 arrays.  Two instances are equal when their arrays are
+  (``np.array_equal``), so the types compare by value and are not hashable.
+* A spectrum is a finite array of positive reals sorted non-increasing,
+  zeros stripped.  A *state* spectrum sums to 1 (within ``INPUT_TOL``).
 * ``majorizes(a, b)`` uses the classical convention: partial sums of ``a``
   dominate those of ``b``, i.e. ``a`` is *less mixed* than ``b``.
 * The spectral state of a spectrum puts an atom at each distinct
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,19 +34,38 @@ from .errors import InvalidInputError
 from .tolerances import INPUT_TOL, MERGE_TOL
 
 
+class _ArrayFields:
+    """Base of the frozen dataclasses below: every field is stored as a
+    read-only float64 copy of what it was given, and equality compares the
+    arrays by value (so instances are not hashable)."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
 # --------------------------------------------------------------------------- #
 #                                   Spectrum                                   #
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Finite non-negative eigenvalue list, sorted non-increasing.
+@dataclass(frozen=True, eq=False)
+class Spectrum(_ArrayFields):
+    """Finite positive eigenvalue array, sorted non-increasing.
 
-    Canonical form strips trailing zeros, so ``len(values)`` is the rank.
-    Use :func:`spectrum` to construct one from arbitrary float data.
+    ``values`` is a read-only float64 array with the zeros stripped, so
+    ``len(values)`` is the rank.  Use :func:`spectrum` to construct one from
+    arbitrary float data.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     @property
     def total(self) -> float:
@@ -57,11 +79,11 @@ class Spectrum:
         return abs(self.total - 1.0) <= INPUT_TOL
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def padded(self, n: int) -> np.ndarray:
         out = np.zeros(n)
-        out[: len(self.values)] = self.values
+        out[: self.rank] = self.values
         return out
 
 
@@ -73,13 +95,28 @@ def _refuse_non_finite(arr: np.ndarray, name: str) -> None:
                                 f"{arr[at].item()!r}, not a finite number")
 
 
-def spectrum(values: Iterable[float]) -> Spectrum:
-    """Build a canonical :class:`Spectrum` (sort, clip noise, strip zeros).
+def _as_array(x, name: str, dtype=float) -> np.ndarray:
+    """``x`` (an array or any iterable) as an array of ``dtype``, or an
+    ``InvalidInputError`` naming ``name`` when it does not convert.  Text
+    entries are refused rather than parsed, and complex entries where reals
+    are asked for rather than cut to their real part."""
+    try:
+        arr = np.asarray(x if isinstance(x, np.ndarray) else list(x))
+        if arr.dtype.kind not in ("US" if dtype is complex else "USc"):
+            return arr.astype(dtype, copy=False)
+        reason = f"entries of dtype {arr.dtype} are not {np.dtype(dtype)}"
+    except (TypeError, ValueError, OverflowError) as exc:
+        reason = str(exc)
+    raise InvalidInputError(f"{name} must be an array of numbers: {reason}")
 
-    Entries in ``[-INPUT_TOL, 0)`` are treated as roundoff and clipped to
-    zero; anything more negative, and NaN or an infinity, is rejected.
+
+def spectrum(values: Iterable[float]) -> Spectrum:
+    """Build a canonical :class:`Spectrum` (sort, strip zeros).
+
+    Entries in ``[-INPUT_TOL, 0)`` are treated as roundoff and stripped with
+    the zeros; anything more negative, and NaN or an infinity, is rejected.
     """
-    arr = np.asarray(list(values), dtype=float)
+    arr = _as_array(values, "spectrum")
     if arr.ndim != 1:
         raise InvalidInputError("spectrum values must be a flat list")
     _refuse_non_finite(arr, "spectrum")
@@ -87,10 +124,8 @@ def spectrum(values: Iterable[float]) -> Spectrum:
         raise InvalidInputError(
             f"negative spectrum entry {arr.min():.3e} below clip tolerance {-INPUT_TOL:g}"
         )
-    arr = np.clip(arr, 0.0, None)
     arr = np.sort(arr)[::-1]
-    nz = arr > 0.0
-    return Spectrum(tuple(float(v) for v in arr[nz]))
+    return Spectrum(arr[arr > 0.0])
 
 
 def state_spectrum(values: Iterable[float]) -> Spectrum:
@@ -103,47 +138,44 @@ def state_spectrum(values: Iterable[float]) -> Spectrum:
 
 def tensor_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     """Spectrum of a tensor product: all pairwise eigenvalue products."""
-    if not a.values or not b.values:
-        return Spectrum(())
-    prods = np.outer(a.as_array(), b.as_array()).ravel()
-    return spectrum(prods)
+    return spectrum(np.outer(a.values, b.values).ravel())
 
 
 def flat_spectrum(n: int) -> Spectrum:
     """The flat (maximally mixed) spectrum (1/n, ..., 1/n)."""
     if n < 1:
         raise InvalidInputError("flat spectrum needs n >= 1")
-    return Spectrum((1.0 / n,) * n)
+    return Spectrum(np.full(n, 1.0 / n))
 
 
 # --------------------------------------------------------------------------- #
 #                                 StepFunction                                 #
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class StepFunction:
+@dataclass(frozen=True, eq=False)
+class StepFunction(_ArrayFields):
     """Non-increasing right-continuous step function on [0, oo).
 
+    ``breakpoints`` and ``levels`` are read-only float64 arrays.
     ``levels[i]`` is the value on ``[t_i, t_{i+1})`` with ``t_0 = 0`` and
     ``t_{k+1} = oo``; the final level is always 0, so the function has
     compact support and finite integral.  Canonical instances have strictly
     increasing breakpoints and strictly decreasing levels, which makes
-    structural equality the same thing as function equality.
+    equality of the arrays the same thing as function equality.
     """
 
-    breakpoints: tuple[float, ...]
-    levels: tuple[float, ...]
+    breakpoints: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.levels) != len(self.breakpoints) + 1:
             raise InvalidInputError("need exactly one more level than breakpoints")
-        if self.levels and self.levels[-1] != 0.0:
+        if self.levels[-1] != 0.0:
             raise InvalidInputError("a step function must vanish eventually")
 
     def integral(self) -> float:
-        pts = (0.0,) + self.breakpoints
-        seg = [(b - a) * v for a, b, v in zip(pts, pts[1:], self.levels[:-1])]
-        return float(math.fsum(seg))
+        return float(math.fsum(np.diff(self.breakpoints, prepend=0.0) * self.levels[:-1]))
 
 
 ZERO_STEP = StepFunction((), (0.0,))
@@ -156,8 +188,8 @@ def step_function(breakpoints: Sequence[float], levels: Sequence[float]) -> Step
     result has strictly increasing breakpoints and strictly decreasing
     levels ending in 0.  NaN and infinities are refused.
     """
-    bps = np.asarray(breakpoints, dtype=float)
-    lvs = np.asarray(levels, dtype=float)
+    bps = _as_array(breakpoints, "breakpoints")
+    lvs = _as_array(levels, "levels")
     if bps.ndim != 1 or lvs.ndim != 1 or lvs.size != bps.size + 1:
         raise InvalidInputError("need exactly one more level than breakpoints")
     _refuse_non_finite(bps, "breakpoints")
@@ -173,9 +205,7 @@ def step_function(breakpoints: Sequence[float], levels: Sequence[float]) -> Step
     if lvs[-1] != 0.0:
         raise InvalidInputError("final level must be zero")
     jumps = lvs[1:] != lvs[:-1]  # equal neighbours mean no jump there
-    return StepFunction(
-        tuple(bps[jumps].tolist()), (float(lvs[0]),) + tuple(lvs[1:][jumps].tolist())
-    )
+    return StepFunction(bps[jumps], np.append(lvs[0], lvs[1:][jumps]))
 
 
 def spectral_scale(s: Spectrum) -> StepFunction:
@@ -184,28 +214,15 @@ def spectral_scale(s: Spectrum) -> StepFunction:
     Eigenvalues are repeated according to multiplicity, so the support
     measure equals the rank.
     """
-    vals = list(s.values)
-    if not vals:
-        return ZERO_STEP
-    return step_function(
-        [float(i) for i in range(1, len(vals) + 1)], vals + [0.0]
-    )
+    return step_function(np.arange(1.0, s.rank + 1), np.append(s.values, 0.0))
 
 
 def distribution_function(s: Spectrum) -> StepFunction:
     """``D(t) = #{n : values[n] > t}``, the generalized inverse of the scale."""
-    vals = s.as_array()
-    if vals.size == 0:
-        return ZERO_STEP
-    distinct, counts = np.unique(vals, return_counts=True)  # ascending
+    distinct, counts = np.unique(s.values, return_counts=True)  # ascending
     # level on [0, distinct[0]) is the full rank; each distinct value passed
     # removes its multiplicity from the count
-    levels = [int(vals.size)]
-    remaining = int(vals.size)
-    for c in counts:
-        remaining -= int(c)
-        levels.append(remaining)
-    return step_function([float(v) for v in distinct], [float(v) for v in levels])
+    return step_function(distinct, s.rank - np.append(0, np.cumsum(counts)))
 
 
 def generalized_inverse(f: StepFunction) -> StepFunction:
@@ -214,11 +231,7 @@ def generalized_inverse(f: StepFunction) -> StepFunction:
     For canonical step functions this swaps the roles of breakpoints and
     levels; applying it twice gives back the original function exactly.
     """
-    if not f.breakpoints:
-        return ZERO_STEP
-    new_bps = tuple(reversed(f.levels[:-1]))
-    new_lvs = tuple(reversed(f.breakpoints)) + (0.0,)
-    return StepFunction(new_bps, new_lvs)
+    return StepFunction(f.levels[:-1][::-1], np.append(f.breakpoints[::-1], 0.0))
 
 
 # `scale_from` in property-test speak: the inverse of a distribution function
@@ -234,13 +247,11 @@ def l1_distance(f: StepFunction, g: StepFunction) -> float:
     ``searchsorted`` over the whole grid, and ``math.fsum`` adds the terms
     with a single rounding.
     """
-    fb = np.asarray(f.breakpoints, dtype=float)
-    gb = np.asarray(g.breakpoints, dtype=float)
-    pts = np.concatenate(([0.0], np.union1d(fb, gb)))
-    left, right = pts[:-1], pts[1:]
-    fv = np.asarray(f.levels)[np.searchsorted(fb, left, side="right")]
-    gv = np.asarray(g.levels)[np.searchsorted(gb, left, side="right")]
-    return float(math.fsum((right - left) * np.abs(fv - gv)))
+    pts = np.concatenate(([0.0], np.union1d(f.breakpoints, g.breakpoints)))
+    left = pts[:-1]
+    fv = f.levels[np.searchsorted(f.breakpoints, left, side="right")]
+    gv = g.levels[np.searchsorted(g.breakpoints, left, side="right")]
+    return float(math.fsum(np.diff(pts) * np.abs(fv - gv)))
 
 
 # --------------------------------------------------------------------------- #
@@ -284,17 +295,18 @@ def orbit_distance(a: Spectrum, b: Spectrum) -> float:
 #                                AtomicMeasure                                 #
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+@dataclass(frozen=True, eq=False)
+class AtomicMeasure(_ArrayFields):
     """Finite positive measure on (0, oo): atoms + masses, atoms ascending.
 
-    Construct through :func:`atomic_measure`, which merges positions that
-    coincide up to ``MERGE_TOL`` in the log domain, chaining runs of such
-    neighbours into one atom.
+    ``atoms`` and ``masses`` are read-only float64 arrays.  Construct through
+    :func:`atomic_measure`, which merges positions that coincide up to
+    ``MERGE_TOL`` in the log domain, chaining runs of such neighbours into
+    one atom.
     """
 
-    atoms: tuple[float, ...]
-    masses: tuple[float, ...]
+    atoms: np.ndarray
+    masses: np.ndarray
 
     @property
     def total_mass(self) -> float:
@@ -306,11 +318,10 @@ class AtomicMeasure:
         relative)."""
         if len(self.atoms) != len(other.atoms):
             return False
-        a, b = np.asarray(self.atoms), np.asarray(other.atoms)
-        m, w = np.asarray(self.masses), np.asarray(other.masses)
-        if not np.allclose(np.log(a), np.log(b), rtol=0.0, atol=max(tol, MERGE_TOL)):
+        if not np.allclose(np.log(self.atoms), np.log(other.atoms), rtol=0.0,
+                           atol=max(tol, MERGE_TOL)):
             return False
-        return bool(np.allclose(m, w, rtol=tol, atol=tol))
+        return bool(np.allclose(self.masses, other.masses, rtol=tol, atol=tol))
 
 
 def _merge_runs(pos: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +349,8 @@ def atomic_measure(atoms: Iterable[float], masses: Iterable[float]) -> AtomicMea
     summed mass, even when the run spans more than ``MERGE_TOL``.  NaN and
     infinite atoms or masses are refused.
     """
-    pos = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
-    mass = np.asarray(masses if isinstance(masses, np.ndarray) else list(masses), dtype=float)
+    pos = _as_array(atoms, "atoms")
+    mass = _as_array(masses, "masses")
     if pos.shape != mass.shape or pos.ndim != 1:
         raise InvalidInputError("atoms and masses must be flat lists of equal length")
     _refuse_non_finite(pos, "atoms")
@@ -348,8 +359,7 @@ def atomic_measure(atoms: Iterable[float], masses: Iterable[float]) -> AtomicMea
         raise InvalidInputError("atoms must be strictly positive")
     if mass.size and mass.min() <= 0.0:
         raise InvalidInputError("masses must be strictly positive")
-    pos, mass = _merge_runs(pos, mass)
-    return AtomicMeasure(tuple(pos.tolist()), tuple(mass.tolist()))
+    return AtomicMeasure(*_merge_runs(pos, mass))
 
 
 def spectral_state(s: Spectrum) -> AtomicMeasure:
@@ -360,8 +370,7 @@ def spectral_state(s: Spectrum) -> AtomicMeasure:
     """
     if not s.is_state():
         raise InvalidInputError("spectral_state needs a state spectrum (total 1)")
-    vals = s.as_array()
-    distinct, counts = np.unique(vals, return_counts=True)
+    distinct, counts = np.unique(s.values, return_counts=True)
     return atomic_measure(distinct, distinct * counts)
 
 
@@ -371,18 +380,19 @@ def flow_act(m: AtomicMeasure, t: float) -> AtomicMeasure:
     Refused when ``e^t`` overflows or a moved atom leaves float64 (becomes 0
     or inf).
     """
-    if t == 0.0 or not m.atoms:
+    if t == 0.0 or not m.atoms.size:
         return m
     try:
         scale = math.exp(t)
     except OverflowError:
         scale = math.inf
     # atoms ascend, so only the two ends can leave (0, inf)
-    if not (m.atoms[0] * scale > 0.0 and m.atoms[-1] * scale < math.inf):
+    lo, hi = float(m.atoms[0]), float(m.atoms[-1])
+    if not (lo * scale > 0.0 and hi * scale < math.inf):
         raise InvalidInputError(
-            f"flow time t={t!r} moves atoms in [{m.atoms[0]!r}, {m.atoms[-1]!r}] out of float64 range"
+            f"flow time t={t!r} moves atoms in [{lo!r}, {hi!r}] out of float64 range"
         )
-    return AtomicMeasure(tuple((np.asarray(m.atoms) * scale).tolist()), m.masses)
+    return AtomicMeasure(m.atoms * scale, m.masses)
 
 
 def smear(psi_hat: AtomicMeasure, omega: Spectrum) -> AtomicMeasure:
@@ -390,17 +400,13 @@ def smear(psi_hat: AtomicMeasure, omega: Spectrum) -> AtomicMeasure:
 
     Returns ``sum_i w_i * flow_act(psi_hat, log w_i)`` over the nonzero
     entries ``w_i`` of ``omega`` — exactly the spectral state of the tensor
-    product spectrum.
+    product spectrum.  The flow keeps the masses, so the moved copies carry
+    the masses ``outer(omega, psi_hat.masses)``.
     """
     if not omega.is_state():
         raise InvalidInputError("smearing weight must be a state spectrum")
-    all_atoms: list[float] = []
-    all_masses: list[float] = []
-    for w in omega.values:
-        moved = flow_act(psi_hat, math.log(w))
-        all_atoms.extend(moved.atoms)
-        all_masses.extend(w * m for m in moved.masses)
-    return atomic_measure(all_atoms, all_masses)
+    atoms = np.concatenate([flow_act(psi_hat, math.log(w)).atoms for w in omega.values])
+    return atomic_measure(atoms, np.outer(omega.values, psi_hat.masses).ravel())
 
 
 def measure_distribution(m: AtomicMeasure) -> StepFunction:
@@ -413,15 +419,13 @@ def measure_distribution(m: AtomicMeasure) -> StepFunction:
     function exactly (mass/position = multiplicity).  Refused when the
     density overflows float64 (atoms too small for their masses).
     """
-    if not m.atoms:
+    if not m.atoms.size:
         return ZERO_STEP
     with np.errstate(over="ignore"):
-        ratios = np.asarray(m.masses, dtype=float) / np.asarray(m.atoms, dtype=float)
-        suffix = np.cumsum(ratios[::-1])[::-1]
+        suffix = np.cumsum((m.masses / m.atoms)[::-1])[::-1]
     if suffix[0] == math.inf:
-        raise InvalidInputError(
-            f"distribution density of atoms in [{m.atoms[0]!r}, {m.atoms[-1]!r}] overflows float64"
-        )
+        raise InvalidInputError(f"distribution density of atoms in [{float(m.atoms[0])!r}, "
+                                f"{float(m.atoms[-1])!r}] overflows float64")
     return step_function(m.atoms, np.append(suffix, 0.0))
 
 
@@ -489,7 +493,7 @@ def tv_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
     _, diffs = _merge_runs(
         np.concatenate((m1.atoms, m2.atoms)), np.concatenate((m1.masses, np.negative(m2.masses)))
     )
-    return float(math.fsum(np.abs(diffs).tolist()))
+    return float(math.fsum(np.abs(diffs)))
 
 
 def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
@@ -590,8 +594,7 @@ class MonotoneFunctionSpec:
             if x >= xs[-1]:  # extrapolate with the last slope
                 slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
                 return float(ys[-1] + slope * (x - xs[-1]))
-            i = int(np.searchsorted(xs, x, side="right")) - 1
-            i = max(i, 0)
+            i = max(bisect_right(xs, x) - 1, 0)
             frac = (x - xs[i]) / (xs[i + 1] - xs[i])
             return float(ys[i] + frac * (ys[i + 1] - ys[i]))
         raise InvalidInputError(f"unknown monotone kind {self.kind!r}")
@@ -605,12 +608,8 @@ def monotone_Ef(scale: StepFunction, f: MonotoneFunctionSpec | Callable[[float],
     """
     if f(0.0) != 0.0:
         raise InvalidInputError("monotone integrand must satisfy f(0) = 0")
-    pts = (0.0,) + scale.breakpoints
-    terms = [
-        (right - left) * f(level)
-        for left, right, level in zip(pts, pts[1:], scale.levels[:-1])
-    ]
-    return float(math.fsum(terms))
+    widths = np.diff(scale.breakpoints, prepend=0.0)
+    return float(math.fsum(w * f(level) for w, level in zip(widths, scale.levels[:-1])))
 
 
 @dataclass(frozen=True)
@@ -631,7 +630,7 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     """
     if not s.is_state():
         raise InvalidInputError("entropies are defined for state spectra")
-    vals = s.as_array()
+    vals = s.values
     h = float(-math.fsum(v * math.log(v) for v in vals if v > 0))
     out: dict[float, float] = {}
     for alpha in map(float, alphas):

@@ -12,6 +12,7 @@ import io as stdio
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,7 +213,7 @@ def test_spectrum_stepfn_measure_round_trips():
     assert back_f == f
     m = atomic_measure([0.5, 0.25], [0.75, 0.25])
     back_m = eio.measure_from_json(json.loads(eio.canonical_json(eio.measure_to_json(m))))
-    assert back_m.atoms == m.atoms and back_m.masses == m.masses
+    assert back_m == m
 
 
 def test_protocol_round_trip_preserves_simulation():
@@ -601,16 +602,59 @@ def test_cli_embezzle_sweep_csv_contract(capsys):
         assert float(row["fidelity"]) == rec["fidelity"]
 
 
-def test_cli_embezzle_sweep_prints_the_readme_table(capsys):
-    """The README's `embezzle sweep` example, byte for byte, with the CSV
-    writer's CRLF line ends in place of the README's newlines."""
+@pytest.mark.parametrize(
+    "command, line_end",
+    [("schmidt phi73.json", "\n"),
+     ("monotones phi73.json --alpha 2", "\n"),
+     ("classify --spectrum 0.5,0.5", "\n"),
+     ("classify --spectrum 0.6666666666666666,0.3333333333333333", "\n"),
+     ("catalysis decay --lambda 0.5 --m-list 1,2,4", "\r\n"),
+     ("embezzle sweep --d 2 --n-list 16,256 --target bell", "\r\n"),
+     ("kappa profile --family lambda --lambda 0.5 --m 2 --t-min 0 --t-max 0.693147 --steps 3",
+      "\r\n")],
+    ids=["schmidt", "monotones", "classify-II_1", "classify-III_lambda", "catalysis-decay",
+         "embezzle-sweep", "kappa-profile"],
+)
+def test_cli_prints_the_readme_examples(command, line_end, state_files, capsys):
+    """Each README example's output, byte for byte: a record command prints
+    one JSON line, a table command the CSV writer's CRLF line ends in place
+    of the README's newlines."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    command = "$ entlab embezzle sweep --d 2 --n-list 16,256 --target bell\n"
-    lines = readme.split(command, 1)[1].split("\n\n", 1)[0].split("\n")
-    expect = "".join(line + "\r\n" for line in lines)
-    assert len(lines) == 3
-    code, out, _ = run_cli(command[len("$ entlab "):].split(), capsys)
-    assert code == 0 and out == expect
+    block = readme.split(f"$ entlab {command}\n", 1)[1]
+    lines = re.split(r"\n(?:\n|```)", block, maxsplit=1)[0].split("\n")
+    argv = [state_files["phi73"] if arg == "phi73.json" else arg for arg in command.split()]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out == "".join(line + line_end for line in lines)
+
+
+def test_spectral_json_bytes_of_a_fixed_spectrum():
+    """The canonical JSON of a spectrum with a tie, its scale, distribution
+    function, spectral state and the state smeared by the spectrum itself,
+    byte for byte."""
+    from entlab import distribution_function, smear, spectral_scale, spectral_state
+
+    s = spectrum([0.05, 0.4, 0.2, 0.15, 0.2])
+    hat = spectral_state(s)
+    docs = [eio.spectrum_to_json(s), eio.step_function_to_json(spectral_scale(s)),
+            eio.step_function_to_json(distribution_function(s)), eio.measure_to_json(hat),
+            eio.measure_to_json(smear(hat, s))]
+    assert [eio.canonical_json(doc) for doc in docs] == [
+        '{"kind": "spectrum", "values": [0.40000000000000002, 0.20000000000000001, '
+        '0.20000000000000001, 0.14999999999999999, 0.050000000000000003]}',
+        '{"kind": "step_function", "breakpoints": [1, 3, 4, 5], "levels": [0.40000000000000002, '
+        '0.20000000000000001, 0.14999999999999999, 0.050000000000000003, 0]}',
+        '{"kind": "step_function", "breakpoints": [0.050000000000000003, 0.14999999999999999, '
+        '0.20000000000000001, 0.40000000000000002], "levels": [5, 4, 3, 1, 0]}',
+        '{"kind": "measure", "atoms": [0.050000000000000003, 0.14999999999999999, '
+        '0.20000000000000001, 0.40000000000000002], "masses": [0.050000000000000003, '
+        '0.14999999999999999, 0.40000000000000002, 0.40000000000000002]}',
+        '{"kind": "measure", "atoms": [0.0025000000000000005, 0.0074999999999999997, '
+        '0.010000000000000002, 0.020000000000000004, 0.022499999999999999, 0.029999999999999999, '
+        '0.040000000000000008, 0.059999999999999998, 0.080000000000000016, 0.16000000000000003], '
+        '"masses": [0.0025000000000000005, 0.014999999999999999, 0.040000000000000008, '
+        '0.040000000000000008, 0.022499999999999999, 0.12, 0.16000000000000003, 0.12, '
+        '0.32000000000000006, 0.16000000000000003]}',
+    ]
 
 
 def test_cli_embezzle_sweep_with_files_and_out(tmp_path, state_files, capsys):
