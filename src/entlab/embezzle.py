@@ -377,7 +377,10 @@ def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
     s = round(abs(t) / period) if abs(t) <= (spec.m + 1) * period else 0
     # off the period no atom lands on another, as if shifted past the support
     s = s if abs(abs(t) - s * period) <= MERGE_TOL else masses.size
-    terms = np.abs(np.pad(masses, (0, s)) - np.pad(masses, (s, 0)))
+    terms = np.zeros(masses.size + s)
+    terms[: masses.size] = masses
+    terms[s:] -= masses
+    np.abs(terms, out=terms)
     return math.fsum(np.sort(terms)[::-1])  # largest first, so that fsum keeps few partials
 
 

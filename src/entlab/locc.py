@@ -102,6 +102,9 @@ def _completions(kraus: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     # a gap's largest absolute row sum bounds its eigenvalues, so only the
     # instruments that may be incomplete or super-normalized need the eigh
     loose = np.flatnonzero(np.abs(gaps).sum(axis=2).max(axis=1) > COMPLETENESS_TOL)
+    short = np.zeros(len(counts), dtype=bool)
+    if not loose.size:
+        return short, kraus
     vals, vecs = np.linalg.eigh(gaps[loose])
     over = np.flatnonzero(vals[:, 0] < -COMPLETENESS_TOL)
     if over.size:
@@ -109,8 +112,9 @@ def _completions(kraus: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
         raise InvalidInputError(f"instrument is super-normalized: max eigenvalue {top!r} "
                                 f"exceeds 1 + {COMPLETENESS_TOL:.0e}")
     incomplete = vals[:, -1] > COMPLETENESS_TOL
+    if not incomplete.any():
+        return short, kraus
     vals, vecs = vals[incomplete], vecs[incomplete]
-    short = np.zeros(len(counts), dtype=bool)
     short[loose[incomplete]] = True
     comps = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     return short, np.insert(kraus, ends[short], comps, axis=0)
@@ -266,17 +270,6 @@ def locc_embezzle_feasible(
 #                  permutohedron mixing (Carathéodory, <= d terms)             #
 # --------------------------------------------------------------------------- #
 
-def _edge_sums(x: np.ndarray) -> np.ndarray:
-    """z = [0, prefix sums of x, suffix sums of x, 0] along the last axis
-    (length n): x[i..j] sums to z[j + 1] - z[i] from the head and to
-    z[n + 1 + i] - z[n + 2 + j] from the tail."""
-    n = x.shape[-1]
-    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
-    np.cumsum(x, axis=-1, out=z[..., 1 : n + 1])
-    np.cumsum(x[..., ::-1], axis=-1, out=z[..., 2 * n : n : -1])
-    return z
-
-
 def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Weights w_x > 0 and permutations p_x with a = sum_x w_x b[p_x], at
     most m = a.size terms (a majorized by b, both descending, equal length).
@@ -292,50 +285,76 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
     as minus the tail when that holds less of b, so rounding stays relative
     to the smaller side; r is never rescaled by 1 / t.  Partial sums beyond
     t times b's by more than rounding (majorizes() allows ``INPUT_TOL``)
-    are clipped to them.
+    are clipped to them.  The operands of each step's floating-point
+    operations and their order are pinned bit for bit by
+    ``test_permutohedron_terms_bit_for_bit``.
     """
     m = a.size
     t = float(a.sum() / b.sum())
     slack_tol = 8 * m * np.finfo(float).eps
     positions = np.arange(m)
+    head_hi, tail_lo = positions + 1, 2 * m - positions
+    # x[..., rev] reads x forward in one row and backward in the next, so one
+    # running sum fills the edge sums of x: a row of 2m + 2, [0, prefix sums
+    # of x, 0, prefix sums of reversed x], in which x[i..j] sums to
+    # z[j + 1] - z[i] from the head and to z[2m + 1 - i] - z[2m - j] from the tail
+    rev = np.array((positions, positions[::-1]))
+    zb = np.zeros((2, m + 1))
+    np.add.accumulate(b[rev], axis=-1, out=zb[:, 1:])
+    zb = zb.ravel()
+    zb_head, zb_tail = zb[head_hi], zb[tail_lo]
+    # the edge sums of r (row 0) and of v (row 1)
+    z = np.zeros((2, 2, m + 1))
+    z_sums, z_rows = z[..., 1:], z.reshape(2, -1)
+    # cut[k] starts a block at sorted position k, and cut[m] closes the last;
+    # blk is the block of each entry of r, in the order that placed it
+    cut = np.zeros(m + 1, dtype=bool)
+    cut[0] = cut[m] = True
+    end = cut[1:]
     blk = np.zeros(m, dtype=int)
-    end = positions == m - 1
-    zb = _edge_sums(b)
-    r = np.array(a, dtype=float)
+    placed = positions
+    rv = np.array((a, a), dtype=float)
+    r, v = rv
     terms: list[tuple[float, np.ndarray]] = []
     for _ in range(m):
-        order = np.lexsort((-r, blk))
-        start = np.maximum.accumulate(np.where(np.r_[True, end[:-1]], positions, 0))
-        stop = np.minimum.accumulate(np.where(end, positions, m)[::-1])[::-1]
-        sides = np.array([[positions + 1, start], [m + 2 + stop, m + 2 + positions]])
-        b_head, b_tail = zb[sides[:, 0]] - zb[sides[:, 1]]
-        plus, minus = np.where(b_head <= -b_tail, sides[0], sides[1])
-        b_side = zb[plus] - zb[minus]
-        z = _edge_sums(r[order])
-        r_side = z[plus] - z[minus]
+        edges = cut.nonzero()[0]
+        ids = edges.searchsorted(positions, "right")
+        blk[placed] = ids
+        start, tail = edges[ids - 1], 2 * m + 1 - edges[ids]
+        b_head = zb_head - zb[start]
+        b_tail = zb[tail] - zb_tail
+        head = b_head <= -b_tail
+        b_side = np.where(head, b_head, b_tail)
+        plus = np.where(head, head_hi, tail)
+        minus = np.where(head, start, tail_lo)
+        order = placed = np.lexsort((-r, blk))
+        np.add.accumulate(r.take(order[rev]), axis=-1, out=z_sums[0])
+        r_side = z_rows[0].take(plus) - z_rows[0].take(minus)
         slack = t * b_side - r_side
         tol = slack_tol * np.abs(r_side)
-        excess = np.where((slack < -tol) & ~end, -slack, 0.0)
-        r[order] -= np.diff(excess, prepend=0.0)
-        tight = (slack <= tol) & ~end
-        if tight.any():
+        slack[end] = np.inf
+        over = slack < -tol
+        if np.count_nonzero(over):
+            r[order] -= np.diff(np.where(over, -slack, 0.0), prepend=0.0)
+        tight = slack <= tol
+        if np.count_nonzero(tight):
             end |= tight
-            blk[order] = np.cumsum(end) - end
             continue
-        perm = np.argsort(order)
-        v = b[perm]
+        perm = order.argsort()
+        b.take(perm, out=v)
         lam = t
         for _ in range(64):
-            o = np.lexsort((-(r - lam * v), blk))
-            z = _edge_sums(np.stack((r[o], v[o])))
-            r_side, v_side = z[:, plus] - z[:, minus]
+            o = placed = np.lexsort((-(r - lam * v), blk))
+            np.add.accumulate(rv.take(o[rev], axis=1), axis=-1, out=z_sums)
+            r_side, v_side = z_rows.take(plus, axis=1) - z_rows.take(minus, axis=1)
             h = (t - lam) * b_side - (r_side - lam * v_side)
             h[end] = np.inf
-            p = int(np.argmin(h))
-            if h[p] >= -slack_tol * (abs(r_side[p]) + lam * abs(v_side[p])):
+            p = int(h.argmin())
+            r_p, v_p, b_p = r_side.item(p), v_side.item(p), b_side.item(p)
+            if h.item(p) >= -slack_tol * (abs(r_p) + lam * abs(v_p)):
                 break
-            g = b_side[p] - v_side[p]
-            nxt = max((t * b_side[p] - r_side[p]) / g, 0.0) if g > 0 else 0.0
+            g = b_p - v_p
+            nxt = max((t * b_p - r_p) / g, 0.0) if g > 0 else 0.0
             if nxt >= lam:
                 break
             lam = nxt
@@ -348,7 +367,6 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
             break
         t -= lam
         end[p] = True
-        blk[o] = np.cumsum(end) - end
     leftover = float(np.abs(r).max())
     if leftover > MASS_CUT:
         raise NumericalFailureError(f"mixing residual {leftover:.3e} exceeds {MASS_CUT:.0e} (d = {m})")
@@ -415,10 +433,12 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     :class:`NumericalFailureError`.
     """
     src, tgt = schmidt(psi), schmidt(phi)
-    m = max(src.coefficients.size, tgt.coefficients.size)
-    pad = (0, m - tgt.coefficients.size)
-    t2 = np.pad(tgt.coefficients**2, pad)
-    a, terms = _mixing_terms(np.pad(src.coefficients**2, (0, m - src.coefficients.size)), t2)
+    n = tgt.coefficients.size
+    m = max(src.coefficients.size, n)
+    a, t2 = np.zeros((2, m))
+    a[: src.coefficients.size] = src.coefficients**2
+    t2[:n] = tgt.coefficients**2
+    a, terms = _mixing_terms(a, t2)
     keep = np.flatnonzero(a)
     s2 = a[keep]
     if float(s2.min()) < SUPPORT_FLOOR:
@@ -431,8 +451,11 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
     # is; a zero a_hat (a term leaving the support) keeps s^2 for the leak check
     a_hat = weights @ t2[perms]
     e_dag = src.basis_A[:, keep].conj().T
-    # (G diag(t))[:, p_x] diag(a_hat^-1/2) E^dagger, from the gathered rows of (G diag(t))^T
-    alice = (np.pad(tgt.basis_A * tgt.coefficients, ((0, 0), pad)).T[perms].transpose(0, 2, 1)
+    # (G diag(t))[:, p_x] diag(a_hat^-1/2) E^dagger, from the gathered rows of
+    # (G diag(t))^T, zero past n
+    rows = np.zeros((m, tgt.basis_A.shape[0]), tgt.basis_A.dtype)
+    rows[:n] = (tgt.basis_A * tgt.coefficients).T
+    alice = (rows[perms].transpose(0, 2, 1)
              @ (e_dag / np.sqrt(np.where(a_hat > 0.0, a_hat, s2))[:, None]))
     alice *= np.sqrt(weights)[:, None, None]
     # squared branch norms from the real and imaginary parts, with no conjugated copy
@@ -454,8 +477,9 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
         raise NumericalFailureError(
             f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e} (d = {psi.dims[0]})"
         )
-    bob = (np.pad(tgt.basis_B, ((0, 0), pad)).T[perms].transpose(0, 2, 1)
-           @ src.basis_B[:, keep].conj().T)
+    rows = np.zeros((m, tgt.basis_B.shape[0]), tgt.basis_B.dtype)
+    rows[:n] = tgt.basis_B.T
+    bob = rows[perms].transpose(0, 2, 1) @ src.basis_B[:, keep].conj().T
     return OneWayProtocol(tuple(alice), tuple(bob))
 
 

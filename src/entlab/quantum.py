@@ -267,8 +267,10 @@ def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarra
     distinct eigenvalues pairs vectors with the wrong eigenvalues."""
     vals, vecs = np.linalg.eigh(rho.entries)
     order = np.argsort(-vals, kind="stable")
-    vals = np.clip(vals[order], 0.0, None)
-    return np.pad(vals, (0, m - rho.dim)), np.pad(vecs[:, order], ((0, 0), (0, m - rho.dim)))
+    padded_vals, padded_vecs = np.zeros(m), np.zeros((rho.dim, m), vecs.dtype)
+    padded_vals[: rho.dim] = np.clip(vals[order], 0.0, None)
+    padded_vecs[:, : rho.dim] = vecs[:, order]
+    return padded_vals, padded_vecs
 
 
 def align_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:

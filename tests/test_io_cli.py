@@ -318,13 +318,21 @@ def test_round_refusal_names_the_entry_in_the_second_instrument(second, message)
     assert str(info.value) == message
 
 
-def test_round_stack_gives_each_instrument_its_own_outcomes():
-    doc = _measure_then({"a": {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": ["x", "y"]},
+@pytest.mark.parametrize("short", [False, True], ids=["all-complete", "one-short"])
+def test_round_stack_gives_each_instrument_its_own_outcomes(short):
+    """Each instrument keeps its own outcomes; the round's stack adds the
+    completion after a short one's and nothing when every one is complete."""
+    first = ({"kraus": [_P0_PAIRS], "labels": ["x"]} if short
+             else {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": ["x", "y"]})
+    doc = _measure_then({"a": first,
                          "b": {"kraus": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], "labels": ["s"]}})
     bob = eio.protocol_from_json(doc).rounds[1]
-    assert bob.branches[("a",)].labels == ("x", "y")
-    assert np.array_equal(bob.branches[("a",)].kraus, [np.diag([1, 0]), np.diag([0, 1])])
+    stack = [np.diag([1, 0]), np.diag([0, 1]), [[0, 1], [1, 0]]]
+    assert bob.branches[("a",)].labels == tuple(first["labels"])
+    assert np.array_equal(bob.branches[("a",)].kraus, stack[: len(first["labels"])])
     assert np.array_equal(bob.branches[("b",)].kraus, [[[0, 1], [1, 0]]])
+    labels = ("x", "__rest__", "s") if short else ("x", "y", "s")
+    assert bob._labels == labels and np.array_equal(bob._kraus, stack)
 
 
 def test_array_parser_refuses_a_shape_that_does_not_match_the_entries():
@@ -796,6 +804,98 @@ def test_cli_synth_simulate_reduce_flow(tmp_path, state_files, capsys):
     assert set(got) == set(expected)
     for history, prob in got.items():
         assert prob == pytest.approx(expected[history], abs=1e-12)
+
+
+def test_cli_synth_then_simulate_prints_the_readme_table(tmp_path, state_files, capsys):
+    """The README's synthesis round trip, byte for byte: ``locc synth``
+    writes the protocol file and nothing to stdout, and ``locc simulate``
+    prints the README's table with the CSV writer's CRLF line ends."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ entlab locc simulate protocol.json bell.json\n", 1)[1]
+    table = "".join(line + "\r\n" for line in block.split("\n```", 1)[0].split("\n"))
+    protocol = str(tmp_path / "protocol.json")
+    code, out, _ = run_cli(["locc", "synth", state_files["bell"], state_files["phi73"],
+                            "--out", protocol], capsys)
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(["locc", "simulate", protocol, state_files["bell"]], capsys)
+    assert code == 0 and out == table
+
+
+def exact_norm_state(profile, counts):
+    """A (d, d) state document in its Schmidt frames whose coefficients are
+    j / 2^26 for integers j: profile[i], scaled, repeated counts[i] times.
+    Every square and partial sum of squares is exact, so the norm entlab
+    divides by does not depend on the order a BLAS adds in; the first two
+    values are tuned until it misses 1 by less than ``INPUT_TOL``."""
+    unit = 4**26
+    scale = 2**26 / math.sqrt(math.fsum(k * p * p for p, k in zip(profile, counts)))
+    js = [round(p * scale) for p in profile]
+    rest = unit - sum(k * j * j for j, k in zip(js[2:], counts[2:]))
+    for step in range(4096):
+        j0 = js[0] + (step + 1) // 2 * (-1) ** step
+        left = rest - counts[0] * j0 * j0
+        j1 = round(math.sqrt(left / counts[1]))
+        if abs(left - counts[1] * j1 * j1) * 10**10 < unit:
+            break
+    else:
+        raise AssertionError("no exact norm near the profile")
+    coeffs = np.repeat(np.array([j0, j1] + js[2:]) / 2**26, counts)
+    d = coeffs.size
+    amplitudes = np.zeros((d, d))
+    amplitudes[np.diag_indices(d)] = coeffs
+    return {"kind": "pure_bipartite", "dims": [d, d],
+            "amplitudes": [[x, 0.0] for x in amplitudes.ravel().tolist()]}
+
+
+def synth_pair(d, shape):
+    """Seeded source and target documents: the source's Schmidt
+    coefficients p lie in [0.5, 1) before scaling; the target's are p^2
+    (generic), the same on the top half and 0 below (rank_deficient), or
+    one value, then triples, of p squared until the target majorizes the
+    source (tie_heavy)."""
+    p = sorted(np.random.default_rng([d, 18]).uniform(0.5, 1.0, d).tolist(), reverse=True)
+    if shape == "generic":
+        profile, counts = [x * x for x in p], [1] * d
+    elif shape == "rank_deficient":
+        profile, counts = [x * x for x in p[: d // 2]] + [0.0], [1] * (d // 2) + [d - d // 2]
+    else:
+        counts = [1] + [3] * ((d - 1) // 3) + [(d - 1) % 3] * ((d - 1) % 3 > 0)
+        source = np.cumsum(np.square(p))[:-1] / math.fsum(np.square(p))
+        profile = p[:1] + p[1::3]
+        while True:
+            profile = [x * x for x in profile]
+            target = np.repeat(np.square(profile), counts)
+            if np.all(np.cumsum(target)[:-1] / math.fsum(target) > source + 1e-6):
+                break
+    return exact_norm_state(p, [1] * d), exact_norm_state(profile, counts)
+
+
+# sha256 of `locc synth` stdout, as the earlier synthesis computed it; a
+# faster set-up or mixing must keep every byte
+SYNTH_DIGESTS = {
+    (4, "generic"): "c5e2dd23e75419df7140a1451a782e60334c95bbb5d58b6152ad7394847fc620",
+    (4, "rank_deficient"): "bb30cca2b327ffaa8555032561ba0cc1fe9ddf60a7ec884c37ff443fbf6507c1",
+    (4, "tie_heavy"): "ea15cee4d0cae05c93bf8c9010f22fec18abff1da9d055748ea606949cd900ac",
+    (8, "generic"): "83b07afd88beec4acc8918aa0b9e2171caf5fc9bb0f5781f4837e0e07d1f4b57",
+    (8, "rank_deficient"): "d562a2e5601c8e58f1963aa112ab4565ebfc3ef0c049394d83e7845af6ef294b",
+    (8, "tie_heavy"): "95871d149d2775eeeeffbf4f871954d59fd238fe779a36306a63db2c2321456f",
+    (16, "generic"): "493173ff9063a9e85cc997925b24c14424487bbbaa4e3d7ecc0bfc0c22f56d07",
+    (16, "rank_deficient"): "02097b6fcddf25000b2c0b3cdedccb4d334d408f4163688dfbfcb6a8c817023b",
+    (16, "tie_heavy"): "c9eefa1244d6590eee2fc6fcfa2a2e1afeb2bef6ee4f3fc02f2c4409bfb2e801",
+}
+
+
+@pytest.mark.parametrize("shape", ["generic", "rank_deficient", "tie_heavy"])
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_cli_synth_bytes(tmp_path, d, shape, capsys):
+    """``locc synth`` prints the same protocol bytes for seeded pairs whose
+    Schmidt frames are the computational bases, so that the bytes depend on
+    entlab's arithmetic only."""
+    psi, phi = synth_pair(d, shape)
+    argv = ["locc", "synth", write_doc(tmp_path, "psi.json", psi),
+            write_doc(tmp_path, "phi.json", phi)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == SYNTH_DIGESTS[d, shape]
 
 
 def test_cli_synth_refusal_is_data(state_files, capsys):

@@ -6,6 +6,7 @@ for synthesized protocols, simulate-equality for one-way reduction, the
 partial-sum inequality family for the one-shot closed form.
 """
 
+import hashlib
 import math
 import re
 
@@ -216,6 +217,72 @@ def test_mixing_decomposition_rectangular_dims():
         assert w.shape == (4, 2)
         prod = w.conj().T @ w
         assert np.abs(prod @ prod - prod).max() < 1e-10  # partial isometry
+
+
+def permutohedron_pair(m, shape):
+    """Seeded descending source weights a and a target b that majorizes it:
+    generic b ~ a^2; zero_padded the same on the top half and 0 below;
+    tie_heavy one value, then the means of consecutive triples, of a^(2^k),
+    k raised until b majorizes a; flat_source the tie_heavy target with
+    every source weight 1/m, whose ties leave the step's choice of the
+    stopping set to the last bit.  Built from products, quotients and
+    running sums only, so the inputs carry the same bits on every platform."""
+    a = np.sort(np.random.default_rng([m, 23]).random(m))[::-1]
+    a /= math.fsum(a)
+    if shape == "generic":
+        b = a * a
+    elif shape == "zero_padded":
+        b = np.r_[a[: m // 2] ** 2, np.zeros(m - m // 2)]
+    else:
+        starts = np.r_[0, np.arange(1, m, 3)]
+        sizes = np.diff(np.r_[starts, m])
+        sharp = a / a[0]
+        while True:
+            sharp = sharp * sharp
+            b = np.repeat(np.add.reduceat(sharp, starts) / sizes, sizes)
+            if np.all(np.cumsum(b / math.fsum(b))[:-1] >= np.cumsum(a)[:-1]):
+                break
+        if shape == "flat_source":
+            a = np.full(m, 1.0 / m)
+    return a, b / math.fsum(b)
+
+
+# sha256 of the weights (float.hex) and permutations of each case, as the
+# earlier step loop computed them; a faster loop must keep every bit
+PERMUTOHEDRON_DIGESTS = {
+    (4, "generic"): "fe897df140b7b386970a6a614d5107b3183e835f7339c34d3a7ecc5379824552",
+    (4, "zero_padded"): "9fa6b82b71176d292bfd36354786689ed37418a538213110ed0b6c38a396c2a4",
+    (4, "tie_heavy"): "1dcecbd7a5946f12ae5773ac7baf15c759b97e6339da37be21af6fcfa036ea76",
+    (4, "flat_source"): "83363419c5b19f76a548b498ff18792d607f5cbaf795a3e4f522eef3127e98bd",
+    (8, "generic"): "ba699ac1023518322bb2e4ce381bc4773fb81fcf485eecface13f7da4d1dbcef",
+    (8, "zero_padded"): "ed36b5fefbf82c2497eba5f544c61e4b2264c23e37c1bb8b23b40f87c7a3c9ab",
+    (8, "tie_heavy"): "d7e0e9da986610c12710fffc93c981a244ef1f5608cf739dbba9f2a82d777e21",
+    (8, "flat_source"): "a7154ee76a7c4bb42d16b9fa27fee88cac3755c85c65a1b377ff132f20eebf92",
+    (16, "generic"): "fc1d7eb268f15e42d8092a63ebdb75810e37436e62deccfbc553bb2751942dbd",
+    (16, "zero_padded"): "3bd525982f927792996fe658d66739e997abf81036a5616d1f0be47aa8b9550f",
+    (16, "tie_heavy"): "074968918dabf40eec04ab82b77b5ba6b34a68265ae63a97a54ee98db9a96665",
+    (16, "flat_source"): "8f85cec7d7c69525bf5929f53a043d7e2455a3f34d3604a9fc9521c9d05be6e9",
+    (64, "generic"): "84e3e614a430cb7a2d57d5e3f6bc4554dc69d96c31b27f135acb2854b01a4674",
+    (64, "zero_padded"): "d51882470c5ac0c92fc1ebf2c7e8656e2afa460c6f919d646dffef24e3358044",
+    (64, "tie_heavy"): "ac9bfddfecf4a6fb41fbdaa78e16be9d13c9da545232bad96350174e02bd67aa",
+    (64, "flat_source"): "20c21f85b2b19b708a1f8ab45f77a7f70d920c63689ef97f3d769c456f2db08c",
+    (256, "generic"): "11c56480faa33a3312af5d3c65003cb373d5b976185ad0ae691cfc4cfa0a45e2",
+    (256, "zero_padded"): "0908a7c3380f16302e67476cca04be4425a8d118a3c68a48c7487c96362c79f4",
+    (256, "tie_heavy"): "02df14c2a50217e8635d43b25e9b6b515736266ffcaf60f6e0e3f925f4014351",
+    (256, "flat_source"): "b0f84aa27f809bfdbde1a38708f79aa3b8e92f0a3ac3537d25fec233af451391",
+}
+
+
+@pytest.mark.parametrize("shape", ["generic", "zero_padded", "tie_heavy", "flat_source"])
+@pytest.mark.parametrize("m", [4, 8, 16, 64, 256])
+def test_permutohedron_terms_bit_for_bit(m, shape):
+    """The mixing terms keep every bit: each step's operands and the order
+    of its floating-point operations are pinned, not only the mixture they
+    rebuild."""
+    digest = hashlib.sha256()
+    for w, perm in locc._permutohedron_terms(*permutohedron_pair(m, shape)):
+        digest.update(f"{float(w).hex()} {perm.tolist()}\n".encode())
+    assert digest.hexdigest() == PERMUTOHEDRON_DIGESTS[m, shape]
 
 
 # --------------------------------------------------------------------------- #
