@@ -3,10 +3,15 @@
 Exit codes: 0 for success (a negative decision is data, not an error),
 2 for parse/validation problems (including unknown commands and bad flag
 values), 3 for numerical failures inside core operations or unwritable
-output paths.  Record-style commands print one canonical JSON object;
-sweep-style commands (``embezzle sweep``, ``kappa profile``,
-``catalysis decay``, ``locc simulate``) emit a table as CSV (default) or a
-JSON array of records, deterministically ordered by their parameter tuple.
+output paths.
+
+Each handler is a function of the parsed arguments alone and returns what
+the command prints; :func:`dispatch` writes it.  A record command returns a
+dict, printed as one canonical JSON object.  A table command (``embezzle
+sweep``, ``kappa profile``, ``catalysis decay``, ``locc simulate``: the
+ones the parser gives ``--format``) returns ``(rows, columns)``, printed
+as CSV (default) or a JSON array of records, deterministically ordered by
+their parameter tuple.
 """
 
 from __future__ import annotations
@@ -70,15 +75,8 @@ class CommandConfig:
 # --------------------------------------------------------------------------- #
 
 def _cell(value: Any) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (float, np.floating)):
-        return eio.format_float(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    """A CSV cell: a string as it is, any other value as its canonical JSON."""
+    return value if isinstance(value, str) else eio.canonical_json(value)
 
 
 def emit_sweep(
@@ -90,8 +88,9 @@ def emit_sweep(
 
     CSV uses RFC-4180 quoting with a single header row; JSON is an array of
     records.  Rows are emitted in the order given — callers sort by their
-    parameter tuple first — and floats use the canonical 17-digit format, so
-    reruns are byte-identical.
+    parameter tuple first — and a CSV cell that is not a string is written as
+    its canonical JSON, so both formats share one scalar format (floats with
+    17 digits) and reruns are byte-identical.
     """
     for row in rows:
         if set(row) != set(columns):
@@ -106,10 +105,6 @@ def emit_sweep(
             writer.writerow([_cell(row[c]) for c in columns])
         text = buf.getvalue()
     eio.write_text(config.out, text)
-
-
-def _emit_record(record: dict, config: CommandConfig) -> None:
-    eio.write_text(config.out, eio.canonical_json(record))
 
 
 # --------------------------------------------------------------------------- #
@@ -150,79 +145,50 @@ def _load_density(path: str):
 #                                   Handlers                                   #
 # --------------------------------------------------------------------------- #
 
-def _cmd_schmidt(args, config: CommandConfig) -> int:
+# A table command's result: its rows, in print order, and its columns.
+Table = tuple[list[dict], list[str]]
+
+
+def _cmd_schmidt(args) -> dict:
     decomposition = schmidt(_load_state(args.file))
-    _emit_record(
-        {
-            "coefficients": decomposition.coefficients,
-            "rank": decomposition.rank,
-            "spectrum": decomposition.spectrum.values,
-        },
-        config,
-    )
-    return 0
+    return {
+        "coefficients": decomposition.coefficients,
+        "rank": decomposition.rank,
+        "spectrum": decomposition.spectrum.values,
+    }
 
 
-def _cmd_distinguish(args, config: CommandConfig) -> int:
+def _cmd_distinguish(args) -> dict:
     rho = _load_density(args.rho)
     sigma = _load_density(args.sigma)
-    _emit_record(
-        {
-            "trace_distance": trace_distance(rho, sigma),
-            "fidelity": fidelity(rho, sigma),
-        },
-        config,
-    )
-    return 0
+    return {"trace_distance": trace_distance(rho, sigma), "fidelity": fidelity(rho, sigma)}
 
 
-def _cmd_monotones(args, config: CommandConfig) -> int:
+def _cmd_monotones(args) -> dict:
     alphas = _parse_float_list(args.alpha, "--alpha") if args.alpha else []
     report = entanglement_entropies(schmidt(_load_state(args.file)).spectrum, alphas)
-    _emit_record(
-        {
-            "H": report.H,
-            "H_alpha": {eio.format_float(a): v for a, v in sorted(report.H_alpha.items())},
-            "schmidt_rank": report.schmidt_rank,
-        },
-        config,
-    )
-    return 0
+    return {
+        "H": report.H,
+        "H_alpha": {eio.format_float(a): v for a, v in sorted(report.H_alpha.items())},
+        "schmidt_rank": report.schmidt_rank,
+    }
 
 
-def _cmd_locc_decide(args, config: CommandConfig) -> int:
-    psi = _load_state(args.psi)
-    phi = _load_state(args.phi)
-    _emit_record({"feasible": locc_feasible(psi, phi)}, config)
-    return 0
+def _cmd_locc_decide(args) -> dict:
+    return {"feasible": locc_feasible(_load_state(args.psi), _load_state(args.phi))}
 
 
-def _cmd_locc_synth(args, config: CommandConfig) -> int:
+def _cmd_locc_synth(args) -> dict:
     psi = _load_state(args.psi)
     phi = _load_state(args.phi)
     try:
         protocol = nielsen_synthesize(psi, phi)
     except InfeasibleError:
-        # A refusal is a decision, not an error.
-        _emit_record({"feasible": False}, config)
-        return 0
-    _emit_record(eio.one_way_to_json(protocol), config)
-    return 0
+        return {"feasible": False}  # a refusal is a decision, not an error
+    return eio.one_way_to_json(protocol)
 
 
-def _branch_rows(branches) -> list[dict]:
-    rows = [
-        {
-            "history": eio.HISTORY_SEP.join(branch.history),
-            "probability": branch.probability,
-        }
-        for branch in branches
-    ]
-    rows.sort(key=lambda row: row["history"])
-    return rows
-
-
-def _cmd_locc_simulate(args, config: CommandConfig) -> int:
+def _cmd_locc_simulate(args) -> Table:
     doc = eio.load_document(args.protocol)
     psi = _load_state(args.psi)
     kind = doc.get("kind")
@@ -234,18 +200,20 @@ def _cmd_locc_simulate(args, config: CommandConfig) -> int:
         raise InvalidInputError(
             f"expected a locc_protocol or one_way document, got kind {kind!r}"
         )
-    emit_sweep(_branch_rows(branches), ["history", "probability"], config)
-    return 0
+    rows = [
+        {"history": eio.HISTORY_SEP.join(branch.history), "probability": branch.probability}
+        for branch in branches
+    ]
+    rows.sort(key=lambda row: row["history"])
+    return rows, ["history", "probability"]
 
 
-def _cmd_locc_reduce(args, config: CommandConfig) -> int:
+def _cmd_locc_reduce(args) -> dict:
     protocol = eio.protocol_from_json(eio.load_document(args.protocol))
-    psi = _load_state(args.psi)
-    _emit_record(eio.one_way_to_json(one_way_reduce(protocol, psi)), config)
-    return 0
+    return eio.one_way_to_json(one_way_reduce(protocol, _load_state(args.psi)))
 
 
-def _cmd_slocc(args, config: CommandConfig) -> int:
+def _cmd_slocc(args) -> dict:
     result = slocc(_load_state(args.psi), _load_state(args.phi))
     record: dict[str, Any] = {
         "feasible": result.feasible,
@@ -256,17 +224,15 @@ def _cmd_slocc(args, config: CommandConfig) -> int:
             "a_A": eio.operator_to_json(result.filter.op_A),
             "b_B": eio.operator_to_json(result.filter.op_B),
         }
-    _emit_record(record, config)
-    return 0
+    return record
 
 
-def _cmd_oneshot(args, config: CommandConfig) -> int:
+def _cmd_oneshot(args) -> dict:
     report = one_shot_entanglement(_load_state(args.psi))
-    _emit_record({"n_max": report.n_max, "ebits": report.ebits}, config)
-    return 0
+    return {"n_max": report.n_max, "ebits": report.ebits}
 
 
-def _cmd_embezzle_sweep(args, config: CommandConfig) -> int:
+def _cmd_embezzle_sweep(args) -> Table:
     if args.d < 1:
         raise InvalidInputError(f"--d must be a positive integer, got {args.d}")
     n_list = sorted(set(_parse_int_list(args.n_list, "--n-list")))
@@ -287,15 +253,10 @@ def _cmd_embezzle_sweep(args, config: CommandConfig) -> int:
                 "meets_bound": report.meets_bound,
             }
         )
-    emit_sweep(
-        rows,
-        ["n", "fidelity", "trace_error", "epsilon", "fidelity_bound", "meets_bound"],
-        config,
-    )
-    return 0
+    return rows, ["n", "fidelity", "trace_error", "epsilon", "fidelity_bound", "meets_bound"]
 
 
-def _cmd_kappa_profile(args, config: CommandConfig) -> int:
+def _cmd_kappa_profile(args) -> Table:
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 <= args.t_max - args.t_min < math.inf:  # NaN and infinities fail too
@@ -303,12 +264,10 @@ def _cmd_kappa_profile(args, config: CommandConfig) -> int:
     spec = LambdaFamilySpec(args.lam, args.m)
     grid = [float(t) for t in np.linspace(args.t_min, args.t_max, args.steps)]
     deviations = family_kappa_profile(spec, grid)
-    rows = [{"t": t, "deviation": d} for t, d in zip(grid, deviations)]
-    emit_sweep(rows, ["t", "deviation"], config)
-    return 0
+    return [{"t": t, "deviation": d} for t, d in zip(grid, deviations)], ["t", "deviation"]
 
 
-def _cmd_catalysis_decay(args, config: CommandConfig) -> int:
+def _cmd_catalysis_decay(args) -> Table:
     # each spec refuses a bad lambda or m before the period is taken from it
     m_list = sorted(set(_parse_int_list(args.m_list, "--m-list")))
     specs = [LambdaFamilySpec(args.lam, m) for m in m_list]
@@ -316,11 +275,10 @@ def _cmd_catalysis_decay(args, config: CommandConfig) -> int:
     for spec in specs:
         period = math.log(1.0 / spec.lambda_)
         rows.append({"m": spec.m, "t": period, "deviation": catalytic_deviation(spec, period)})
-    emit_sweep(rows, ["m", "t", "deviation"], config)
-    return 0
+    return rows, ["m", "t", "deviation"]
 
 
-def _cmd_classify(args, config: CommandConfig) -> int:
+def _cmd_classify(args) -> dict:
     values = _parse_float_list(args.spectrum, "--spectrum")
     if not values:
         raise InvalidInputError("--spectrum needs at least one value")
@@ -328,9 +286,7 @@ def _cmd_classify(args, config: CommandConfig) -> int:
         raise InvalidInputError(
             "spectrum entries must be strictly positive (truncate zeros first)"
         )
-    label = classify_itpfi(spectrum(values))
-    _emit_record(eio.type_label_to_json(label), config)
-    return 0
+    return eio.type_label_to_json(classify_itpfi(spectrum(values)))
 
 
 # --------------------------------------------------------------------------- #
@@ -466,8 +422,12 @@ def dispatch(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        config = CommandConfig(out=args.out, format=getattr(args, "format", "csv"))
-        return args.handler(args, config)
+        result = args.handler(args)
+        if hasattr(args, "format"):  # only the table parent gives a command --format
+            emit_sweep(*result, CommandConfig(args.out, args.format))
+        else:
+            eio.write_text(args.out, eio.canonical_json(result))
+        return 0
     except InvalidInputError as exc:
         print(f"entlab: {exc}", file=sys.stderr)
         return 2

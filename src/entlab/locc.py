@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,20 @@ HISTORY_SEP = ","
 #                                    types                                     #
 # --------------------------------------------------------------------------- #
 
+def _labels_ok(labels: Collection[str]) -> bool:
+    """Whether every label can be part of a history: non-empty and free of
+    ``HISTORY_SEP``, which joins histories.  One C-level pass."""
+    return "" not in labels and HISTORY_SEP not in "".join(labels)
+
+
+def _check_labels(labels: Collection[str], where: str = "") -> None:
+    """Refuse the first label that no history can carry, saying ``where``."""
+    if not _labels_ok(labels):
+        bad = next(label for label in labels if not _labels_ok((label,)))
+        raise InvalidInputError(f"label {bad!r}{where} must be non-empty and free of "
+                                f"{HISTORY_SEP!r}, which joins histories")
+
+
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """One Kraus operator per outcome, stacked as an (outcomes, d, d) finite
@@ -71,10 +85,7 @@ class Instrument:
         labels = tuple(map(str, self.labels))
         if len(labels) != len(ks) or len(set(labels)) != len(ks):
             raise InvalidInputError("labels must be distinct and match the outcome count")
-        for label in labels:
-            if not label or HISTORY_SEP in label:
-                raise InvalidInputError(f"label {label!r} must be non-empty and free of "
-                                        f"{HISTORY_SEP!r}, which joins histories")
+        _check_labels(labels)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "labels", labels)
 
@@ -123,10 +134,11 @@ def _completions(kraus: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 @dataclass(frozen=True, eq=False)
 class LoccRound:
     """One communication round: the acting party and, per message history (a
-    tuple of label strings), the instrument it applies.  The round checks its
-    instruments once, when built (one or more, one dimension, none over
-    complete), and keeps them completed in one stack, with every outcome's
-    label and each history's rows."""
+    tuple of labels an outcome can carry), the instrument it applies.  The
+    round checks its keys and instruments once, when built (one or more
+    instruments, one dimension, none over complete), and keeps them
+    completed in one stack, with every outcome's label and each history's
+    rows."""
 
     party: str
     branches: Mapping[tuple[str, ...], Instrument]
@@ -138,12 +150,15 @@ class LoccRound:
         if self.party not in ("A", "B"):
             raise InvalidInputError(f"party must be 'A' or 'B', got {self.party!r}")
         branches = dict(self.branches)
-        # one type pass over every key and label; any other type is walked, to name a bad key
-        if not (set(map(type, branches)) <= {tuple}
-                and set(map(type, chain.from_iterable(branches))) <= {str}):
+        # one type pass over the keys, then a type pass and a label pass over
+        # their distinct labels; a failure is walked key by key, to name the bad key
+        tuples = set(map(type, branches)) <= {tuple}
+        labels = set(chain.from_iterable(branches)) if tuples else set()
+        if not (tuples and set(map(type, labels)) <= {str} and _labels_ok(labels)):
             for hist in branches:
                 if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
                     raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
+                _check_labels(hist, f" in history key {hist!r}")
         instrs = list(branches.values())
         if not all(isinstance(instr, Instrument) for instr in instrs):
             raise InvalidInputError("branch values must be Instruments")
@@ -667,6 +682,8 @@ def one_way_branches(
         # a pruned branch's row is taken by the next branch
         new = np.matmul(k_op @ mat, w_op.T, out=out[len(probs)])
         prob = float(np.vdot(new, new).real)
+        if not math.isfinite(prob):  # NaN would be pruned as if it were zero
+            raise InvalidInputError(f"branch {x} has probability {prob!r}, not a finite number")
         if prob > MASS_CUT:
             probs.append(prob)
             hists.append((str(x),))

@@ -619,9 +619,13 @@ def test_cli_embezzle_sweep_csv_contract(capsys):
      ("catalysis decay --lambda 0.5 --m-list 1,2,4", "\r\n"),
      ("embezzle sweep --d 2 --n-list 16,256 --target bell", "\r\n"),
      ("kappa profile --family lambda --lambda 0.5 --m 2 --t-min 0 --t-max 0.693147 --steps 3",
-      "\r\n")],
+      "\r\n"),
+     ("locc decide bell.json phi73.json", "\n"),
+     ("locc decide phi73.json bell.json", "\n"),
+     ("oneshot bell.json", "\n")],
     ids=["schmidt", "monotones", "classify-II_1", "classify-III_lambda", "catalysis-decay",
-         "embezzle-sweep", "kappa-profile"],
+         "embezzle-sweep", "kappa-profile", "locc-decide-feasible", "locc-decide-infeasible",
+         "oneshot"],
 )
 def test_cli_prints_the_readme_examples(command, line_end, state_files, capsys):
     """Each README example's output, byte for byte: a record command prints
@@ -630,9 +634,74 @@ def test_cli_prints_the_readme_examples(command, line_end, state_files, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split(f"$ entlab {command}\n", 1)[1]
     lines = re.split(r"\n(?:\n|```)", block, maxsplit=1)[0].split("\n")
-    argv = [state_files["phi73"] if arg == "phi73.json" else arg for arg in command.split()]
+    argv = [state_files[arg.removesuffix(".json")] if arg.endswith(".json") else arg
+            for arg in command.split()]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and out == "".join(line + line_end for line in lines)
+
+
+KAPPA_ARGS = "--family lambda --lambda 0.5 --m 2 --t-min 0 --t-max 0.693147 --steps 3"
+
+
+@pytest.mark.parametrize(
+    "command, code, expected",
+    [("distinguish rho sigma", 0,
+      '{"trace_distance": 0.64031242374328479, "fidelity": 0.8968626966596881}\n'),
+     ("slocc bell phi73", 0,
+      '{"feasible": true, "success_prob": 0.7142857142857143, "filter": {'
+      '"a_A": {"kind": "operator", "shape": [2, 2], '
+      '"entries": [[[1, 0], [0, 0]], [[0, 0], [0.65465367070797709, 0]]]}, '
+      '"b_B": {"kind": "operator", "shape": [2, 2], '
+      '"entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}}\n'),
+     ("locc synth phi73 bell", 0, '{"feasible": false}\n'),
+     ("locc simulate corr bell --format json", 0,
+      '[{"history": "one,u", "probability": 0.50000000000000011}, '
+      '{"history": "zero,u", "probability": 0.50000000000000011}]\n'),
+     (f"kappa profile {KAPPA_ARGS} --format json", 0,
+      '[{"t": 0, "deviation": 0}, {"t": 0.34657349999999998, "deviation": 0.46677881785840197}, '
+      '{"t": 0.69314699999999996, "deviation": 0.66666662654220177}]\n'),
+     ("catalysis decay --lambda 0.5 --m-list 1,2,4 --format json", 0,
+      '[{"m": 1, "t": 0.69314718055994529, "deviation": 1.3333333333333333}, '
+      '{"m": 2, "t": 0.69314718055994529, "deviation": 0.88888888888888884}, '
+      '{"m": 4, "t": 0.69314718055994529, "deviation": 0.79012345679012341}]\n'),
+     ("oneshot bell --format json", 2, ""),
+     ("distinguish rho sigma --out", 0,
+      '{"trace_distance": 0.64031242374328479, "fidelity": 0.8968626966596881}\n'),
+     ("locc simulate corr bell --out", 0,
+      'history,probability\r\n"one,u",0.50000000000000011\r\n"zero,u",0.50000000000000011\r\n')],
+    ids=["distinguish", "slocc-filter", "synth-infeasible", "simulate-json", "kappa-json",
+         "catalysis-json", "record-refuses-format", "record-out", "table-out"],
+)
+def test_cli_bytes_are_pinned(command, code, expected, tmp_path, state_files, capsys):
+    """Record and table bytes of commands the README does not show; a
+    command ending in ``--out`` writes the same bytes to a file and none to
+    stdout."""
+    files = dict(
+        state_files,
+        rho=write_doc(tmp_path, "rho.json", eio.density_to_json(density(np.diag([0.7, 0.3])))),
+        sigma=write_doc(tmp_path, "sigma.json",
+                        eio.density_to_json(density(np.array([[0.5, 0.25], [0.25, 0.5]])))),
+        corr=write_doc(tmp_path, "corr.json", eio.protocol_to_json(correction_protocol())),
+    )
+    argv = [files.get(arg, arg) for arg in command.split()]
+    out_path = tmp_path / "out.txt"
+    if argv[-1] == "--out":
+        argv.append(str(out_path))
+    got_code, out, err = run_cli(argv, capsys)
+    assert got_code == code
+    if code:
+        assert out == "" and "unrecognized arguments: --format json" in err
+    elif argv[-2] == "--out":
+        assert out == "" and out_path.read_bytes() == expected.encode()
+        assert run_cli(argv[:-2], capsys)[1] == expected  # the bytes stdout gets
+    else:
+        assert out == expected and err == ""
+
+
+def test_csv_cells_share_the_json_scalar_format(capsys):
+    row = {"b": True, "i": 3, "n": np.int64(-7), "f": np.float64(0.1), "z": -0.0, "s": "x,y"}
+    emit_sweep([row], list(row), CommandConfig())
+    assert capsys.readouterr().out == 'b,i,n,f,z,s\r\ntrue,3,-7,0.10000000000000001,-0,"x,y"\r\n'
 
 
 def test_spectral_json_bytes_of_a_fixed_spectrum():
@@ -969,6 +1038,15 @@ def test_one_way_branches_validation():
     branches = one_way_branches(protocol, bell_state(2))
     assert [b.history for b in branches] == [("0",), ("1",)]
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_one_way_branches_refuses_a_non_finite_branch():
+    """A branch whose probability is NaN is refused, not pruned as if it
+    carried no mass."""
+    eye = np.eye(2)
+    protocol = OneWayProtocol((np.diag([1.0, math.nan]), np.diag([0.0, 1.0])), (eye, eye))
+    with pytest.raises(InvalidInputError, match="branch 0 has probability nan"):
+        one_way_branches(protocol, bell_state(2))
 
 
 # --------------------------------------------------------------------------- #

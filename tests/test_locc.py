@@ -783,15 +783,42 @@ def test_simulate_error_paths(run):
          "history key 'ab' must be a tuple of label strings"),
         (lambda: locc_round("A", {(0,): instrument([EYE2]), ("0",): instrument([SWAP])}),
          "history key (0,) must be a tuple of label strings"),
+        (lambda: Instrument([], []), "instrument needs at least one outcome"),
+        (lambda: Instrument([EYE2, np.eye(3)], ["0", "1"]),
+         "instrument Kraus operators must be equal square matrices"),
+        (lambda: Instrument([P0, P1], ["0", "0"]),
+         "labels must be distinct and match the outcome count"),
+        (lambda: Instrument([EYE2], [""]), "label '' must be non-empty and free of ','"),
     ],
     ids=["nan-kraus", "inf-kraus", "two-dimensions", "no-instrument", "super-normalized",
-         "reserved-label", "depth-17", "string-history", "integer-label-history"],
+         "reserved-label", "depth-17", "string-history", "integer-label-history",
+         "no-outcome", "unequal-matrices", "repeated-label", "empty-label"],
 )
 def test_protocol_parts_are_checked_when_built(build, message):
     """An instrument, round or protocol that no run could complete is
     refused when it is built, also on a history no state reaches."""
     with pytest.raises(InvalidInputError) as info:
         build()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ({("a", "b"): instrument([EYE2]), ("a,b",): instrument([SWAP])},
+         "label 'a,b' in history key ('a,b',) must be non-empty and free of ','"),
+        ({("",): instrument([EYE2])}, "label '' in history key ('',) must be non-empty"),
+        ({("a",): instrument([EYE2]), ("a", ""): instrument([SWAP])},
+         "label '' in history key ('a', '') must be non-empty"),
+    ],
+    ids=["comma-aliases-two-labels", "empty-label", "empty-second-label"],
+)
+def test_history_keys_no_outcome_can_carry_are_refused(branches, message):
+    """A history is a tuple of outcome labels, so a key whose label no outcome
+    may carry is refused when the round is built: written out, ("a,b",)
+    would alias ("a", "b") and ("",) would read back as ()."""
+    with pytest.raises(InvalidInputError) as info:
+        locc_round("B", branches)
     assert message in str(info.value)
 
 
