@@ -56,6 +56,8 @@ from .spectra import entanglement_entropies, spectrum
 
 __all__ = ["CommandConfig", "emit_sweep", "dispatch", "main"]
 
+TABLE_FORMATS = ("csv", "json")  # record commands always write JSON
+
 
 @dataclass(frozen=True)
 class CommandConfig:
@@ -66,8 +68,9 @@ class CommandConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise InvalidInputError(f"format must be csv or json, got {self.format!r}")
+        if self.format not in TABLE_FORMATS:
+            raise InvalidInputError(f"format must be {' or '.join(TABLE_FORMATS)}, "
+                                    f"got {self.format!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -92,9 +95,9 @@ def emit_sweep(
     its canonical JSON, so both formats share one scalar format (floats with
     17 digits) and reruns are byte-identical.
     """
-    for row in rows:
-        if set(row) != set(columns):
-            raise InvalidInputError("sweep rows must share one schema")
+    schema = set(columns)
+    if any(row.keys() != schema for row in rows):
+        raise InvalidInputError("sweep rows must share one schema")
     if config.format == "json":
         text = eio.canonical_json([{c: row[c] for c in columns} for row in rows])
     else:
@@ -299,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     table = argparse.ArgumentParser(add_help=False, parents=[common])
-    table.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+    table.add_argument("--format", choices=TABLE_FORMATS, default="csv", help="table format")
 
     parser = argparse.ArgumentParser(
         prog="entlab",

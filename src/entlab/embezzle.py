@@ -33,6 +33,7 @@ from .spectra import (
     Spectrum,
     _density_l1,
     _flow_time,
+    _merge_runs,
     atomic_measure,
     flow_act,
 )
@@ -388,60 +389,45 @@ def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
 #                            Factor-type diagnostics                           #
 # --------------------------------------------------------------------------- #
 
-def _merged_gaps(vals: np.ndarray) -> list[float]:
-    """Distinct positive values of ``log(vals[0] / vals[i])``, deduplicated."""
-    gaps = sorted(float(math.log(vals[0] / v)) for v in vals[1:])
-    merged: list[float] = []
-    for g in gaps:
-        if g <= MERGE_TOL:
-            continue
-        if merged and abs(g - merged[-1]) <= MERGE_TOL * max(1.0, g):
-            continue
-        merged.append(g)
-    return merged
-
-
 def classify_itpfi(s: Spectrum) -> TypeLabel:
     """Murray-von Neumann type label of the infinite tensor power built from
     a (positive, finite) Schmidt spectrum.
 
-    The decision is scale-invariant: only eigenvalue ratios enter.  Rank one
-    gives type I; an equal-weight spectrum gives II_1; if every log-ratio is
-    a rational multiple of the first one (continued-fraction rationalization,
+    The decision is scale-invariant: only the ratios of the largest entry to
+    the others enter, merged into runs by ``spectra._merge_runs`` as atoms
+    are.  Rank one gives type I; one run gives II_1; if every log-ratio is a
+    rational multiple of the first one (continued-fraction rationalization,
     denominators capped at 10**6, tolerance ``RATIO_TOL``), the ratio group
     is cyclic with generator ``g`` and the label is III_lambda with
     ``lambda = exp(-g)``.  Anything that defeats the rationalization budget
     falls back to III_1.  III_0 is never reported: a finite truncation cannot
     distinguish it from a drifting III_lambda sequence, so the honest finite
-    answer is the cyclic label or the fallback.
+    answer is the cyclic label or the fallback.  A ratio beyond float64 is
+    refused.
     """
-    vals = s.as_array()
+    vals = s.values
     if vals.size == 0:
         raise InvalidInputError("cannot classify an empty spectrum")
     if vals.size == 1:
         return TypeLabel("I")
-    if vals[0] - vals[-1] <= MERGE_TOL * vals[0]:
+    top, bottom = float(vals[0]), float(vals[-1])
+    if top / bottom == math.inf:
+        raise InvalidInputError(f"cannot classify: the ratio of the largest entry {top!r} "
+                                f"to the smallest {bottom!r} overflows float64")
+    # the ratios ascend, so each run is represented by its largest entry
+    ratios, _ = _merge_runs(top / vals, vals)
+    if ratios.size == 1:
         return TypeLabel("II_1")
-    gaps = _merged_gaps(vals)
-    base = gaps[0]
-    fracs: list[Fraction] = []
-    for g in gaps:
-        q = g / base
-        fr = Fraction(q).limit_denominator(RATIO_DENOMINATOR_CAP)
-        if fr <= 0 or abs(q - float(fr)) > RATIO_TOL * max(1.0, q):
-            return TypeLabel("III_1")
-        fracs.append(fr)
+    gaps = [math.log(r) for r in ratios[1:].tolist()]
+    qs = [g / gaps[0] for g in gaps]
+    fracs = [Fraction(q).limit_denominator(RATIO_DENOMINATOR_CAP) for q in qs]
     # The lcm of the denominators refines the base gap into a common unit.
-    denom = 1
-    for fr in fracs:
-        denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
-        if denom > RATIO_DENOMINATOR_CAP:
-            return TypeLabel("III_1")
-    multiples = [fr.numerator * (denom // fr.denominator) for fr in fracs]
-    step = 0
-    for mult in multiples:
-        step = math.gcd(step, mult)
-    generator = (base / denom) * step
+    denom = math.lcm(*(fr.denominator for fr in fracs))
+    if denom > RATIO_DENOMINATOR_CAP or any(
+            abs(q - float(fr)) > RATIO_TOL * max(1.0, q) for q, fr in zip(qs, fracs)):
+        return TypeLabel("III_1")
+    step = math.gcd(*(fr.numerator * (denom // fr.denominator) for fr in fracs))
+    generator = (gaps[0] / denom) * step
     for g in gaps:
         ratio = g / generator
         if abs(ratio - round(ratio)) > RATIO_TOL * max(1.0, ratio):

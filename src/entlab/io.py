@@ -98,6 +98,8 @@ def canonical_json(value: Any) -> str:
     :func:`format_float`, complex arrays become nested ``[re, im]`` pairs,
     and no whitespace depends on the platform.
     """
+    if isinstance(value, float):  # a table cell: skip the list and the join
+        return format_float(value)
     parts: list[str] = []
     _emit(value, parts)
     return "".join(parts)

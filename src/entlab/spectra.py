@@ -399,14 +399,19 @@ def smear(psi_hat: AtomicMeasure, omega: Spectrum) -> AtomicMeasure:
     """Smear a spectral state by a second spectrum.
 
     Returns ``sum_i w_i * flow_act(psi_hat, log w_i)`` over the nonzero
-    entries ``w_i`` of ``omega`` — exactly the spectral state of the tensor
-    product spectrum.  The flow keeps the masses, so the moved copies carry
-    the masses ``outer(omega, psi_hat.masses)``.
+    entries ``w_i`` of ``omega``: the atoms ``outer(omega, psi_hat.atoms)``
+    and masses ``outer(omega, psi_hat.masses)``, merged by
+    :func:`atomic_measure` — exactly the spectral state of the tensor product
+    spectrum.  Refused when an atom product underflows to 0.
     """
     if not omega.is_state():
         raise InvalidInputError("smearing weight must be a state spectrum")
-    atoms = np.concatenate([flow_act(psi_hat, math.log(w)).atoms for w in omega.values])
-    return atomic_measure(atoms, np.outer(omega.values, psi_hat.masses).ravel())
+    if psi_hat.atoms.size and omega.values[-1] * psi_hat.atoms[0] == 0.0:
+        w, lo, hi = float(omega.values[-1]), float(psi_hat.atoms[0]), float(psi_hat.atoms[-1])
+        raise InvalidInputError(
+            f"smearing weight w={w!r} moves atoms in [{lo!r}, {hi!r}] out of float64 range")
+    return atomic_measure(np.outer(omega.values, psi_hat.atoms).ravel(),
+                          np.outer(omega.values, psi_hat.masses).ravel())
 
 
 def measure_distribution(m: AtomicMeasure) -> StepFunction:

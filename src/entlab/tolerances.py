@@ -33,8 +33,8 @@ UNIT_VECTOR_TOL = 1e-8
 # log gaps are each within it form one run, however far the run spans.
 # ``catalytic_deviation`` treats a flow time this close to s periods
 # log(1/lambda) as moving atom k onto atom k - s, ``AtomicMeasure.isclose``
-# never resolves positions finer, and ``classify_itpfi`` treats such spectrum
-# entries and log-ratio gaps as equal.
+# never resolves positions finer, and ``classify_itpfi`` merges spectrum
+# entries by the same chained rule (there is no separate gap rule).
 MERGE_TOL = 1e-12
 # Relative to max(1, q).  ``classify_itpfi`` accepts a log-ratio q as a
 # fraction with denominator at most ``RATIO_DENOMINATOR_CAP``, or as an

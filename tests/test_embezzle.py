@@ -13,6 +13,7 @@ Oracles used here:
 from __future__ import annotations
 
 import math
+import re
 import time
 
 import numpy as np
@@ -617,6 +618,49 @@ def test_classify_never_reports_iii_zero():
     label = classify_itpfi(spectrum([1.0, 1e-12]))
     assert label.family == "III_lambda"
     assert label.parameter is not None and label.parameter > 0.0
+
+
+LAMBDA_POWER_HEX = {
+    0.1: ["0x1.9999999999998p-4", "0x1.999999999999bp-4", "0x1.9999999999998p-4",
+          "0x1.999999999999bp-4", "0x1.999999999999bp-4", "0x1.9999999999998p-4"],
+    0.5: ["0x1.0000000000000p-1"] * 6,
+    2 / 3: ["0x1.5555555555554p-1", "0x1.5555555555554p-1", "0x1.5555555555555p-1",
+            "0x1.5555555555555p-1", "0x1.5555555555556p-1", "0x1.5555555555556p-1"],
+    0.9: ["0x1.ccccccccccccep-1", "0x1.ccccccccccccep-1", "0x1.cccccccccccd0p-1",
+          "0x1.cccccccccccd1p-1", "0x1.cccccccccccd1p-1", "0x1.cccccccccccd0p-1"],
+}
+
+
+@pytest.mark.parametrize("lam", sorted(LAMBDA_POWER_HEX))
+def test_classify_lambda_of_tensor_powers_bit_for_bit(lam):
+    """lambda of the m-fold tensor power of (1, lam) / (1 + lam), m = 1-6,
+    to the last bit: each run is represented by its largest entry.  At
+    lam = 0.5, m = 1 is the README and CLI example (2/3, 1/3)."""
+    base = spectrum([1 / (1 + lam), lam / (1 + lam)])
+    power, got = base, []
+    for _ in range(6):
+        label = classify_itpfi(power)
+        assert label.family == "III_lambda"
+        got.append(label.parameter.hex())
+        power = tensor_spectrum(power, base)
+    assert got == LAMBDA_POWER_HEX[lam]
+
+
+def test_classify_merges_a_chain_of_near_equal_entries_like_spectral_state():
+    """Consecutive log gaps of 7e-13 each lie within ``MERGE_TOL``, though the
+    run spans 1.4e-12: one real under the chained rule, so one atom and II_1."""
+    vals = np.exp([0.0, -7e-13, -1.4e-12])
+    s = spectrum(vals / vals.sum())
+    assert classify_itpfi(s) == TypeLabel("II_1")
+    assert spectral_state(s).atoms.size == 1
+
+
+@pytest.mark.parametrize("values, entries", [([1.0, 1e-309], "1.0 to the smallest 1e-309"),
+                                             ([1.0, 1e-320], "1.0 to the smallest 1e-320"),
+                                             ([1e300, 1e-20], "1e+300 to the smallest 1e-20")])
+def test_classify_refuses_a_ratio_that_overflows(values, entries):
+    with pytest.raises(InvalidInputError, match=re.escape(f"largest entry {entries} overflows")):
+        classify_itpfi(spectrum(values))
 
 
 def test_kappa_max_formula_endpoints_and_parametrizations():

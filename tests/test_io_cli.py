@@ -78,6 +78,9 @@ def state_files(tmp_path):
             eio.state_to_json(state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])),
         ),
         "prod": write_doc(tmp_path, "prod.json", eio.state_to_json(product_basis_state(2, 2))),
+        "rho": write_doc(tmp_path, "rho.json", eio.density_to_json(density(np.diag([0.7, 0.3])))),
+        "sigma": write_doc(tmp_path, "sigma.json",
+                           eio.density_to_json(density([[0.5, 0.25], [0.25, 0.5]]))),
     }
 
 
@@ -577,6 +580,20 @@ def test_cli_classify_refuses_non_finite_entries(values, entry, capsys):
     assert err == f"entlab: spectrum {entry}, not a finite number\n"
 
 
+def test_cli_classify_merges_a_chain_of_near_equal_entries(capsys):
+    code, out, _ = run_cli(["classify", "--spectrum", "1,0.9999999999993,0.9999999999986"], capsys)
+    assert code == 0 and out == '{"family": "II_1"}\n'
+
+
+@pytest.mark.parametrize("values, top, bottom",
+                         [("1,1e-320", "1.0", "1e-320"), ("1e300,1e-20", "1e+300", "1e-20")])
+def test_cli_classify_refuses_a_ratio_that_overflows(values, top, bottom, capsys):
+    code, out, err = run_cli(["classify", "--spectrum", values], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"entlab: cannot classify: the ratio of the largest entry {top} "
+                   f"to the smallest {bottom} overflows float64\n")
+
+
 def test_spectrum_document_with_non_finite_values_is_refused():
     """json.loads reads NaN and Infinity; the spectrum refuses them."""
     for raw in ('[NaN, 1.0]', '[1.0, Infinity]'):
@@ -622,10 +639,11 @@ def test_cli_embezzle_sweep_csv_contract(capsys):
       "\r\n"),
      ("locc decide bell.json phi73.json", "\n"),
      ("locc decide phi73.json bell.json", "\n"),
-     ("oneshot bell.json", "\n")],
+     ("oneshot bell.json", "\n"),
+     ("distinguish rho.json sigma.json", "\n")],
     ids=["schmidt", "monotones", "classify-II_1", "classify-III_lambda", "catalysis-decay",
          "embezzle-sweep", "kappa-profile", "locc-decide-feasible", "locc-decide-infeasible",
-         "oneshot"],
+         "oneshot", "distinguish"],
 )
 def test_cli_prints_the_readme_examples(command, line_end, state_files, capsys):
     """Each README example's output, byte for byte: a record command prints

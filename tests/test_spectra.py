@@ -514,6 +514,26 @@ def test_smear_equals_tensor_spectral_state(a, b):
     assert math.isclose(got.total_mass, 1.0, abs_tol=1e-12)
 
 
+def test_smear_is_the_tensor_spectral_state_bit_for_bit():
+    """Smearing multiplies the atoms by the weights, so on 600 seeded pairs
+    of ranks 1-6 it is the spectral state of the tensor product spectrum
+    under ``==``: atoms and masses to the last bit."""
+    rng = np.random.default_rng(20)
+    for _ in range(600):
+        a, b = (state_spectrum(rng.dirichlet(np.ones(rng.integers(1, 7)))) for _ in range(2))
+        assert smear(spectral_state(a), b) == spectral_state(tensor_spectrum(a, b))
+
+
+def test_smear_refuses_a_product_that_underflows():
+    """1e-300 * 1e-30 is 0 in float64: refused, naming the weight and the
+    atoms, with no floating-point warning; a subnormal product is kept."""
+    psi = atomic_measure([1e-300, 1.0], [0.5, 0.5])
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "smearing weight w=1e-30 moves atoms in [1e-300, 1.0] out of float64 range")):
+        smear(psi, state_spectrum([1.0, 1e-30]))
+    assert smear(psi, state_spectrum([1.0, 1e-12])).atoms[0] == 1e-300 * 1e-12
+
+
 def test_smear_against_kron_eigensolve():
     rng = np.random.default_rng(7)
     for _ in range(25):
