@@ -37,7 +37,7 @@ from .spectra import (
     atomic_measure,
     flow_act,
 )
-from .tolerances import MERGE_TOL, RATIO_TOL, UNIT_VECTOR_TOL
+from .tolerances import MERGE_TOL, UNIT_VECTOR_TOL
 
 __all__ = [
     "VdhSpec",
@@ -60,13 +60,20 @@ __all__ = [
 
 # Largest n for which vdh_state will build the dense (n, n) amplitude grid.
 DENSE_STATE_CAP = 4096
-# Continued-fraction rationalization budget for classify_itpfi.
-RATIO_DENOMINATOR_CAP = 10**6
+# Largest denominator of a log-ratio relation classify_itpfi accepts.
+DENOMINATOR_CAP = 10**3
 
 
 # --------------------------------------------------------------------------- #
 #                                Config records                                #
 # --------------------------------------------------------------------------- #
+
+def _integer(value, least: int, need: str) -> int:
+    """``value`` as an int if it is an integer (NumPy too, not bool) >= ``least``; else refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise InvalidInputError(f"{need}, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class VdhSpec:
@@ -75,8 +82,7 @@ class VdhSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInputError(f"harmonic family needs integer n >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, 1, "harmonic family needs integer n >= 1"))
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,7 @@ class LambdaFamilySpec:
             raise InvalidInputError(
                 f"lambda must lie strictly between 0 and 1, got {self.lambda_!r}"
             )
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidInputError(f"tensor power m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", _integer(self.m, 1, "tensor power m must be a positive integer"))
 
 
 @dataclass(frozen=True)
@@ -200,12 +205,8 @@ def vdh_bound(d: int, n: int) -> VdhBound:
     the size-``n`` harmonic resource: trace error at most
     ``sqrt(2 log d / log n)`` and fidelity at least ``(1 - log d / log n)^2``
     (clipped to [0, 1])."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidInputError(f"target rank d must be a positive integer, got {d!r}")
-    if not isinstance(n, int) or n < 2:
-        raise InvalidInputError(
-            f"the guarantee needs n >= 2 (log n > 0), got n = {n!r}"
-        )
+    d = _integer(d, 1, "target rank d must be a positive integer")
+    n = _integer(n, 2, "the guarantee needs an integer n >= 2 (log n > 0)")
     ratio = math.log(d) / math.log(n)
     eps = math.sqrt(2.0 * ratio)
     bound = (1.0 - ratio) ** 2 if ratio < 1.0 else 0.0
@@ -395,15 +396,14 @@ def classify_itpfi(s: Spectrum) -> TypeLabel:
 
     The decision is scale-invariant: only the ratios of the largest entry to
     the others enter, merged into runs by ``spectra._merge_runs`` as atoms
-    are.  Rank one gives type I; one run gives II_1; if every log-ratio is a
-    rational multiple of the first one (continued-fraction rationalization,
-    denominators capped at 10**6, tolerance ``RATIO_TOL``), the ratio group
-    is cyclic with generator ``g`` and the label is III_lambda with
-    ``lambda = exp(-g)``.  Anything that defeats the rationalization budget
-    falls back to III_1.  III_0 is never reported: a finite truncation cannot
-    distinguish it from a drifting III_lambda sequence, so the honest finite
-    answer is the cyclic label or the fallback.  A ratio beyond float64 is
-    refused.
+    are.  Rank one gives type I; one run gives II_1.  III_lambda with
+    ``lambda = exp(-g_1 / lcm(b))`` needs every log-ratio ``g`` to be ``a / b``
+    times the smallest ``g_1`` (``b <= DENOMINATOR_CAP``) within the gaps'
+    rounding and the runs' spreads, checked exactly, and the largest exponent
+    of that generator to be the one integer that fits; else III_1.  Entries
+    count as exact to a few roundings, so an eigensolver's small eigenvalues
+    may give III_1.  III_0 is never reported: a finite truncation cannot tell
+    it from a drifting III_lambda sequence.  A ratio beyond float64 is refused.
     """
     vals = s.values
     if vals.size == 0:
@@ -415,24 +415,23 @@ def classify_itpfi(s: Spectrum) -> TypeLabel:
         raise InvalidInputError(f"cannot classify: the ratio of the largest entry {top!r} "
                                 f"to the smallest {bottom!r} overflows float64")
     # the ratios ascend, so each run is represented by its largest entry
-    ratios, _ = _merge_runs(top / vals, vals)
+    ratios, counts = _merge_runs(r := top / vals, np.ones(vals.size))
     if ratios.size == 1:
         return TypeLabel("II_1")
-    gaps = [math.log(r) for r in ratios[1:].tolist()]
-    qs = [g / gaps[0] for g in gaps]
-    fracs = [Fraction(q).limit_denominator(RATIO_DENOMINATOR_CAP) for q in qs]
-    # The lcm of the denominators refines the base gap into a common unit.
-    denom = math.lcm(*(fr.denominator for fr in fracs))
-    if denom > RATIO_DENOMINATOR_CAP or any(
-            abs(q - float(fr)) > RATIO_TOL * max(1.0, q) for q, fr in zip(qs, fracs)):
+    lasts = r[np.cumsum(counts, dtype=np.int64) - 1].tolist()
+    gaps = [Fraction(math.log(x)) for x in ratios[1:].tolist()]
+    # a gap's error: 8u (1 + g) = (1 + g) / 2**50 for a division and a log, plus the runs' spread
+    spreads = [Fraction(math.log(hi / lo)) for lo, hi in zip(ratios.tolist(), lasts)]
+    slack = [(1 + g) / 2**50 + spreads[0] + w for g, w in zip(gaps, spreads[1:])]
+    fracs = [(g / gaps[0]).limit_denominator(DENOMINATOR_CAP) for g in gaps]
+    if any(abs(f.denominator * g - f.numerator * gaps[0]) > f.denominator * e + f.numerator * slack[0]
+           for f, g, e in zip(fracs, gaps, slack)):
         return TypeLabel("III_1")
-    step = math.gcd(*(fr.numerator * (denom // fr.denominator) for fr in fracs))
-    generator = (gaps[0] / denom) * step
-    for g in gaps:
-        ratio = g / generator
-        if abs(ratio - round(ratio)) > RATIO_TOL * max(1.0, ratio):
-            return TypeLabel("III_1")
-    return TypeLabel("III_lambda", parameter=math.exp(-generator))
+    denom = math.lcm(*(f.denominator for f in fracs))  # refines the base gap into the generator
+    # the largest gap's exponent n = fracs[-1] * denom is unique: n + 1 does not fit
+    if 2 * denom * slack[-1] + (2 * fracs[-1] * denom + 1) * slack[0] >= gaps[0]:
+        return TypeLabel("III_1")
+    return TypeLabel("III_lambda", parameter=math.exp(-(float(gaps[0]) / denom)))
 
 
 def kappa_max_formula(lam: float) -> float:

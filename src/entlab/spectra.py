@@ -402,14 +402,15 @@ def smear(psi_hat: AtomicMeasure, omega: Spectrum) -> AtomicMeasure:
     entries ``w_i`` of ``omega``: the atoms ``outer(omega, psi_hat.atoms)``
     and masses ``outer(omega, psi_hat.masses)``, merged by
     :func:`atomic_measure` — exactly the spectral state of the tensor product
-    spectrum.  Refused when an atom product underflows to 0.
+    spectrum.  Refused when an atom or mass product underflows to 0.
     """
     if not omega.is_state():
         raise InvalidInputError("smearing weight must be a state spectrum")
-    if psi_hat.atoms.size and omega.values[-1] * psi_hat.atoms[0] == 0.0:
-        w, lo, hi = float(omega.values[-1]), float(psi_hat.atoms[0]), float(psi_hat.atoms[-1])
-        raise InvalidInputError(
-            f"smearing weight w={w!r} moves atoms in [{lo!r}, {hi!r}] out of float64 range")
+    w = float(omega.values[-1])
+    for what, x in (("atoms", psi_hat.atoms), ("masses", psi_hat.masses)):
+        if x.size and w * float(x.min()) == 0.0:
+            raise InvalidInputError(f"smearing weight w={w!r} moves {what} in [{float(x.min())!r}, "
+                                    f"{float(x.max())!r}] out of float64 range")
     return atomic_measure(np.outer(omega.values, psi_hat.atoms).ravel(),
                           np.outer(omega.values, psi_hat.masses).ravel())
 

@@ -36,10 +36,6 @@ UNIT_VECTOR_TOL = 1e-8
 # never resolves positions finer, and ``classify_itpfi`` merges spectrum
 # entries by the same chained rule (there is no separate gap rule).
 MERGE_TOL = 1e-12
-# Relative to max(1, q).  ``classify_itpfi`` accepts a log-ratio q as a
-# fraction with denominator at most ``RATIO_DENOMINATOR_CAP``, or as an
-# integer multiple of the generator, when it is this close to it.
-RATIO_TOL = 1e-9
 # Absolute.  ``sorted_eigh`` chains neighbouring eigenvalues closer than this
 # into one degenerate cluster.  Gaps chain, so one cluster can span more than
 # the gap.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from entlab.quantum import (
     _sorted_overlap,
     bell_state,
     lu_orbit_fidelity,
+    marginal,
     product_basis_state,
     pure_state,
     schmidt,
@@ -186,6 +188,30 @@ def test_vdh_state_small_and_materialization_cap():
         vdh_state(0)
     with pytest.raises(InvalidInputError):
         VdhSpec(-3)
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16, int])
+def test_sizes_accept_any_integer_type_and_store_a_python_int(make):
+    """NumPy integers (as from ``2 ** np.arange(4, 21)``) are integers: each
+    size gives the same result as the Python int, and the records hold one."""
+    assert np.array_equal(vdh_coefficients(make(16)), vdh_coefficients(16))
+    assert vdh_bound(make(2), make(16)) == vdh_bound(2, 16)
+    assert type(VdhSpec(make(16)).n) is int
+    assert type(LambdaFamilySpec(0.5, make(3)).m) is int
+    assert catalytic_deviation(LambdaFamilySpec(0.5, make(3)), math.log(2)) == \
+        catalytic_deviation(LambdaFamilySpec(0.5, 3), math.log(2))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 16.0, np.float64(16.0), "16", None])
+def test_sizes_refuse_bool_and_non_integers(bad):
+    with pytest.raises(InvalidInputError, match="harmonic family needs integer n >= 1"):
+        VdhSpec(bad)
+    with pytest.raises(InvalidInputError, match="tensor power m must be a positive integer"):
+        LambdaFamilySpec(0.5, bad)
+    with pytest.raises(InvalidInputError, match="target rank d must be a positive integer"):
+        vdh_bound(bad, 16)
+    with pytest.raises(InvalidInputError, match="the guarantee needs an integer n >= 2"):
+        vdh_bound(2, bad)
 
 
 def test_vdh_bound_hand_values():
@@ -661,6 +687,184 @@ def test_classify_merges_a_chain_of_near_equal_entries_like_spectral_state():
 def test_classify_refuses_a_ratio_that_overflows(values, entries):
     with pytest.raises(InvalidInputError, match=re.escape(f"largest entry {entries} overflows")):
         classify_itpfi(spectrum(values))
+
+
+def _classify_oracle(values) -> TypeLabel:
+    """The commensurability rule in ``fractions`` arithmetic on the same float
+    gaps, for spectra of rank >= 2 whose distinct entries lie far apart (no
+    two merge into one run): each gap ``g`` may be off by ``8u (1 + g)``."""
+    vals = sorted(set(values), reverse=True)
+    gaps = [Fraction(math.log(vals[0] / v)) for v in vals[1:]]
+    assert min(gaps) > 1e-9
+    slack = [(1 + g) / 2**50 for g in gaps]
+    fracs = [(g / gaps[0]).limit_denominator(embezzle.DENOMINATOR_CAP) for g in gaps]
+    for g, e, fr in zip(gaps, slack, fracs):
+        a, b = fr.numerator, fr.denominator
+        if abs(b * g - a * gaps[0]) > b * e + a * slack[0]:
+            return TypeLabel("III_1")
+    denom = math.lcm(*(fr.denominator for fr in fracs))
+    n = fracs[-1] * denom  # the largest gap's exponent: n + 1 must not fit as well
+    if 2 * denom * slack[-1] + (2 * n + 1) * slack[0] >= gaps[0]:
+        return TypeLabel("III_1")
+    return TypeLabel("III_lambda", parameter=math.exp(-(float(gaps[0]) / denom)))
+
+
+def _dirichlet_spectra():
+    rng = np.random.default_rng(2026)
+    return [rng.dirichlet(np.ones(rank)) for rank in (3, 4, 6) for _ in range(500)]
+
+
+LAMBDA_EXPONENT_SETS = [(0, 3, 5, 7), (0, 5, 13), (0, 1, 2, 3)]
+
+
+def _exponent_spectrum(lam, exponents):
+    v = np.power(lam, np.array(exponents, dtype=float))
+    return v / v.sum()
+
+
+def _moved(entry):
+    """(1, 1/2, 1/4, 1/8) normalized, with one entry scaled by 1 + 1e-13, then
+    moved one ulp down, then one ulp up."""
+    base = _exponent_spectrum(0.5, (0, 1, 2, 3))
+    out = [base.copy() for _ in range(3)]
+    out[0][entry] *= 1 + 1e-13
+    out[1][entry] = np.nextafter(base[entry], 0.0)
+    out[2][entry] = np.nextafter(base[entry], 1.0)
+    return out
+
+
+def test_classify_generic_spectra_are_iii_one():
+    """Two incommensurate log-ratios give III_1.  500 seeded Dirichlet spectra
+    of each of ranks 3, 4 and 6: none hides a relation with denominator at
+    most ``DENOMINATOR_CAP`` within its rounding, so every one is III_1."""
+    labels = [classify_itpfi(spectrum(p)) for p in _dirichlet_spectra()]
+    assert labels == [TypeLabel("III_1")] * 1500
+    assert classify_itpfi(spectrum([0.5, 0.3, 0.2])) == TypeLabel("III_1")
+    assert classify_itpfi(spectrum([0.4, 0.3, 0.2, 0.1])) == TypeLabel("III_1")
+
+
+@pytest.mark.parametrize("exponents", LAMBDA_EXPONENT_SETS)
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.7, 0.9])
+def test_classify_lambda_exponent_sets_within_four_ulp(lam, exponents):
+    label = classify_itpfi(spectrum(_exponent_spectrum(lam, exponents)))
+    assert label.family == "III_lambda"
+    assert abs(label.parameter - lam) <= 4 * math.ulp(lam)
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_classify_precision_follows_the_data(entry):
+    """(1, 1/2, 1/4, 1/8) normalized is III_0.5; one entry moved by a relative
+    1e-13, far beyond the gaps' rounding, breaks the relation (III_1), while
+    one moved by an ulp either way is still III_0.5 within 4 ulp."""
+    scaled, down, up = _moved(entry)
+    assert classify_itpfi(spectrum(scaled)) == TypeLabel("III_1")
+    for moved in (down, up):
+        label = classify_itpfi(spectrum(moved))
+        assert label.family == "III_lambda"
+        assert abs(label.parameter - 0.5) <= 4 * math.ulp(0.5)
+
+
+def test_classify_decisions_match_a_fractions_oracle():
+    """Label and lambda's bits equal the ``fractions`` evaluation of the rule
+    on every spectrum of the three tests above."""
+    corpus = _dirichlet_spectra()
+    corpus += [_exponent_spectrum(lam, e) for lam in (0.1, 0.5, 0.7, 0.9) for e in LAMBDA_EXPONENT_SETS]
+    corpus += [moved for entry in range(4) for moved in _moved(entry)]
+    for p in corpus:
+        assert classify_itpfi(spectrum(p)) == _classify_oracle(p.tolist())
+
+
+def test_classify_a_thousand_level_geometric_spectrum_quickly():
+    """1 000 distinct levels 2**-k, exponents up to 999: III_0.5 in well under
+    100 ms (the exact check is ``fractions`` arithmetic, one relation per
+    level)."""
+    s = spectrum(0.5 ** np.arange(1000.0))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        label = classify_itpfi(s)
+        best = min(best, time.perf_counter() - start)
+    assert label == TypeLabel("III_lambda", parameter=0.5)
+    assert best < 0.1
+
+
+@pytest.mark.parametrize("lam, levels", [(0.9, 1002), (0.9, 2000), (0.5, 1024)])
+def test_classify_long_geometric_spectra_keep_their_lambda(lam, levels):
+    """The generator's exponents are bounded by the data, not by a fixed cap:
+    ``lam ** k`` for k below 2 000 fixes every exponent, so III_lam."""
+    label = classify_itpfi(spectrum(np.power(lam, np.arange(float(levels)))))
+    assert label.family == "III_lambda"
+    assert abs(label.parameter - lam) <= 4 * math.ulp(lam)
+
+
+@pytest.mark.parametrize("dup", [0.5 * (1 + 1e-13), 0.5 * (1 - 1e-13)])
+def test_classify_a_moved_duplicate_keeps_the_label(dup):
+    """Two entries 1e-13 apart are one level (``MERGE_TOL``), represented by
+    the larger; the level may sit anywhere in the run's spread, so moving
+    either copy leaves (1, 1/2, 1/2, 1/4) III_lambda, lambda the
+    representative's ratio."""
+    label = classify_itpfi(spectrum([1.0, dup, 0.5, 0.25]))
+    assert label == TypeLabel("III_lambda", parameter=math.exp(-math.log(1.0 / max(dup, 0.5))))
+
+
+def _tensor_power_levels(lam, m_max):
+    """Distinct entries of the m-fold ``tensor_spectrum`` power of the lambda
+    family for m = 1 .. m_max: a product of the distinct entries gives every
+    distinct entry, so the m = 64 power needs no 2**64 array."""
+    base = spectrum([1 / (1 + lam), lam / (1 + lam)])
+    powers = [base]
+    while len(powers) < m_max:
+        powers.append(spectrum(np.unique(tensor_spectrum(powers[-1], base).values)))
+    return powers
+
+
+@pytest.mark.parametrize("lam", [0.9, 2 / 3])
+def test_classify_repeated_tensor_powers_up_to_m_64(lam):
+    """Each entry of the m-fold power carries m - 1 product roundings and each
+    level's copies spread over a few ulp; the gaps' bound and the runs'
+    spreads cover both, so every power up to m = 64 is III_lambda, lambda off
+    by no more than the top entries' roundings.  The distinct-entry powers
+    give the full ``tensor_spectrum`` power's label (checked up to m = 10)."""
+    powers = _tensor_power_levels(lam, 64)
+    full = powers[0]
+    for m, levels in enumerate(powers[:10], start=1):
+        assert classify_itpfi(levels) == classify_itpfi(full), m
+        full = tensor_spectrum(full, powers[0])
+    for m, levels in enumerate(powers, start=1):
+        label = classify_itpfi(levels)
+        assert label.family == "III_lambda", m
+        assert abs(label.parameter - lam) <= 16 * math.ulp(lam), m
+
+
+def _haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def test_classify_numerically_computed_lambda_family_spectra():
+    """The m-fold lambda-family state under seeded random local unitaries:
+    its Schmidt spectrum by SVD and its marginal's eigenvalues carry errors of
+    about u times the largest entry.  The label is III_lambda with the right
+    lambda where those errors fit the gaps' bound and III_1 otherwise, never
+    another lambda; at lambda = 0.1, m = 5 the eigensolver's smallest
+    eigenvalues (about 6e-6 of the largest) are off by far more than their
+    own rounding, so III_1."""
+    rng = np.random.default_rng(17)
+    for lam in (0.1, 0.5, 0.9):
+        for m in range(1, 6):
+            amplitudes = np.ones(1)
+            for _ in range(m):
+                amplitudes = np.kron(amplitudes, np.sqrt([1 / (1 + lam), lam / (1 + lam)]))
+            d = amplitudes.size
+            psi = pure_state((d, d), (_haar_unitary(d, rng) * amplitudes
+                                      @ _haar_unitary(d, rng).T).ravel())
+            labels = [classify_itpfi(schmidt(psi).spectrum),
+                      classify_itpfi(marginal(psi, "A").spectrum())]
+            for label in labels:
+                assert label.family == "III_1" or \
+                    abs(label.parameter - lam) <= 1e-12 * lam, (lam, m, label)
+            if (lam, m) == (0.1, 5):
+                assert labels[1] == TypeLabel("III_1")
 
 
 def test_kappa_max_formula_endpoints_and_parametrizations():

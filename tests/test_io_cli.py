@@ -585,6 +585,12 @@ def test_cli_classify_merges_a_chain_of_near_equal_entries(capsys):
     assert code == 0 and out == '{"family": "II_1"}\n'
 
 
+@pytest.mark.parametrize("values", ["0.5,0.3,0.2", "0.4,0.3,0.2,0.1"])
+def test_cli_classify_generic_spectra_are_iii_one(values, capsys):
+    code, out, _ = run_cli(["classify", "--spectrum", values], capsys)
+    assert code == 0 and out == '{"family": "III_1"}\n'
+
+
 @pytest.mark.parametrize("values, top, bottom",
                          [("1,1e-320", "1.0", "1e-320"), ("1e300,1e-20", "1e+300", "1e-20")])
 def test_cli_classify_refuses_a_ratio_that_overflows(values, top, bottom, capsys):

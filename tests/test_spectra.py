@@ -534,6 +534,17 @@ def test_smear_refuses_a_product_that_underflows():
     assert smear(psi, state_spectrum([1.0, 1e-12])).atoms[0] == 1e-300 * 1e-12
 
 
+def test_smear_refuses_a_mass_product_that_underflows():
+    """A mass product that underflows to 0 is refused by the same rule as an
+    atom product, naming the weight and the masses, with no floating-point
+    warning; a subnormal mass product is kept."""
+    psi = atomic_measure([1.0], [1e-300])
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "smearing weight w=1e-30 moves masses in [1e-300, 1e-300] out of float64 range")):
+        smear(psi, state_spectrum([1.0, 1e-30]))
+    assert smear(psi, state_spectrum([1.0, 1e-12])).masses.min() == 1e-300 * 1e-12
+
+
 def test_smear_against_kron_eigensolve():
     rng = np.random.default_rng(7)
     for _ in range(25):
