@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success (a negative decision is data, not an error),
 2 for parse/validation problems (including unknown commands and bad flag
-values), 3 for numerical failures inside core operations or unwritable
-output paths.
+values), 3 for numerical failures inside core operations, unwritable
+output paths, or a computation too large for memory.
 
 Each handler is a function of the parsed arguments alone and returns what
 the command prints; :func:`dispatch` writes it.  A record command returns a
@@ -439,6 +439,9 @@ def dispatch(argv: Sequence[str]) -> int:
         return 3
     except EntlabError as exc:
         print(f"entlab: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"entlab: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         # Input-file problems surface as InvalidInputError above; reaching

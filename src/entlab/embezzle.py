@@ -1,19 +1,23 @@
 """Embezzlement families, catalytic flow deviation, and factor-type labels.
 
 The harmonic ("van-Dam/Hayden style") family is handled entirely through its
-sorted Schmidt-coefficient lists, so a report for ``n`` in the millions takes
-tens of milliseconds; dense state vectors are only materialized on request
-for small ``n``.  A report builds the harmonic list once, with its harmonic
-number summed exactly, and decomposes each state once; it sorts a product
-list only when the interleaved list is out of order, and argsorts nothing
-until ``permutations`` is read.  Its oracle, ``orbit_trace_defect``, takes
-the A-marginal spectrum route on its own code.  The lambda-family
-diagnostics use the binomial masses of the m-fold spectral state instead of
-expanding ``2**m`` tensor-power entries, and never form an atom: the kappa
-profile runs on centred log-positions and the catalytic deviation is a
-closed form in the masses, so neither has a limit on m.  Only
-``lambda_family_measure``, which returns the true atoms, is refused once
-they underflow float64 (m = 678 at lambda = 0.5).
+sorted Schmidt-coefficient lists, so a report at ``n = 2**20`` takes about
+ten milliseconds; dense state vectors are only materialized on request for
+small ``n``.  A report makes each pass over its ``n * d`` lists once.  It
+builds the harmonic list in one buffer, its harmonic number summed exactly
+by two whole-array reductions into per-binade sums, and decomposes each
+state once.  A product start or a maximally entangled target is in order by
+its coefficients alone; any other product list is checked, and sorted only
+when out of order; nothing is argsorted until ``permutations`` is read.  The
+fidelity is one dot product over the two zero-padded lists, whose full
+comparison is skipped when their first entries differ.  Its oracle,
+``orbit_trace_defect``, takes the A-marginal spectrum route on its own code.
+The lambda-family diagnostics use the binomial masses of the m-fold
+spectral state instead of expanding ``2**m`` tensor-power entries, and
+never form an atom: the kappa profile runs on centred log-positions and the
+catalytic deviation is a closed form in the masses, so neither has a limit
+on m.  Only ``lambda_family_measure``, which returns the true atoms, is
+refused once they underflow float64 (m = 678 at lambda = 0.5).
 """
 
 from __future__ import annotations
@@ -154,35 +158,52 @@ class TypeLabel:
 # --------------------------------------------------------------------------- #
 
 def _fsum_descending(x: np.ndarray) -> float:
-    """``math.fsum(x)`` for a descending array of positive floats below 2**53:
-    the exact sum, rounded once.
+    """``math.fsum(x)`` for a descending array of positive normal floats
+    below 2**53, fewer than 2**31 of them in any binade: the exact sum,
+    rounded once.
 
-    The terms with binary exponent e are a contiguous run, each an integer
-    mantissa ``m < 2**53`` times ``2**(e - 53)``.  A run's mantissas are summed
-    in int64 as 26-bit high and low halves, which cannot overflow below 2**36
-    terms; the runs are combined as Python ints and the total is divided once
-    by a power of two, which Python's int division rounds correctly.
+    The terms of biased exponent E are a contiguous run, each its int64 bit
+    pattern minus ``(E - 1) * 2**52`` (an integer mantissa below 2**53) times
+    ``2**(E - 1075)``.  One ``np.add.reduceat`` over the bit patterns sums
+    every run exactly mod 2**64; a second over the floats gives each run's
+    sum to within ``c**2 < 2**62`` mantissa units for a run of c terms, which
+    fixes the multiple of 2**64.  The runs are combined as Python ints and the
+    total is divided once by a power of two, which Python's int division
+    rounds correctly.
     """
-    top, bottom = math.frexp(x[0])[1], math.frexp(x[-1])[1]
-    exponents = range(top, bottom - 1, -1)
-    stops = x.size - np.searchsorted(x[::-1], [math.ldexp(1.0, e - 1) for e in exponents])
-    total, start = 0, 0
-    for e, stop in zip(exponents, stops.tolist()):
-        m = np.ldexp(x[start:stop], 53 - e).astype(np.int64)
-        total = 2 * total + (int(np.sum(m >> 26)) << 26) + int(np.sum(m & (2**26 - 1)))
-        start = stop
-    return total / (1 << (53 - bottom))
+    top, bottom = (b >> 52 for b in x[[0, -1]].view(np.int64).tolist())
+    exps = np.arange(top, bottom - 1, -1)
+    stops = x.size - np.searchsorted(x[::-1], np.ldexp(1.0, exps - 1023))
+    starts = np.concatenate(([0], stops[:-1]))
+    runs = stops > starts  # a skipped binade has an empty run
+    exps, starts, counts = exps[runs], starts[runs], (stops - starts)[runs]
+    total, last = 0, top
+    for e, c, bits, estimate in zip(
+        exps.tolist(),
+        counts.tolist(),
+        np.add.reduceat(x.view(np.int64), starts).tolist(),
+        np.add.reduceat(x, starts).tolist(),
+    ):
+        wrapped = (bits - c * ((e - 1) << 52)) % 2**64  # the run's mantissa sum mod 2**64
+        near = int(math.ldexp(estimate, 1075 - e))  # the same sum, off by less than 2**62
+        total = (total << (last - e)) + wrapped + ((near - wrapped + 2**63) >> 64 << 64)
+        last = e
+    return total / (1 << (1075 - bottom))
 
 
 def vdh_coefficients(n: int) -> np.ndarray:
     """Descending Schmidt coefficients ``c_n / sqrt(alpha)``, alpha = 1..n,
     with ``c_n`` the inverse square root of the n-th harmonic number.  The
     harmonic number is the correctly rounded sum of the terms ``1 / alpha``,
-    bit for bit ``math.fsum``'s."""
+    bit for bit ``math.fsum``'s.  The list is built in one buffer: the terms,
+    then their square roots, then the scaling, each in place."""
     spec = VdhSpec(n)
-    inv = 1.0 / np.arange(1, spec.n + 1, dtype=float)
-    c = 1.0 / math.sqrt(_fsum_descending(inv))
-    return c * np.sqrt(inv)
+    out = np.arange(1, spec.n + 1, dtype=float)
+    np.divide(1.0, out, out=out)
+    c = 1.0 / math.sqrt(_fsum_descending(out))
+    np.sqrt(out, out=out)
+    out *= c
+    return out
 
 
 def vdh_state(n: int) -> PureBipartiteState:
@@ -219,10 +240,12 @@ def _sorted_products(base: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     coefficients.size`` entries, the products with phi's exact zeros last.
 
     Only the nonzero products are ordered.  Their interleaved outer-product
-    list is already non-increasing when phi has one nonzero coefficient or
-    equal ones (a product start, a maximally entangled target), and is then
-    kept as it is; otherwise it is sorted by value.  Ties hold equal values,
-    so the list equals the raw list's stable descending sort bit for bit.
+    list is non-increasing when phi has one nonzero coefficient or equal ones
+    (a product start, a maximally entangled target); that is read from the
+    coefficients, and the list is kept as it is.  Any other list is checked
+    in one pass and, if out of order, sorted by value.  Ties hold equal
+    values, so the list equals the raw list's stable descending sort bit for
+    bit.
     """
     out = np.zeros(base.size * coefficients.size)
     nonzero = coefficients[coefficients > 0]
@@ -230,7 +253,7 @@ def _sorted_products(base: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     grid = head.reshape(base.size, nonzero.size)
     for j, c in enumerate(nonzero):  # one long multiply per column beats outer's short rows
         np.multiply(base, c, out=grid[:, j])
-    if np.any(head[1:] > head[:-1]):
+    if nonzero.min() != nonzero.max() and np.any(head[1:] > head[:-1]):
         head[:] = np.sort(head)[::-1]
     return out
 
@@ -278,19 +301,24 @@ def orbit_trace_defect(
     overlap routine; the two must agree to near machine precision, which the
     test suite pins at 1e-9.  The one piece they share is
     :func:`vdh_coefficients`, whose normalization the test suite pins to
-    ``1 / sqrt(math.fsum(1 / alpha))`` bit for bit.
+    ``1 / sqrt(math.fsum(1 / alpha))`` bit for bit.  Each spectrum is
+    squared and sorted in its own buffer, and lists of equal length are not
+    padded, so the route holds at most three ``n * d`` lists at once.
     """
     base = vdh_coefficients(n)
-    a, b = (
-        np.sort(np.multiply.outer(base, schmidt(phi).coefficients).ravel() ** 2)[::-1]
-        for phi in (phi_start, phi_target)
-    )
-    size = max(a.size, b.size)
-    a, b = (np.pad(x, (0, size - x.size)) for x in (a, b))
+    spectra = []
+    for phi in (phi_start, phi_target):
+        x = np.multiply.outer(base, schmidt(phi).coefficients).ravel()
+        np.square(x, out=x)
+        np.negative(x, out=x)  # ascending in -x is descending in x, kept in place
+        x.sort()
+        spectra.append(np.negative(x, out=x))
+    size = max(x.size for x in spectra)
+    a, b = (x if x.size == size else np.pad(x, (0, size - x.size)) for x in spectra)
     if np.array_equal(a, b):
         fid = 1.0
     else:
-        fid = min(float(np.sum(np.sqrt(a) * np.sqrt(b))) ** 2, 1.0)
+        fid = min(float(np.sum(np.sqrt(a, out=a) * np.sqrt(b, out=b))) ** 2, 1.0)
     return 2.0 * math.sqrt(max(1.0 - fid, 0.0))
 
 

@@ -294,11 +294,13 @@ def orbit_distance_matrices(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
     """Squared inner product of two descending coefficient lists, zero-padded
     to a common length and clipped at 1; exactly 1.0 for equal lists, so the
-    dot product's last-ulp rounding cannot leak into ``1 - F``.  A list
-    already at the common length is used as it is, not copied."""
+    dot product's last-ulp rounding cannot leak into ``1 - F``.  Lists whose
+    first entries differ skip the full comparison.  A list already at the
+    common length is used as it is, not copied."""
     size = max(s.size, t.size)
     s, t = (x if x.size == size else np.pad(x, (0, size - x.size)) for x in (s, t))
-    return 1.0 if np.array_equal(s, t) else min(float(s @ t) ** 2, 1.0)
+    same = s[0] == t[0] and np.array_equal(s, t)
+    return 1.0 if same else min(float(s @ t) ** 2, 1.0)
 
 
 def lu_orbit_fidelity(psi: PureBipartiteState, phi: PureBipartiteState) -> float:

@@ -175,6 +175,36 @@ def test_vdh_normalization_is_math_fsum_bitwise():
         assert np.array_equal(vdh_coefficients(n), expect), n
 
 
+def _descending(rng, size, top_exp, bottom_exp):
+    """``size`` seeded floats spread log-uniformly over the given binades,
+    sorted descending."""
+    return np.sort(np.exp2(rng.uniform(bottom_exp, top_exp, size)))[::-1].copy()
+
+
+def test_fsum_descending_is_math_fsum_on_adversarial_arrays():
+    """The per-binade exact sum equals ``math.fsum`` bit for bit where its
+    int64 sums wrap many times over, where every binade holds one term, where
+    binades are skipped, where the top term is near 2**52, and at lengths
+    from 1 to 2**21."""
+    rng = np.random.default_rng(22)
+    cases = [np.full(2**20, np.nextafter(2.0**e, 0.0)) for e in (-30, 0, 1, 52)]
+    cases += [
+        np.exp2(-np.arange(64.0)),  # one term per binade
+        np.nextafter(np.exp2(-np.arange(1.0, 64.0)), 0.0),
+        np.array([3.0, 0.75, 2.0**-10, 1.5 * 2.0**-40, 2.0**-1000]),  # skipped binades
+        np.array([np.nextafter(2.0**53, 0.0), 2.0**52 + 1.0, 0.5, 2.0**-60]),
+        np.array([2.0**52, np.nextafter(2.0**52, 0.0), 1.0, 0.25]),
+    ]
+    cases += [
+        np.concatenate([np.full(count, np.nextafter(2.0, 0.0)), np.full(count, 1.0 + 2.0**-52)])
+        for count in (2047, 2048, 2049, 4097)
+    ]
+    cases += [_descending(rng, size, 40, -40) for size in (1, 2, 3, 1000, 2**16 + 1, 2**21)]
+    cases += [_descending(rng, 2**21, 1, -2)]  # three long runs
+    for x in cases:
+        assert embezzle._fsum_descending(x) == math.fsum(x), (x.size, x[0], x[-1])
+
+
 def test_vdh_state_small_and_materialization_cap():
     s1 = vdh_state(1)
     assert s1.dims == (1, 1)
@@ -333,6 +363,40 @@ def test_embezzle_report_is_the_argsort_formula_bitwise(n, monkeypatch):
             meets = n < 2 or math.sqrt(fid) >= 1.0 - math.log(rank) / math.log(n)
             assert report.meets_bound == meets
             assert all(np.array_equal(p, o) for p, o in zip(report.permutations, orders))
+
+
+@pytest.mark.parametrize("d, n", [(2, 2**20), (4, 2**19)])
+def test_embezzle_report_at_the_benchmark_sizes_is_the_argsort_formula_bitwise(d, n, monkeypatch):
+    """At the sizes the sweeps benchmark reaches, a product start and a Bell
+    target give the bits of the stable-argsort formula, and neither list is
+    sorted: their order is read from the coefficients.  A target with unequal
+    coefficients is still sorted."""
+    sorts = []
+    original = np.sort
+
+    def counted(*args, **kwargs):
+        sorts.append(args[0].size)
+        return original(*args, **kwargs)
+
+    start, target = product_basis_state(d, d), bell_state(d)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "sort", counted)
+        report = embezzle_report(n, start, target)
+        assert sorts == []
+        skewed = state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)], dims=(d, d))
+        embezzle_report(n, start, skewed)
+        assert sorts == [2 * n]
+    base = vdh_coefficients(n)
+    lists = []
+    for phi in (start, target):
+        coefficients = schmidt(phi).coefficients
+        raw = np.multiply.outer(base, coefficients).ravel()
+        lists.append(raw[np.argsort(-raw, kind="stable")])
+        assert np.array_equal(embezzle._sorted_products(base, coefficients), lists[-1])
+    fid = _sorted_overlap(*lists)
+    assert report.fidelity == fid
+    assert report.trace_error == 2.0 * math.sqrt(max(1.0 - fid, 0.0))
+    assert report.meets_bound
 
 
 def test_trace_error_and_marginal_defect_are_the_same_number():

@@ -1156,6 +1156,14 @@ def test_cli_error_exit_codes(tmp_path, state_files, capsys):
     assert code == 2
 
 
+def test_cli_out_of_memory_exits_3_with_one_line(capsys):
+    """An n whose harmonic list cannot be allocated (2**50 terms, 8 PiB) is
+    refused at once: one stderr line, exit code 3, nothing on stdout."""
+    code, out, err = run_cli(["embezzle", "sweep", "--d", "2", "--n-list", f"16,{2**50}"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("entlab: out of memory: ") and err.count("\n") == 1
+
+
 # a key repeated in one JSON object: plain json.load keeps the last value
 REPEATED_KEYS = {
     "state": (["schmidt", "{doc}"], "dims",
