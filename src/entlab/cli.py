@@ -43,6 +43,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .locc import (
+    OneWayProtocol,
     locc_feasible,
     nielsen_synthesize,
     one_shot_entanglement,
@@ -137,11 +138,21 @@ def _parse_int_list(raw: str, name: str) -> list[int]:
 
 
 def _load_state(path: str):
-    return eio.state_from_json(eio.load_document(path))
+    return eio.read_document(path, eio.state_from_json)
 
 
 def _load_density(path: str):
-    return eio.density_from_json(eio.load_document(path))
+    return eio.read_document(path, eio.density_from_json)
+
+
+def _either_protocol(doc: dict):
+    """A ``locc_protocol`` or ``one_way`` document, parsed by its kind."""
+    kind = doc.get("kind")
+    if kind == "one_way":
+        return eio.one_way_from_json(doc)
+    if kind == "locc_protocol":
+        return eio.protocol_from_json(doc)
+    raise InvalidInputError(f"expected a locc_protocol or one_way document, got kind {kind!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -192,17 +203,12 @@ def _cmd_locc_synth(args) -> dict:
 
 
 def _cmd_locc_simulate(args) -> Table:
-    doc = eio.load_document(args.protocol)
+    protocol = eio.read_document(args.protocol, _either_protocol)
     psi = _load_state(args.psi)
-    kind = doc.get("kind")
-    if kind == "one_way":
-        branches = one_way_branches(eio.one_way_from_json(doc), psi)
-    elif kind == "locc_protocol":
-        branches = simulate(eio.protocol_from_json(doc), psi)
+    if isinstance(protocol, OneWayProtocol):
+        branches = one_way_branches(protocol, psi)
     else:
-        raise InvalidInputError(
-            f"expected a locc_protocol or one_way document, got kind {kind!r}"
-        )
+        branches = simulate(protocol, psi)
     rows = [
         {"history": eio.HISTORY_SEP.join(branch.history), "probability": branch.probability}
         for branch in branches
@@ -212,7 +218,7 @@ def _cmd_locc_simulate(args) -> Table:
 
 
 def _cmd_locc_reduce(args) -> dict:
-    protocol = eio.protocol_from_json(eio.load_document(args.protocol))
+    protocol = eio.read_document(args.protocol, eio.protocol_from_json)
     return eio.one_way_to_json(one_way_reduce(protocol, _load_state(args.psi)))
 
 

@@ -4,8 +4,14 @@ Every document is a JSON object with a ``kind`` discriminator.  Complex
 numbers are ``[re, im]`` pairs; matrices are row-major nested lists.  All
 floats are emitted in one canonical format (17 significant digits, enough
 for exact float64 round trips), so identical data always serializes to
-identical bytes.  Parsing goes through :func:`json.loads`; any structural
-problem is reported as :class:`InvalidInputError`.
+identical bytes.  Parsing goes through :func:`json.load`; any structural
+problem is reported as :class:`InvalidInputError`, and so is a document
+``json`` cannot read (nested past its recursion limit, or an integer past
+Python's digit limit).  The CLI reads every document with
+:func:`read_document`, which decodes and parses with the cyclic garbage
+collector paused: the tens of thousands of lists a large protocol decodes to
+are freed by reference counting when the parse returns, before the collector
+resumes, so no collection scans them.
 
 Complex data (amplitudes, density and operator entries, Kraus stacks) moves
 as whole arrays.  The ``*_to_json`` functions put complex NumPy arrays into
@@ -16,21 +22,25 @@ formatting every float on its own.  The parsers read each such field with
 one flat build: one type and one length check per nesting level, one type
 pass over the numbers (bools, strings and null are refused), one
 ``np.array`` call on the flat list of floats, a reshape and a finiteness
-check (``json.loads`` reads ``NaN`` and ``Infinity``; both are refused).  A
+check (``json.load`` reads ``NaN`` and ``Infinity``; both are refused).  A
 protocol round is read the same way as one stack of all its Kraus
-operators, each instrument a view of it.  Only a refusal walks the entries
-in Python, to name the offending one; a round with anything to refuse is
-read one instrument at a time, so the refusal names the same entry in the
-same words.
+operators, and :class:`Instrument`'s rule is applied once to that stack
+(square matrices; per instrument distinct labels, as many as its outcomes;
+every label one a history can carry); each instrument is a view of the
+stack and is not checked again.  Only a refusal walks the entries in
+Python, to name the offending one; a round with anything to refuse is read
+one instrument at a time, so the refusal names the same entry in the same
+words.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
-from itertools import accumulate, chain
-from typing import Any, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +52,7 @@ from .locc import (
     LoccProtocol,
     LoccRound,
     OneWayProtocol,
+    _stacked_instruments,
 )
 from .quantum import DensityMatrix, PureBipartiteState, density, pure_state
 from .spectra import (
@@ -58,6 +69,7 @@ __all__ = [
     "format_float",
     "write_text",
     "load_document",
+    "read_document",
     "state_to_json",
     "state_from_json",
     "density_to_json",
@@ -77,6 +89,8 @@ __all__ = [
     "type_label_to_json",
     "HISTORY_SEP",
 ]
+
+T = TypeVar("T")
 
 
 # --------------------------------------------------------------------------- #
@@ -181,9 +195,32 @@ def load_document(path: str) -> dict:
         raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"{path} is nested too deeply to read: {exc}") from exc
+    except InvalidInputError:
+        raise
+    except ValueError as exc:  # the one left: an integer past Python's conversion limit
+        raise InvalidInputError(f"{path} holds an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError(f"{path} must be a JSON object with a 'kind' field")
     return doc
+
+
+def read_document(path: str, parse: Callable[[dict], T]) -> T:
+    """``parse(load_document(path))`` with the cyclic garbage collector
+    paused.  The decoded tree is tens of thousands of lists for a large
+    protocol; reference counting frees all of them once ``parse`` returns,
+    before the collector resumes, so no collection ever scans them.  The
+    collector's state is restored on every exit, a refusal included, and
+    stays off when it was off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(load_document(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _expect_kind(doc: Mapping, kind: str) -> None:
@@ -447,19 +484,21 @@ def _instrument_from_json(doc: Mapping) -> Instrument:
 
 def _round_branches(raw: Mapping) -> dict[tuple[str, ...], Instrument]:
     """A round's ``branches`` object, its Kraus operators parsed as one
-    stack (:func:`_pair_stack`) and each instrument a view of it.  When
+    stack (:func:`_pair_stack`) and checked once as a stack
+    (:func:`locc._stacked_instruments`), each instrument a view of it.  When
     anything in the round would be refused, the round is parsed one
     instrument at a time instead, so the refusal names the same entry."""
     try:
         docs = list(raw.values())
         kraus = [doc["kraus"] for doc in docs]
+        labels = [doc["labels"] for doc in docs]
         counts = list(map(len, kraus))
-        if all(map(_is_list, kraus)) and all(counts):
+        if (all(map(_is_list, kraus)) and set(map(type, labels)) <= {list}
+                and set(map(type, chain.from_iterable(labels))) <= {str}):
             pairs = _pair_stack(list(chain.from_iterable(kraus)), 2)
             if pairs is not None:
-                stack = pairs.view(complex)[..., 0]
-                return {_history(key): Instrument(stack[stop - count : stop], _labels(doc))
-                        for key, doc, count, stop in zip(raw, docs, counts, accumulate(counts))}
+                instrs = _stacked_instruments(pairs.view(complex)[..., 0], counts, labels)
+                return dict(zip(map(_history, raw), instrs))
     except (TypeError, KeyError, AttributeError, InvalidInputError):
         pass
     return {_history(key): _instrument_from_json(doc) for key, doc in raw.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -72,22 +72,48 @@ class Instrument:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.kraus) == 0:
-            raise InvalidInputError("instrument needs at least one outcome")
-        try:
-            ks = np.asarray(self.kraus, dtype=complex)
-        except (TypeError, ValueError):
-            ks = None
-        if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
-            raise InvalidInputError("instrument Kraus operators must be equal square matrices")
-        if not np.isfinite(ks).all():
-            raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
-        labels = tuple(map(str, self.labels))
-        if len(labels) != len(ks) or len(set(labels)) != len(ks):
-            raise InvalidInputError("labels must be distinct and match the outcome count")
-        _check_labels(labels)
-        object.__setattr__(self, "kraus", ks)
+        kraus, (labels,) = _checked_stack(self.kraus, [len(self.kraus)], [self.labels])
+        object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "labels", labels)
+
+
+def _checked_stack(kraus: Sequence, counts: Sequence[int],
+                   labels: Sequence[Sequence]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """:class:`Instrument`'s rule, once over instruments stacked in
+    ``kraus``: the i-th has ``counts[i]`` outcomes (at least one; the counts
+    add up to the stack) and ``labels[i]``.  The stack must be equal square
+    finite matrices, and each instrument's labels distinct, as many as its
+    outcomes and all ones a history can carry.  Returns the stack as one
+    complex array and each instrument's labels as a tuple of strings."""
+    if 0 in counts:
+        raise InvalidInputError("instrument needs at least one outcome")
+    try:
+        ks = np.asarray(kraus, dtype=complex)
+    except (TypeError, ValueError):
+        ks = None
+    if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
+        raise InvalidInputError("instrument Kraus operators must be equal square matrices")
+    if not np.isfinite(ks).all():
+        raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
+    labels = [tuple(map(str, group)) for group in labels]
+    if not list(map(len, labels)) == list(map(len, map(set, labels))) == list(counts):
+        raise InvalidInputError("labels must be distinct and match the outcome count")
+    _check_labels(list(chain.from_iterable(labels)))
+    return ks, labels
+
+
+def _stacked_instruments(kraus: np.ndarray, counts: Sequence[int],
+                         labels: Sequence[Sequence]) -> list[Instrument]:
+    """The instruments stacked in ``kraus`` (see :func:`_checked_stack`),
+    checked once as a stack; each is a view of it and is not checked again."""
+    kraus, labels = _checked_stack(kraus, counts, labels)
+    out = []
+    for stop, count, group in zip(accumulate(counts), counts, labels):
+        instr = object.__new__(Instrument)
+        object.__setattr__(instr, "kraus", kraus[stop - count : stop])
+        object.__setattr__(instr, "labels", group)
+        out.append(instr)
+    return out
 
 
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:

@@ -7,6 +7,7 @@ subprocess calls pin the module entry point and the process exit codes.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io as stdio
 import json
@@ -319,6 +320,62 @@ def test_round_refusal_names_the_entry_in_the_second_instrument(second, message)
     with pytest.raises(InvalidInputError) as info:
         eio.protocol_from_json(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+          "labels": ["x", "x"]},
+         "labels must be distinct and match the outcome count"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+          "labels": ["x"]},
+         "labels must be distinct and match the outcome count"),
+        ({"kraus": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]], "labels": ["i"]},
+         "instrument Kraus operators must be equal square matrices"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": [""]},
+         "label '' must be non-empty and free of ',', which joins histories"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["x,y"]},
+         "label 'x,y' must be non-empty and free of ',', which joins histories"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]], "labels": ["i"]},
+         "kraus entries must be finite, got [nan, 0] at kraus[0][1][1]"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "labels": ["__rest__"]},
+         "label '__rest__' is reserved for the completion outcome"),
+        ({"kraus": [[[[1.5, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["i"]},
+         "instrument is super-normalized: max eigenvalue 2.25 exceeds 1 + 1e-09"),
+    ],
+    ids=["repeated-label", "label-count", "non-square", "empty-label", "comma-label", "nan",
+         "rest-on-short", "super-normalized"],
+)
+def test_round_checked_as_one_stack_refuses_as_each_instrument(second, message):
+    """A round is checked once as a stack; whatever its second instrument
+    breaks, the refusal is the one recorded when each instrument was
+    checked on its own."""
+    doc = json.loads(json.dumps(_measure_then({"a": _IDENTITY, "b": second})))
+    with pytest.raises(InvalidInputError) as info:
+        eio.protocol_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_round_checked_as_one_stack_keeps_its_outcomes():
+    """A valid round of a short and a complete instrument: the round's
+    stack, labels and rows, and each instrument's operators and labels, are
+    the values recorded when each instrument was checked on its own."""
+    x6 = [[[0, 0], [0.6, 0]], [[0.6, 0], [0, 0]]]
+    y6 = [[[0, 0], [0, 0]], [[0, 0], [0.6, 0]]]
+    z8 = [[[0, 0], [0, 0]], [[0, 0], [0, 0.8]]]
+    doc = _measure_then({"a": {"kraus": [x6], "labels": ["s"]},
+                         "b": {"kraus": [_P0_PAIRS, y6, z8], "labels": ["x", "y", "z"]}})
+    bob = eio.protocol_from_json(json.loads(json.dumps(doc))).rounds[1]
+    x, p0, y, z = [[0, 0.6], [0.6, 0]], np.diag([1, 0]), np.diag([0, 0.6]), np.diag([0, 0.8j])
+    assert np.array_equal(bob._kraus, [x, 0.8 * np.eye(2), p0, y, z])
+    assert bob._labels == ("s", "__rest__", "x", "y", "z")
+    assert bob._rows == {("a",): range(0, 2), ("b",): range(2, 5)}
+    assert bob.branches[("a",)].labels == ("s",)
+    assert np.array_equal(bob.branches[("a",)].kraus, [x])
+    assert bob.branches[("b",)].labels == ("x", "y", "z")
+    assert np.array_equal(bob.branches[("b",)].kraus, [p0, y, z])
+    assert all(instr.kraus.dtype == complex for instr in bob.branches.values())
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["all-complete", "one-short"])
@@ -1190,6 +1247,72 @@ def test_repeated_json_key_is_refused(name, tmp_path, state_files, capsys):
     argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "") and message in err
+
+
+# documents json.load itself cannot read: too deep for its recursion, or an
+# integer past Python's int conversion limit
+UNREADABLE_DOCUMENTS = {
+    "deep": (_SIMULATE, "[" * 100_000 + "]" * 100_000, "is nested too deeply to read"),
+    "long-int": (["schmidt", "{doc}"],
+                 '{"kind": "pure_bipartite", "dims": [' + "9" * 5000 + ', 2], "amplitudes": []}',
+                 "holds an integer of more than "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_DOCUMENTS))
+def test_unreadable_json_is_refused_naming_the_file(name, tmp_path, state_files, capsys):
+    """The loader refuses such a document, naming the file, and the command
+    reading it exits 2 with that one line rather than a traceback."""
+    command, text, reason = UNREADABLE_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as info:
+        eio.load_document(str(path))
+    assert str(info.value).startswith(f"{path} {reason}")
+    argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith(f"entlab: {path} {reason}")
+    assert err.count("\n") == 1
+
+
+# one document per way a read can end: (command, document text)
+READ_OUTCOMES = {
+    "read": (["schmidt", "{doc}"], eio.canonical_json(eio.state_to_json(bell_state(2)))),
+    "bad-json": (["schmidt", "{doc}"], '{"kind": '),
+    "repeated-key": (_SIMULATE, REPEATED_KEYS["protocol"][2]),
+    "nan-entry": (_SIMULATE, json.dumps(_measure_then({"a": _IDENTITY, "b": _NAN_KRAUS}))),
+    "deep": UNREADABLE_DOCUMENTS["deep"][:2],
+    "long-int": UNREADABLE_DOCUMENTS["long-int"][:2],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("name", sorted(READ_OUTCOMES))
+def test_document_read_leaves_the_collector_as_it_found_it(name, enabled, tmp_path,
+                                                           state_files, capsys):
+    """A document is read and parsed with the cyclic collector paused; read
+    or refused, by the reader or by a command, the collector is left on or
+    off as the caller had it."""
+    command, text = READ_OUTCOMES[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    parse = eio.protocol_from_json if command is _SIMULATE else eio.state_from_json
+    argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert eio.read_document(state_files["bell"], lambda doc: gc.isenabled()) is False
+        assert gc.isenabled() is enabled
+        if name == "read":
+            eio.read_document(str(path), parse)
+        else:
+            with pytest.raises(InvalidInputError):
+                eio.read_document(str(path), parse)
+        assert gc.isenabled() is enabled
+        code, _, _ = run_cli(argv, capsys)
+        assert gc.isenabled() is enabled and code == (0 if name == "read" else 2)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol", "1e-9"]], ids=["seed", "tol"])
