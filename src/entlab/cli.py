@@ -115,7 +115,7 @@ def emit_sweep(
 #                                Input parsing                                 #
 # --------------------------------------------------------------------------- #
 
-def _parse_float_list(raw: str, name: str) -> list[float]:
+def _parse_float_list(raw: str, name: str, required: bool = True) -> list[float]:
     out = []
     for piece in raw.split(","):
         piece = piece.strip()
@@ -125,6 +125,8 @@ def _parse_float_list(raw: str, name: str) -> list[float]:
             out.append(float(piece))
         except ValueError as exc:
             raise InvalidInputError(f"{name} entry {piece!r} is not a number") from exc
+    if required and not out:
+        raise InvalidInputError(f"{name} needs at least one value")
     return out
 
 
@@ -179,7 +181,7 @@ def _cmd_distinguish(args) -> dict:
 
 
 def _cmd_monotones(args) -> dict:
-    alphas = _parse_float_list(args.alpha, "--alpha") if args.alpha else []
+    alphas = _parse_float_list(args.alpha, "--alpha", required=False)
     report = entanglement_entropies(schmidt(_load_state(args.file)).spectrum, alphas)
     return {
         "H": report.H,
@@ -289,8 +291,6 @@ def _cmd_catalysis_decay(args) -> Table:
 
 def _cmd_classify(args) -> dict:
     values = _parse_float_list(args.spectrum, "--spectrum")
-    if not values:
-        raise InvalidInputError("--spectrum needs at least one value")
     if any(v <= 0.0 for v in values):
         raise InvalidInputError(
             "spectrum entries must be strictly positive (truncate zeros first)"

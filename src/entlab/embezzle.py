@@ -384,11 +384,12 @@ def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> lis
 
     The deviation is scale-free, so it is computed on the log-positions
     ``(k - k_heaviest) log lambda``, centred on the heaviest atom; no atom is
-    formed, so every m and every finite ``t`` is accepted.
+    formed, so every m and every finite ``t`` is accepted.  The times are
+    checked, then evaluated in one ``_density_l1`` grid pass.
     """
     k, masses = _binomial_avatar(spec.lambda_, spec.m)
     u, w = ((k - k[np.argmax(masses)]) * math.log(spec.lambda_))[::-1], masses[::-1]
-    return [_density_l1(u, w, u, w, _flow_time(t)) for t in t_grid]
+    return _density_l1(u, w, u, w, [_flow_time(t) for t in t_grid])
 
 
 def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:

@@ -924,6 +924,30 @@ def test_cli_catalysis_decay_refuses_lambda_outside_the_unit_interval(lam, capsy
     assert err == f"entlab: lambda must lie strictly between 0 and 1, got {float(lam)!r}\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["embezzle", "sweep", "--d", "2", "--n-list", ""], "--n-list"),
+        (["embezzle", "sweep", "--d", "2", "--n-list", " , "], "--n-list"),
+        (["catalysis", "decay", "--lambda", "0.5", "--m-list", ","], "--m-list"),
+        (["classify", "--spectrum", ","], "--spectrum"),
+    ],
+    ids=["embezzle-empty", "embezzle-blank", "catalysis", "classify"],
+)
+def test_cli_empty_list_flag_is_a_usage_error(argv, flag, capsys):
+    """A list flag with no value is refused in one line, not answered with
+    a bare CSV header."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"entlab: {flag} needs at least one value\n"
+
+
+@pytest.mark.parametrize("alpha", ["", ","])
+def test_cli_monotones_empty_alpha_asks_for_no_orders(alpha, state_files, capsys):
+    code, out, _ = run_cli(["monotones", state_files["bell"], "--alpha", alpha], capsys)
+    assert code == 0 and json.loads(out)["H_alpha"] == {}
+
+
 # --------------------------------------------------------------------------- #
 #                        CLI: synthesis / simulation flow                      #
 # --------------------------------------------------------------------------- #
