@@ -227,8 +227,8 @@ def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
 @dataclass(frozen=True, eq=False)
 class OneWayProtocol:
     """Alice measures (one Kraus per outcome), Bob applies the matching
-    partial isometry.  Probabilities are implied by the Kraus norms.  Each
-    side is one or more matrices of one shape, equally many on both sides."""
+    partial isometry.  A branch's probability is its squared norm after both
+    operators.  Each side is one or more matrices of one shape, equally many."""
 
     alice_kraus: tuple[np.ndarray, ...]
     bob_unitaries: tuple[np.ndarray, ...]
@@ -261,6 +261,9 @@ class Branch:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Per kept branch of the run protocol (probability above ``MASS_CUT``,
+    squared norm after both operators): its overlap and probability."""
+
     completeness_residual: float
     overlaps: tuple[float, ...]
     probabilities: tuple[float, ...]
@@ -527,31 +530,26 @@ def nielsen_synthesize(psi: PureBipartiteState, phi: PureBipartiteState) -> OneW
 def verify_protocol(
     protocol: OneWayProtocol, psi: PureBipartiteState, phi: PureBipartiteState
 ) -> VerificationReport:
-    """Check completeness on the source support, per-branch target overlap,
-    and total probability; the report carries failures instead of raising.
-    Operators that do not map psi's dims to phi's raise InvalidInputError."""
+    """Run the protocol on psi through :func:`one_way_branches` and check
+    Alice's completeness on psi's support, each kept branch's overlap with
+    phi and the kept probabilities' sum; the report carries failures instead
+    of raising.  Operators that do not map psi's dims to phi's, or a branch
+    of non-finite probability, raise InvalidInputError."""
     (a_out, a_in), (b_out, b_in) = protocol.alice_kraus[0].shape, protocol.bob_unitaries[0].shape
     if ((a_in, b_in), (a_out, b_out)) != (psi.dims, phi.dims):
         raise InvalidInputError(f"protocol maps {(a_in, b_in)} to {(a_out, b_out)}, "
                                 f"not {psi.dims} to {phi.dims}")
-    overlaps = []
-    probs = []
-    for k, v in zip(protocol.alice_kraus, protocol.bob_unitaries):
-        mid = k @ psi.matrix
-        probs.append(float(np.einsum("xy,xy->", mid.conj(), mid).real))
-        out = (mid @ v.T).ravel()
-        norm = float(np.linalg.norm(out))
-        overlaps.append(
-            0.0 if norm == 0.0 else float(abs(np.vdot(phi.amplitudes, out)) / norm)
-        )
+    branches = one_way_branches(protocol, psi)
+    overlaps = tuple(float(abs(np.vdot(phi.amplitudes, b.state.amplitudes))) for b in branches)
+    probs = tuple(b.probability for b in branches)
     residual = _completeness_residual(protocol.alice_kraus, support_projector(marginal(psi, "A")))
-    prob_sum = float(math.fsum(probs))
+    prob_sum = math.fsum(probs)
     passed = (
         residual <= COMPLETENESS_TOL
         and all(o >= 1.0 - BRANCH_TOL for o in overlaps)
         and abs(prob_sum - 1.0) <= COMPLETENESS_TOL
     )
-    return VerificationReport(residual, tuple(overlaps), tuple(probs), prob_sum, passed)
+    return VerificationReport(residual, overlaps, probs, prob_sum, passed)
 
 
 # --------------------------------------------------------------------------- #
@@ -567,8 +565,8 @@ def _round_outcomes(
     branch: the branch index, the label, the Kraus operator, that
     probability q, and the normalized post-measurement vector (the last
     three stacked).  Each branch takes its history's rows of the round's
-    completed stack.  All outcomes go through one stacked product; each q
-    is the ``vdot`` of its own vector.
+    completed stack; all outcomes go through one stacked product and
+    :func:`_kept_branches`.
     """
     runs = []
     for hist in hists:
@@ -585,11 +583,32 @@ def _round_outcomes(
     kraus = rnd._kraus[rows]
     mats = vecs.reshape((-1,) + dims)[branch]
     new = (kraus @ mats if alice else mats @ kraus.transpose(0, 2, 1)).reshape(len(branch), -1)
+    kept, q, new = _kept_branches(new)
+    return branch[kept], [rnd._labels[i] for i in rows[kept].tolist()], kraus[kept], q, new
+
+
+def _kept_branches(new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch step of every runner, on unnormalized branch vectors (the
+    rows of ``new``): a row's probability is the ``vdot`` of its own vector,
+    a non-finite one is refused naming its row, and rows at or below
+    ``MASS_CUT`` are pruned.  Returns the kept rows' indices, probabilities
+    and unit vectors (``new`` itself, divided in place, when none is pruned)."""
     q = np.array([np.vdot(v, v).real for v in new])
+    if not np.isfinite(q).all():  # NaN would be pruned as if it were zero
+        x = int(np.flatnonzero(~np.isfinite(q))[0])
+        raise InvalidInputError(f"branch {x} has probability {float(q[x])!r}, not a finite number")
     kept = np.flatnonzero(q > MASS_CUT)
-    q = q[kept]
-    return (branch[kept], [rnd._labels[i] for i in rows[kept].tolist()], kraus[kept], q,
-            new[kept] / np.sqrt(q)[:, None])
+    if kept.size < len(new):
+        new, q = new[kept], q[kept]
+    new /= np.sqrt(q)[:, None]
+    return kept, q, new
+
+
+def _leaves(dims: tuple[int, int], probs: list, vecs: np.ndarray, hists: list) -> tuple[Branch, ...]:
+    """One read-only :class:`Branch` per unit row of ``vecs``."""
+    vecs.flags.writeable = False
+    return tuple(Branch(p, PureBipartiteState(dims, vec), hist)
+                 for p, vec, hist in zip(probs, vecs, hists))
 
 
 def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, ...]:
@@ -604,10 +623,7 @@ def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, .
         branch, labels, _, q, vecs = _round_outcomes(rnd, psi.dims, hists, vecs)
         probs = probs[branch] * q
         hists = [hists[i] + (label,) for i, label in zip(branch.tolist(), labels)]
-    # every row is a unit vector already (divided by the root of its vdot)
-    vecs.flags.writeable = False
-    return tuple(Branch(p, PureBipartiteState(psi.dims, vec), hist)
-                 for p, vec, hist in zip(probs.tolist(), vecs, hists))
+    return _leaves(psi.dims, probs.tolist(), vecs, hists)
 
 
 # --------------------------------------------------------------------------- #
@@ -686,38 +702,20 @@ def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayPro
     return OneWayProtocol(tuple(alice), tuple(bob))
 
 
-def one_way_branches(
-    protocol: OneWayProtocol, psi: PureBipartiteState
-) -> tuple[Branch, ...]:
-    """Run an Alice-then-Bob protocol on a pure state.
-
-    Outcome ``x`` applies ``alice_kraus[x] (x) bob_unitaries[x]``; the branch
-    probability is the squared norm of the resulting vector, after both
-    Alice's Kraus operator and Bob's operator.  It equals the norm after
-    Alice's Kraus alone only when Bob's operator is an isometry on the
-    branch support.  Branches at or below ``MASS_CUT`` are pruned; labels are
-    the outcome indices.  Operators not acting on psi's dims are refused.
-    """
+def one_way_branches(protocol: OneWayProtocol, psi: PureBipartiteState) -> tuple[Branch, ...]:
+    """Run an Alice-then-Bob protocol on a pure state: outcome ``x``
+    applies ``alice_kraus[x] (x) bob_unitaries[x]``, and its probability is
+    the squared norm after both operators (pruned at ``MASS_CUT``, as in
+    every runner).  Labels are the outcome indices.  Operators not acting
+    on psi's dims are refused."""
     (a_out, a_in), (b_out, b_in) = protocol.alice_kraus[0].shape, protocol.bob_unitaries[0].shape
     if (a_in, b_in) != psi.dims:
         raise InvalidInputError(f"protocol acts on {(a_in, b_in)}, the state has {psi.dims}")
-    mat = psi.matrix
-    out = np.empty((len(protocol.alice_kraus), a_out, b_out), dtype=complex)
-    probs, hists = [], []
-    for x, (k_op, w_op) in enumerate(zip(protocol.alice_kraus, protocol.bob_unitaries)):
-        # a pruned branch's row is taken by the next branch
-        new = np.matmul(k_op @ mat, w_op.T, out=out[len(probs)])
-        prob = float(np.vdot(new, new).real)
-        if not math.isfinite(prob):  # NaN would be pruned as if it were zero
-            raise InvalidInputError(f"branch {x} has probability {prob!r}, not a finite number")
-        if prob > MASS_CUT:
-            probs.append(prob)
-            hists.append((str(x),))
-    vecs = out[: len(probs)].reshape(len(probs), a_out * b_out)
-    vecs /= np.sqrt(probs)[:, None]
-    vecs.flags.writeable = False
-    return tuple(Branch(p, PureBipartiteState((a_out, b_out), vec), hist)
-                 for p, vec, hist in zip(probs, vecs, hists))
+    new = np.empty((len(protocol.alice_kraus), a_out, b_out), dtype=complex)
+    for k_op, w_op, row in zip(protocol.alice_kraus, protocol.bob_unitaries, new):
+        np.matmul(k_op @ psi.matrix, w_op.T, out=row)
+    kept, q, vecs = _kept_branches(new.reshape(len(new), -1))
+    return _leaves((a_out, b_out), q.tolist(), vecs, [(str(x),) for x in kept.tolist()])
 
 
 # --------------------------------------------------------------------------- #

@@ -80,12 +80,12 @@ COMPLETENESS_TOL = 1e-9
 # synthesis branch probability its mixing weight, the two A-marginals that
 # ``connect_purifications`` joins (trace distance), a mirrored Bob operator
 # the original (largest amplitude difference), and, in ``verify_protocol``,
-# every branch the target (overlap at least 1 minus this).
+# every kept branch the target (overlap at least 1 minus this).
 BRANCH_TOL = 1e-8
 # Absolute probability.  Mass entlab may drop: ``simulate``,
-# ``one_way_reduce`` and ``one_way_branches`` prune branches of at most this
-# probability, and the permutohedron decomposition may leave at most this of
-# a source weight unplaced.
+# ``one_way_reduce``, ``one_way_branches`` and ``verify_protocol`` prune
+# branches of at most this probability, and the permutohedron decomposition
+# may leave at most this of a source weight unplaced.
 MASS_CUT = 1e-12
 
 # --------------------------------------------------------------------------- #

@@ -703,6 +703,27 @@ def test_classify_is_scale_and_permutation_invariant():
         power = tensor_spectrum(power, base)
 
 
+def test_classify_refuses_an_exponent_that_is_not_unique():
+    """(1, e^-1e-9, e^-1), normalized: the wide gap is about 1e9 narrow ones,
+    commensurate within the narrow gap's rounding, but that rounding times
+    1e9 is wider than the narrow gap, so n and n + 1 both fit and there is
+    no one lambda: III_1 from the exponent check.  Both inequalities are
+    re-evaluated here in ``fractions`` (the three entries are three runs,
+    so no spread enters), so the case cannot move to the first III_1 exit."""
+    vals = np.array([1.0, math.exp(-1e-9), math.exp(-1.0)])
+    s = spectrum(vals / vals.sum())
+    assert classify_itpfi(s) == TypeLabel("III_1")
+    assert spectral_state(s).atoms.size == 3
+    top, *rest = s.values.tolist()
+    gaps = [Fraction(math.log(top / x)) for x in rest]
+    slack = [(1 + g) / 2**50 for g in gaps]
+    fracs = [(g / gaps[0]).limit_denominator(embezzle.DENOMINATOR_CAP) for g in gaps]
+    assert all(abs(f.denominator * g - f.numerator * gaps[0]) <= f.denominator * e + f.numerator * slack[0]
+               for f, g, e in zip(fracs, gaps, slack))
+    denom = math.lcm(*(f.denominator for f in fracs))
+    assert 2 * denom * slack[-1] + (2 * fracs[-1] * denom + 1) * slack[0] >= gaps[0]
+
+
 def test_classify_never_reports_iii_zero():
     # Extremely skewed ratios still come back as a (tiny) positive lambda.
     label = classify_itpfi(spectrum([1.0, 1e-12]))

@@ -47,8 +47,9 @@ from entlab import (
     vdh_bound,
 )
 from entlab import io as eio
+from entlab import cli
 from entlab.cli import CommandConfig, dispatch, emit_sweep
-from entlab.errors import InvalidInputError
+from entlab.errors import InvalidInputError, NotReducibleError
 from entlab.locc import Instrument, OneWayProtocol
 
 
@@ -1243,6 +1244,50 @@ def test_cli_out_of_memory_exits_3_with_one_line(capsys):
     code, out, err = run_cli(["embezzle", "sweep", "--d", "2", "--n-list", f"16,{2**50}"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("entlab: out of memory: ") and err.count("\n") == 1
+
+
+def test_cli_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
+    """A synthesis refused as ill-conditioned exits 3 with the refusal, tagged
+    as a numerical failure, as the only stderr line and nothing on stdout."""
+    from test_tolerances import ILL_CONDITIONED
+
+    psi = write_doc(tmp_path, "psi.json", eio.state_to_json(state_from_schmidt(ILL_CONDITIONED)))
+    phi = write_doc(tmp_path, "phi.json", eio.state_to_json(product_basis_state(3, 3)))
+    code, out, err = run_cli(["locc", "synth", psi, phi], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("entlab: numerical failure: support eigenvalue 9.000e-13 below 1e-12: "
+                   "ill-conditioned (d = 3)\n")
+
+
+def test_cli_other_entlab_errors_exit_3_with_one_line(state_files, monkeypatch, capsys):
+    def refuse(psi, phi):
+        raise NotReducibleError("branch operator could not be mirrored")
+
+    # the parser, and so its handler, is built once per process: patch what the handler calls
+    monkeypatch.setattr(cli, "nielsen_synthesize", refuse)
+    code, out, err = run_cli(["locc", "synth", state_files["bell"], state_files["bell"]], capsys)
+    assert (code, out) == (3, "")
+    assert err == "entlab: branch operator could not be mirrored\n"
+
+
+CLI_REFUSALS = {
+    "d-zero": (["embezzle", "sweep", "--d", "0", "--n-list", "16"],
+               "--d must be a positive integer, got 0"),
+    "t-span": (["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "2",
+                "--t-min", "1", "--t-max", "0", "--steps", "3"],
+               "need --t-min <= --t-max, a finite span apart: 1.0, 0.0"),
+    "n-fraction": (["embezzle", "sweep", "--d", "2", "--n-list", "2.5"],
+                   "--n-list entries must be integers, got 2.5"),
+    "state-as-protocol": (["locc", "simulate", "{bell}", "{bell}"],
+                          "expected a locc_protocol or one_way document, got kind 'pure_bipartite'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_REFUSALS))
+def test_cli_refusals_exit_2_with_one_line(name, state_files, capsys):
+    command, message = CLI_REFUSALS[name]
+    code, out, err = run_cli([arg.format(bell=state_files["bell"]) for arg in command], capsys)
+    assert (code, out, err) == (2, "", f"entlab: {message}\n")
 
 
 # a key repeated in one JSON object: plain json.load keeps the last value

@@ -34,6 +34,7 @@ from entlab.locc import (
     mixing_decomposition,
     nielsen_synthesize,
     one_shot_entanglement,
+    one_way_branches,
     one_way_reduce,
     simulate,
     slocc,
@@ -54,6 +55,7 @@ from entlab.quantum import (
     state_from_schmidt,
 )
 from entlab.spectra import entanglement_entropies
+from entlab.tolerances import COMPLETENESS_TOL
 
 EYE2 = np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -617,6 +619,49 @@ def test_verify_protocol_zeroed_kraus():
     assert rep.completeness_residual > 0.1
 
 
+def test_verify_protocol_fails_when_bob_operators_lose_norm():
+    """Bob's operators scaled by 0.5 keep Alice's side complete and every
+    branch on the target, but each branch keeps a quarter of its mass: the
+    probabilities are those after both operators, so verification fails."""
+    psi = bell_state(2)
+    phi = state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])
+    proto = nielsen_synthesize(psi, phi)
+    scaled = OneWayProtocol(proto.alice_kraus, tuple(0.5 * v for v in proto.bob_unitaries))
+    rep = verify_protocol(scaled, psi, phi)
+    assert not rep.passed
+    assert abs(rep.probability_sum - 0.25) <= 1e-12
+    assert rep.probabilities == tuple(b.probability for b in one_way_branches(scaled, psi))
+    assert rep.completeness_residual <= COMPLETENESS_TOL
+    assert all(o >= 1 - 1e-8 for o in rep.overlaps)
+
+
+def _verify_pair(name):
+    if name == "bell-phi73":
+        return bell_state(2), state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])
+    if name == "rectangular":
+        return (random_pure_state((4, 4), 8),
+                state_from_schmidt([math.sqrt(0.8), math.sqrt(0.2)], dims=(2, 3)))
+    return sized_pair(16, name)
+
+
+@pytest.mark.parametrize("name", ["bell-phi73", "generic", "tie_heavy", "zero_padded", "rectangular"])
+def test_verify_protocol_probabilities_are_the_run_branches(name):
+    """verify_protocol has no probability rule of its own: its probabilities
+    are one_way_branches' to the bit."""
+    psi, phi = _verify_pair(name)
+    proto = nielsen_synthesize(psi, phi)
+    rep = verify_protocol(proto, psi, phi)
+    assert rep.passed
+    assert list(rep.probabilities) == [b.probability for b in one_way_branches(proto, psi)]
+
+
+def test_verify_protocol_refuses_a_non_finite_branch():
+    eye = np.eye(2)
+    protocol = OneWayProtocol((P0, np.diag([0.0, math.nan])), (eye, eye))
+    with pytest.raises(InvalidInputError, match="branch 1 has probability nan"):
+        verify_protocol(protocol, bell_state(2), bell_state(2))
+
+
 def test_verify_protocol_shape_mismatch():
     b = bell_state(2)
     proto = nielsen_synthesize(b, b)
@@ -733,6 +778,24 @@ def test_simulate_subnormalized_completion():
     assert [l.history[-1] for l in leaves] == ["u", "__rest__"]
     assert abs(leaves[0].probability - 0.6) < 1e-10
     assert abs(leaves[1].probability - 0.4) < 1e-10
+
+
+def test_a_complete_but_loose_instrument_gains_no_completion():
+    """sum k^dag k = I + 0.6e-9 [[1, 1], [1, -1]]: the gap's absolute row
+    sums (1.2e-9) exceed ``COMPLETENESS_TOL``, so it takes the eigh, but its
+    eigenvalues (+-0.85e-9) lie within it, so it is complete: no ``__rest__``
+    outcome, its operators kept bit for bit, one leaf per outcome."""
+    vals, vecs = np.linalg.eigh(EYE2 + 0.6e-9 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    kraus = np.array([P0 @ root, P1 @ root])
+    gap = EYE2 - sum(k.T @ k for k in kraus)
+    assert np.abs(gap).sum(axis=1).max() > COMPLETENESS_TOL
+    assert np.abs(np.linalg.eigvalsh(gap)).max() <= COMPLETENESS_TOL
+    rnd = locc_round("A", {(): instrument(kraus, ["a", "b"])})
+    assert rnd._labels == ("a", "b")
+    assert np.array_equal(rnd._kraus, kraus)
+    leaves = simulate(locc_protocol([rnd]), bell_state(2))
+    assert [leaf.history for leaf in leaves] == [("a",), ("b",)]
 
 
 @pytest.mark.parametrize("run", [simulate, one_way_reduce], ids=["simulate", "one_way_reduce"])
