@@ -592,14 +592,17 @@ def _kept_branches(new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rows of ``new``): a row's probability is the ``vdot`` of its own vector,
     a non-finite one is refused naming its row, and rows at or below
     ``MASS_CUT`` are pruned.  Returns the kept rows' indices, probabilities
-    and unit vectors (``new`` itself, divided in place, when none is pruned)."""
+    and unit vectors: the head of ``new``, into which the kept rows are
+    moved down one at a time (so no second copy is made), divided in place."""
     q = np.array([np.vdot(v, v).real for v in new])
     if not np.isfinite(q).all():  # NaN would be pruned as if it were zero
         x = int(np.flatnonzero(~np.isfinite(q))[0])
         raise InvalidInputError(f"branch {x} has probability {float(q[x])!r}, not a finite number")
     kept = np.flatnonzero(q > MASS_CUT)
     if kept.size < len(new):
-        new, q = new[kept], q[kept]
+        for j, i in enumerate(kept.tolist()):  # i >= j: a row is read before it is overwritten
+            new[j] = new[i]
+        new, q = new[: kept.size], q[kept]
     new /= np.sqrt(q)[:, None]
     return kept, q, new
 

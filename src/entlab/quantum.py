@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, _as_array, _refuse_non_finite, orbit_distance, spectrum
+from .spectra import Spectrum, _numeric_array, _refuse_non_finite, spectrum
 from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SUPPORT_CUT
 
 
@@ -41,7 +41,7 @@ def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     ``[-INPUT_TOL, 0)`` are clipped to zero and the matrix renormalized;
     anything worse is rejected.
     """
-    arr = _as_array(entries, "density", complex)
+    arr = _numeric_array(entries, "density", complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("density matrix must be square")
     _refuse_non_finite(arr, "density")
@@ -74,7 +74,7 @@ class PureBipartiteState:
 
 def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipartiteState:
     dA, dB = int(dims[0]), int(dims[1])
-    arr = _as_array(amplitudes, "amplitudes", complex).ravel()
+    arr = _numeric_array(amplitudes, "amplitudes", complex).ravel()
     if dA < 1 or dB < 1 or arr.size != dA * dB:
         raise InvalidInputError(f"amplitude length {arr.size} != {dA}*{dB}")
     _refuse_non_finite(arr, "amplitudes")
@@ -105,7 +105,7 @@ def bell_state(d: int = 2) -> PureBipartiteState:
 
 def state_from_schmidt(coeffs: Iterable[float], dims: Optional[tuple[int, int]] = None) -> PureBipartiteState:
     """Diagonal state with the given Schmidt coefficients."""
-    c = _as_array(coeffs, "Schmidt coefficients")
+    c = _numeric_array(coeffs, "Schmidt coefficients")
     if dims is None:
         dims = (c.size, c.size)
     if c.size > min(dims):
@@ -282,11 +282,6 @@ def align_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     return v @ w.conj().T
 
 
-def orbit_distance_matrices(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Spectral formula for ``inf_u ||rho - u sigma u*||_1``."""
-    return orbit_distance(rho.spectrum(), sigma.spectrum())
-
-
 # --------------------------------------------------------------------------- #
 #                              local-unitary orbit                             #
 # --------------------------------------------------------------------------- #
@@ -307,32 +302,6 @@ def lu_orbit_fidelity(psi: PureBipartiteState, phi: PureBipartiteState) -> float
     """``sup_{u,v} |<psi|(u (x) v)|phi>|^2``: squared inner product of the
     sorted, zero-padded Schmidt coefficient lists."""
     return _sorted_overlap(schmidt(psi).coefficients, schmidt(phi).coefficients)
-
-
-def complete_isometry(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary on C^dim."""
-    k = cols.shape[1]
-    if k == dim:
-        return cols
-    basis = np.concatenate([cols, np.eye(dim, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(basis)
-    out = np.concatenate([cols, q[:, k:dim]], axis=1)
-    # Gram-Schmidt the tail against the head once more for safety.
-    tail = out[:, k:] - cols @ (cols.conj().T @ out[:, k:])
-    q2, _ = np.linalg.qr(tail)
-    return np.concatenate([cols, q2[:, : dim - k]], axis=1)
-
-
-def lu_align_unitaries(psi: PureBipartiteState, phi: PureBipartiteState) -> LocalIsometryPair:
-    """Local unitaries (u, v) achieving lu_orbit_fidelity for equal dims:
-    map phi's sorted Schmidt frame onto psi's."""
-    if psi.dims != phi.dims:
-        raise InvalidInputError("witness unitaries need equal dims on both sides")
-    dA, dB = psi.dims
-    dp, df = schmidt(psi), schmidt(phi)
-    u = complete_isometry(dp.basis_A, dA) @ complete_isometry(df.basis_A, dA).conj().T
-    v = complete_isometry(dp.basis_B, dB) @ complete_isometry(df.basis_B, dB).conj().T
-    return LocalIsometryPair(u, v)
 
 
 def apply_local(psi: PureBipartiteState, a: Optional[np.ndarray], b: Optional[np.ndarray]) -> np.ndarray:
@@ -396,13 +365,6 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
 # --------------------------------------------------------------------------- #
 #                                  utilities                                   #
 # --------------------------------------------------------------------------- #
-
-def coupling_constant(d_A: int, d_B: int) -> float:
-    """Relative size of the two sides; 1 means a standard bipartite system."""
-    if d_A < 1 or d_B < 1:
-        raise InvalidInputError("dimensions must be positive")
-    return d_A / d_B
-
 
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (Gaussian QR with phase correction)."""

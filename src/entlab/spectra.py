@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,9 +77,6 @@ class Spectrum(_ArrayFields):
     def is_state(self) -> bool:
         return abs(self.total - 1.0) <= INPUT_TOL
 
-    def as_array(self) -> np.ndarray:
-        return self.values
-
     def padded(self, n: int) -> np.ndarray:
         out = np.zeros(n)
         out[: self.rank] = self.values
@@ -95,7 +91,7 @@ def _refuse_non_finite(arr: np.ndarray, name: str) -> None:
                                 f"{arr[at].item()!r}, not a finite number")
 
 
-def _as_array(x, name: str, dtype=float) -> np.ndarray:
+def _numeric_array(x, name: str, dtype=float) -> np.ndarray:
     """``x`` (an array or any iterable) as an array of ``dtype``, or an
     ``InvalidInputError`` naming ``name`` when it does not convert.  Text
     entries are refused rather than parsed, and complex entries where reals
@@ -116,7 +112,7 @@ def spectrum(values: Iterable[float]) -> Spectrum:
     Entries in ``[-INPUT_TOL, 0)`` are treated as roundoff and stripped with
     the zeros; anything more negative, and NaN or an infinity, is rejected.
     """
-    arr = _as_array(values, "spectrum")
+    arr = _numeric_array(values, "spectrum")
     if arr.ndim != 1:
         raise InvalidInputError("spectrum values must be a flat list")
     _refuse_non_finite(arr, "spectrum")
@@ -188,8 +184,8 @@ def step_function(breakpoints: Sequence[float], levels: Sequence[float]) -> Step
     result has strictly increasing breakpoints and strictly decreasing
     levels ending in 0.  NaN and infinities are refused.
     """
-    bps = _as_array(breakpoints, "breakpoints")
-    lvs = _as_array(levels, "levels")
+    bps = _numeric_array(breakpoints, "breakpoints")
+    lvs = _numeric_array(levels, "levels")
     if bps.ndim != 1 or lvs.ndim != 1 or lvs.size != bps.size + 1:
         raise InvalidInputError("need exactly one more level than breakpoints")
     _refuse_non_finite(bps, "breakpoints")
@@ -349,8 +345,8 @@ def atomic_measure(atoms: Iterable[float], masses: Iterable[float]) -> AtomicMea
     summed mass, even when the run spans more than ``MERGE_TOL``.  NaN and
     infinite atoms or masses are refused.
     """
-    pos = _as_array(atoms, "atoms")
-    mass = _as_array(masses, "masses")
+    pos = _numeric_array(atoms, "atoms")
+    mass = _numeric_array(masses, "masses")
     if pos.shape != mass.shape or pos.ndim != 1:
         raise InvalidInputError("atoms and masses must be flat lists of equal length")
     _refuse_non_finite(pos, "atoms")
@@ -558,87 +554,6 @@ def kappa_profile(s: Spectrum, t_grid: Sequence[float]) -> list[float]:
 # --------------------------------------------------------------------------- #
 #                             Entanglement monotones                           #
 # --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class MonotoneFunctionSpec:
-    """A convex non-decreasing ``f : R+ -> R+`` with ``f(0) = 0``.
-
-    ``kind`` is one of ``power`` (``x**alpha``), ``xlogx`` (the entropy
-    generator, negative on (0,1)), ``support`` (indicator of ``x > 0``) or
-    ``tabulated`` (piecewise-linear through given points, extrapolated with
-    the final slope).  Convexity of custom tables is the caller's business;
-    evaluation is exact either way.
-    """
-
-    kind: str
-    alpha: float = 0.0
-    xs: tuple[float, ...] = ()
-    ys: tuple[float, ...] = ()
-
-    @classmethod
-    def power(cls, alpha: float) -> "MonotoneFunctionSpec":
-        if alpha <= 0:
-            raise InvalidInputError("power monotone needs alpha > 0")
-        return cls("power", alpha=alpha)
-
-    @classmethod
-    def xlogx(cls) -> "MonotoneFunctionSpec":
-        return cls("xlogx")
-
-    @classmethod
-    def support_indicator(cls) -> "MonotoneFunctionSpec":
-        return cls("support")
-
-    @classmethod
-    def tabulated(cls, xs: Sequence[float], ys: Sequence[float]) -> "MonotoneFunctionSpec":
-        xs = tuple(float(x) for x in xs)
-        ys = tuple(float(y) for y in ys)
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise InvalidInputError("tabulated monotone needs >= 2 points")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidInputError("tabulated x grid must be strictly increasing")
-        return cls("tabulated", xs=xs, ys=ys)
-
-    @classmethod
-    def hinge(cls, c: float) -> "MonotoneFunctionSpec":
-        """``f(x) = max(x - c, 0)`` as an exact piecewise-linear table."""
-        if c < 0:
-            raise InvalidInputError("hinge offset must be >= 0")
-        if c == 0.0:
-            return cls.tabulated((0.0, 1.0), (0.0, 1.0))
-        return cls.tabulated((0.0, c, c + 1.0), (0.0, 0.0, 1.0))
-
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise InvalidInputError("monotone functions are defined on R+")
-        if self.kind == "power":
-            return float(x**self.alpha)
-        if self.kind == "xlogx":
-            return 0.0 if x == 0.0 else float(x * math.log(x))
-        if self.kind == "support":
-            return 1.0 if x > 0.0 else 0.0
-        if self.kind == "tabulated":
-            xs, ys = self.xs, self.ys
-            if x >= xs[-1]:  # extrapolate with the last slope
-                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-                return float(ys[-1] + slope * (x - xs[-1]))
-            i = max(bisect_right(xs, x) - 1, 0)
-            frac = (x - xs[i]) / (xs[i + 1] - xs[i])
-            return float(ys[i] + frac * (ys[i + 1] - ys[i]))
-        raise InvalidInputError(f"unknown monotone kind {self.kind!r}")
-
-
-def monotone_Ef(scale: StepFunction, f: MonotoneFunctionSpec | Callable[[float], float]) -> float:
-    """Entanglement monotone ``E_f = integral of f(scale(t)) dt``.
-
-    Exact piecewise evaluation; requires ``f(0) == 0`` since the scale has
-    a zero tail of infinite length.
-    """
-    if f(0.0) != 0.0:
-        raise InvalidInputError("monotone integrand must satisfy f(0) = 0")
-    widths = np.diff(scale.breakpoints, prepend=0.0)
-    return float(math.fsum(w * f(level) for w, level in zip(widths, scale.levels[:-1])))
-
 
 @dataclass(frozen=True)
 class EntropyReport:

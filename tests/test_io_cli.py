@@ -722,6 +722,19 @@ def test_cli_prints_the_readme_examples(command, line_end, state_files, capsys):
     assert code == 0 and out == "".join(line + line_end for line in lines)
 
 
+def test_readme_python_quick_start_runs(capsys):
+    """The README's Python quick start runs as written: every name it
+    imports exists, its asserts hold, and its last print shows the type
+    label its comment gives."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Python quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[1] == "TypeLabel(family='III_lambda', parameter=0.5)"
+
+
 KAPPA_ARGS = "--family lambda --lambda 0.5 --m 2 --t-min 0 --t-max 0.693147 --steps 3"
 
 

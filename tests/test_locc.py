@@ -9,6 +9,7 @@ partial-sum inequality family for the one-shot closed form.
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -653,6 +654,27 @@ def test_verify_protocol_probabilities_are_the_run_branches(name):
     rep = verify_protocol(proto, psi, phi)
     assert rep.passed
     assert list(rep.probabilities) == [b.probability for b in one_way_branches(proto, psi)]
+
+
+@pytest.mark.parametrize("shape", ["generic", "tie_heavy", "zero_padded"])
+def test_verify_protocol_peak_is_one_branch_buffer(shape):
+    """At d = 128 some branches are pruned; the kept ones are moved down
+    inside the n x d x d branch buffer, so one verify_protocol call peaks
+    within 1.1 times that buffer (a copy of the kept rows would add up to
+    another buffer)."""
+    d = 128
+    psi, phi = sized_pair(d, shape)
+    proto = nielsen_synthesize(psi, phi)
+    buffer = len(proto.alice_kraus) * d * d * 16
+    tracemalloc.start()
+    try:
+        rep = verify_protocol(proto, psi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert len(rep.probabilities) < len(proto.alice_kraus)
+    assert peak <= 1.1 * buffer
 
 
 def test_verify_protocol_refuses_a_non_finite_branch():

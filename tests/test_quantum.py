@@ -20,17 +20,13 @@ from entlab.quantum import (
     align_unitary,
     apply_local,
     bell_state,
-    complete_isometry,
     connect_purifications,
-    coupling_constant,
     density,
     fidelity,
     haar_unitaries,
     haar_unitary,
-    lu_align_unitaries,
     lu_orbit_fidelity,
     marginal,
-    orbit_distance_matrices,
     product_basis_state,
     pure_state,
     purify,
@@ -408,20 +404,6 @@ def test_lu_orbit_fidelity_hundred_thousand_random_pairs():
     assert worst > closed - 0.2
 
 
-def test_lu_align_unitaries_achieve_the_bound():
-    rng = np.random.default_rng(77)
-    for dims in [(2, 2), (3, 3), (3, 4), (4, 3)]:
-        psi = random_pure_state(dims, rng)
-        phi = random_pure_state(dims, rng)
-        f = lu_orbit_fidelity(psi, phi)
-        w = lu_align_unitaries(psi, phi)
-        got = abs(np.vdot(psi.amplitudes, apply_local(phi, w.op_A, w.op_B))) ** 2
-        assert abs(got - f) < 1e-10
-        dA, dB = dims
-        assert np.abs(w.op_A @ w.op_A.conj().T - np.eye(dA)).max() < 1e-10
-        assert np.abs(w.op_B @ w.op_B.conj().T - np.eye(dB)).max() < 1e-10
-
-
 def test_lu_equivalence_iff_spectra_match():
     """Fidelity reaches 1 exactly on matching Schmidt spectra."""
     rng = np.random.default_rng(13)
@@ -435,13 +417,6 @@ def test_lu_equivalence_iff_spectra_match():
     gap = np.abs(schmidt(psi).spectrum.padded(n) - schmidt(other).spectrum.padded(n)).max()
     assert gap > 1e-6  # random pair: spectra differ
     assert lu_orbit_fidelity(psi, other) < 1.0 - 1e-9
-
-
-def test_complete_isometry_properties():
-    cols = schmidt(random_pure_state((4, 2), 3)).basis_A  # 4x2 isometry
-    full = complete_isometry(cols, 4)
-    assert np.abs(full @ full.conj().T - np.eye(4)).max() < 1e-10
-    assert np.abs(full[:, :2] - cols).max() == 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -513,7 +488,7 @@ def random_density_of_rank(d, r, rng):
     return density(g @ g.conj().T / np.linalg.norm(g) ** 2)
 
 
-def test_orbit_distance_matrices_oracle():
+def test_orbit_distance_of_density_spectra_oracle():
     """On seeded pairs, d = 1-6 with full and deficient ranks, the spectral
     formula equals the trace distance after ``align_unitary`` and undercuts
     200 seeded Haar conjugations."""
@@ -522,7 +497,7 @@ def test_orbit_distance_matrices_oracle():
         us = haar_unitaries(d, 200, 100 + d)
         for ranks in ((d, d), (1, d), (max(1, d - 1), max(1, d // 2))):
             r1, r2 = (random_density_of_rank(d, r, rng) for r in ranks)
-            got = orbit_distance_matrices(r1, r2)
+            got = orbit_distance(r1.spectrum(), r2.spectrum())
             u = align_unitary(r1, r2)
             assert abs(got - trace_distance(r1, density(u @ r2.entries @ u.conj().T))) <= 1e-12
             moved = np.einsum("nab,bc,ndc->nad", us, r2.entries, us.conj())
@@ -616,13 +591,6 @@ def test_connect_purifications_rejects_different_marginals():
 # --------------------------------------------------------------------------- #
 #                                  utilities                                   #
 # --------------------------------------------------------------------------- #
-
-
-def test_coupling_constant():
-    assert coupling_constant(2, 2) == 1.0
-    assert coupling_constant(3, 6) == 0.5
-    with pytest.raises(InvalidInputError):
-        coupling_constant(0, 2)
 
 
 def test_haar_unitary_deterministic_and_unitary():

@@ -1,5 +1,5 @@
 """Tests for spectral scales, distribution functions, majorization, spectral
-states, the scaling flow, and entanglement monotone functionals.
+states, the scaling flow, and entanglement entropies.
 
 Oracle conventions: exact rational hand values are frozen as literals;
 integration is cross-checked against a dense Riemann-sum oracle; smearing is
@@ -21,7 +21,6 @@ from entlab.errors import InvalidInputError
 from entlab.quantum import density, pure_state, state_from_schmidt
 from entlab.spectra import (
     AtomicMeasure,
-    MonotoneFunctionSpec,
     Spectrum,
     ZERO_STEP,
     atomic_measure,
@@ -36,7 +35,6 @@ from entlab.spectra import (
     l1_distance,
     majorizes,
     measure_distribution,
-    monotone_Ef,
     orbit_distance,
     scale_from_distribution,
     smear,
@@ -117,7 +115,7 @@ def loop_l1(f, g):
 
 def kron_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     """Tensor spectrum via an honest matrix eigensolve."""
-    m = np.kron(np.diag(a.as_array()), np.diag(b.as_array()))
+    m = np.kron(np.diag(a.values), np.diag(b.values))
     return spectrum(np.linalg.eigvalsh(m))
 
 
@@ -673,47 +671,13 @@ def test_kappa_profile_values():
 
 
 # --------------------------------------------------------------------------- #
-# monotone functionals
+# hinge integrals: an independent majorization oracle
 # --------------------------------------------------------------------------- #
 
-def test_monotone_Ef_hand_values():
-    sq = MonotoneFunctionSpec.power(2.0)
-    assert math.isclose(
-        monotone_Ef(spectral_scale(state_spectrum([0.5, 0.5])), sq), 0.5, abs_tol=1e-15
-    )
-    assert math.isclose(
-        monotone_Ef(spectral_scale(state_spectrum([1.0])), sq), 1.0, abs_tol=1e-15
-    )
-    for p in (0.5, 0.6, 0.9):
-        scale = spectral_scale(state_spectrum([p, 1 - p]))
-        assert math.isclose(monotone_Ef(scale, sq), p * p + (1 - p) * (1 - p), abs_tol=1e-15)
-
-
-def test_monotone_Ef_purity_matches_trace_oracle():
-    rng = np.random.default_rng(3)
-    sq = MonotoneFunctionSpec.power(2.0)
-    for _ in range(20):
-        s = normalized(rng.random(4))
-        rho = np.diag(s.padded(4))
-        assert math.isclose(
-            monotone_Ef(spectral_scale(s), sq), float(np.trace(rho @ rho)), abs_tol=1e-12
-        )
-
-
-def test_monotone_Ef_rejects_nonzero_origin():
-    bad = MonotoneFunctionSpec.tabulated([0.0, 1.0], [0.5, 1.0])
-    with pytest.raises(InvalidInputError):
-        monotone_Ef(spectral_scale(state_spectrum([1.0])), bad)
-
-
-def test_hinge_family_orientation():
-    """Convex non-decreasing f with f(0)=0: the *less mixed* spectrum has the
-    larger integral.  Explicit witness: b=(1,0) vs a=(1/2,1/2) at c=1/4."""
-    hinge = MonotoneFunctionSpec.hinge(0.25)
-    b = spectral_scale(state_spectrum([1.0]))
-    a = spectral_scale(state_spectrum([0.5, 0.5]))
-    assert math.isclose(monotone_Ef(b, hinge), 0.75, abs_tol=1e-15)
-    assert math.isclose(monotone_Ef(a, hinge), 0.50, abs_tol=1e-15)
+def hinge_integral(s: Spectrum, c: float) -> float:
+    """Integral of max(scale(t) - c, 0) over the spectral scale of s, whose
+    steps have unit width."""
+    return math.fsum(np.maximum(s.values - c, 0.0))
 
 
 @given(state_spectra, state_spectra)
@@ -729,13 +693,7 @@ def test_hinge_family_is_complete_for_majorization(a, b):
     except InvalidInputError:
         return
     cs = sorted(set(a.values) | set(b.values) | {0.0})
-    fa = spectral_scale(a)
-    fb = spectral_scale(b)
-    hinge_ok = all(
-        monotone_Ef(fb, MonotoneFunctionSpec.hinge(c))
-        >= monotone_Ef(fa, MonotoneFunctionSpec.hinge(c)) - 1e-12
-        for c in cs
-    )
+    hinge_ok = all(hinge_integral(b, c) >= hinge_integral(a, c) - 1e-12 for c in cs)
     assert dominated == hinge_ok
 
 
@@ -749,11 +707,7 @@ def test_hinge_direction_on_random_feasible_pairs():
             continue
         count += 1
         for c in np.linspace(0.0, 1.0, 20):
-            h = MonotoneFunctionSpec.hinge(float(c))
-            assert (
-                monotone_Ef(spectral_scale(b), h)
-                >= monotone_Ef(spectral_scale(a), h) - 1e-12
-            )
+            assert hinge_integral(b, float(c)) >= hinge_integral(a, float(c)) - 1e-12
 
 
 # --------------------------------------------------------------------------- #
@@ -804,9 +758,3 @@ def test_renyi_ordering(s):
     assert rep.H_alpha[0.5] >= rep.H - 1e-10
     assert rep.H >= rep.H_alpha[2.0] - 1e-10
     assert rep.H <= math.log(rep.schmidt_rank) + 1e-10
-
-
-def test_monotone_xlogx_recovers_negative_entropy():
-    s = state_spectrum([0.6, 0.3, 0.1])
-    e = monotone_Ef(spectral_scale(s), MonotoneFunctionSpec.xlogx())
-    assert math.isclose(e, -entanglement_entropies(s, [2.0]).H, abs_tol=1e-12)
