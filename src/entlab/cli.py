@@ -133,7 +133,7 @@ def _parse_float_list(raw: str, name: str, required: bool = True) -> list[float]
 def _parse_int_list(raw: str, name: str) -> list[int]:
     out = []
     for value in _parse_float_list(raw, name):
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise InvalidInputError(f"{name} entries must be integers, got {value!r}")
         out.append(int(value))
     return out

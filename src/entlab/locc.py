@@ -30,9 +30,9 @@ from .quantum import (
     LocalIsometryPair,
     PureBipartiteState,
     _in_support,
-    _padded_eigendata,
     marginal,
     schmidt,
+    sorted_eigh,
 )
 from .spectra import majorizes, spectrum, tensor_spectrum
 from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, POLAR_CUT,
@@ -436,8 +436,10 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
     of rho_phi.  Requires spectrum(rho_psi) to be majorized by
     spectrum(rho_phi), decided on the eigenvalues the mixing uses."""
     m = max(rho_psi.dim, rho_phi.dim)
-    a, va = _padded_eigendata(rho_psi, m)
-    b, vb = _padded_eigendata(rho_phi, m)
+    (a, va), (b, vb) = sorted_eigh(rho_psi), sorted_eigh(rho_phi)
+    # the smaller side's weights and basis columns are zero-padded to m
+    a, b = (np.pad(x, (0, m - x.size)) for x in (a, b))
+    va, vb = (np.pad(v, ((0, 0), (0, m - v.shape[1]))) for v in (va, vb))
     _, terms = _mixing_terms(a, b)
     return MixingDecomposition(
         tuple(w for w, _ in terms),
@@ -450,7 +452,7 @@ def mixing_decomposition(rho_psi: DensityMatrix, rho_phi: DensityMatrix) -> Mixi
 # --------------------------------------------------------------------------- #
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = _padded_eigendata(rho, rho.dim)
+    vals, vecs = sorted_eigh(rho)
     basis = vecs[:, _in_support(vals)]
     return basis @ basis.conj().T
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
 from .spectra import Spectrum, _numeric_array, _refuse_non_finite, spectrum
-from .tolerances import BRANCH_TOL, CLUSTER_GAP, INPUT_TOL, SUPPORT_CUT
+from .tolerances import BRANCH_TOL, INPUT_TOL, SUPPORT_CUT
 
 
 # --------------------------------------------------------------------------- #
@@ -210,76 +210,23 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 # --------------------------------------------------------------------------- #
-#                       deterministic sorted eigenbases                        #
+#                             descending eigendata                             #
 # --------------------------------------------------------------------------- #
 
-def _phase_fix(col: np.ndarray) -> np.ndarray:
-    """Rotate a unit column so its largest entry is real positive (that
-    entry has modulus at least 1/sqrt(len(col)), never 0)."""
-    pivot = col[int(np.argmax(np.abs(col)))]
-    return col * (abs(pivot) / pivot)
-
-
 def sorted_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition sorted descending with deterministic degenerate
-    clusters.
-
-    Within a cluster (eigenvalue gaps < ``CLUSTER_GAP``, chained) the
-    subspace projector — which is basis-independent — is re-orthonormalized
-    by QR, columns are phase-fixed, then ordered lexicographically on
-    rounded components.  Two
-    calls on the same matrix, or on matrices with the same degenerate
-    subspaces, produce identical bases.
-    """
-    vals, vecs = np.linalg.eigh(rho.entries)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    d = vals.size
-    start = 0
-    out = vecs.copy()
-    while start < d:
-        stop = start + 1
-        while stop < d and vals[stop - 1] - vals[stop] < CLUSTER_GAP:
-            stop += 1
-        if stop - start > 1:
-            proj = vecs[:, start:stop] @ vecs[:, start:stop].conj().T
-            _, pvecs = np.linalg.eigh(proj)
-            block = pvecs[:, -(stop - start):]
-            cols = [_phase_fix(block[:, k]) for k in range(block.shape[1])]
-            keys = [
-                (
-                    int(np.argmax(np.abs(c))),
-                    np.round(np.concatenate([c.real, c.imag]), 8).tobytes(),
-                )
-                for c in cols
-            ]
-            order = sorted(range(len(cols)), key=lambda k: keys[k])
-            for j, k in enumerate(order):
-                out[:, start + j] = cols[k]
-        else:
-            out[:, start] = _phase_fix(out[:, start])
-        start = stop
-    return vals, out
-
-
-def _padded_eigendata(rho: DensityMatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues (clipped at 0) and eigenbasis, zero-padded to
-    m.  Plain eigh, not sorted_eigh: re-basing a cluster of close but
-    distinct eigenvalues pairs vectors with the wrong eigenvalues."""
+    """Eigenvalues in descending order, clipped at 0, and the eigenbasis
+    columns in the same order: one ``eigh`` and a stable sort, so ties keep
+    ``eigh``'s order and each column carries its own eigenvalue."""
     vals, vecs = np.linalg.eigh(rho.entries)
     order = np.argsort(-vals, kind="stable")
-    padded_vals, padded_vecs = np.zeros(m), np.zeros((rho.dim, m), vecs.dtype)
-    padded_vals[: rho.dim] = np.clip(vals[order], 0.0, None)
-    padded_vecs[:, : rho.dim] = vecs[:, order]
-    return padded_vals, padded_vecs
+    return np.clip(vals[order], 0.0, None), vecs[:, order]
 
 
 def align_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     """Unitary u with ``||rho - u sigma u*||_1`` equal to the unitary-orbit
     distance of the spectra (sorted eigenbasis matching)."""
     _check_dims(rho, sigma)
-    _, v = _padded_eigendata(rho, rho.dim)
-    _, w = _padded_eigendata(sigma, sigma.dim)
-    return v @ w.conj().T
+    return sorted_eigh(rho)[1] @ sorted_eigh(sigma)[1].conj().T
 
 
 # --------------------------------------------------------------------------- #
@@ -375,7 +322,7 @@ def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
 
 def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.ndarray:
     """Batch of Haar unitaries, shape (count, d, d)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.einsum("nii->ni", r).copy()
@@ -385,7 +332,7 @@ def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.nd
 
 def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Wishart-distributed random density matrix."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
@@ -394,6 +341,6 @@ def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
 
 def random_pure_state(dims: tuple[int, int], seed: int | np.random.Generator) -> PureBipartiteState:
     """Haar-random bipartite pure state."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
     return pure_state(dims, v / np.linalg.norm(v))

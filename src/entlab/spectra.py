@@ -574,14 +574,16 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     if not s.is_state():
         raise InvalidInputError("entropies are defined for state spectra")
     vals = s.values
-    h = float(-math.fsum(v * math.log(v) for v in vals if v > 0))
+    # "+ 0.0" (here and for H_alpha) turns a rank-1 spectrum's -0.0 into 0.0
+    # and leaves every other value's bits as they are
+    h = -math.fsum(v * math.log(v) for v in vals if v > 0) + 0.0
     out: dict[float, float] = {}
     for alpha in map(float, alphas):
         if not (math.isfinite(alpha) and alpha > 0 and alpha != 1.0):
             raise InvalidInputError("Renyi order must lie in (0,1) or (1,oo)")
         total = math.fsum(vals**alpha)
         if total >= sys.float_info.min:
-            out[alpha] = math.log(total) / (1.0 - alpha)
+            out[alpha] = math.log(total) / (1.0 - alpha) + 0.0
         else:
             rest = math.fsum((vals / vals[0]) ** alpha)
             out[alpha] = alpha / (1.0 - alpha) * math.log(vals[0]) + math.log(rest) / (1.0 - alpha)

@@ -23,7 +23,7 @@ INPUT_TOL = 1e-10
 UNIT_VECTOR_TOL = 1e-8
 
 # --------------------------------------------------------------------------- #
-#                          equal reals and clusters                            #
+#                                 equal reals                                  #
 # --------------------------------------------------------------------------- #
 
 # Relative (absolute in log).  Two positive reals this close in log are the
@@ -36,10 +36,6 @@ UNIT_VECTOR_TOL = 1e-8
 # never resolves positions finer, and ``classify_itpfi`` merges spectrum
 # entries by the same chained rule (there is no separate gap rule).
 MERGE_TOL = 1e-12
-# Absolute.  ``sorted_eigh`` chains neighbouring eigenvalues closer than this
-# into one degenerate cluster.  Gaps chain, so one cluster can span more than
-# the gap.
-CLUSTER_GAP = 1e-10
 
 # --------------------------------------------------------------------------- #
 #                                  supports                                    #

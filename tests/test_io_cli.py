@@ -467,6 +467,22 @@ REFUSED_DOCUMENTS = {
     "step-function-nan": (
         {"kind": "step_function", "breakpoints": [math.nan], "levels": [1.0, 0.0]},
         eio.step_function_from_json, None, "breakpoints entry 0 is nan, not a finite number"),
+    "rounds-not-list": (
+        {"kind": "locc_protocol", "rounds": {"party": "A"}}, eio.protocol_from_json, _SIMULATE,
+        "'rounds' must be a list"),
+    "round-not-object": (
+        {"kind": "locc_protocol", "rounds": [["A"]]}, eio.protocol_from_json, _SIMULATE,
+        "each round must be a JSON object"),
+    "branches-not-object": (
+        {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": [_IDENTITY]}]},
+        eio.protocol_from_json, _REDUCE, "round 'branches' must be an object keyed by history"),
+    "density-dim-mismatch": (
+        {"kind": "density", "dim": 3, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        eio.density_from_json, ["distinguish", "{doc}", "{doc}"],
+        "density 'dim' does not match the entry grid"),
+    "spectrum-values-number": (
+        {"kind": "spectrum", "values": 0.5}, eio.spectrum_from_json, None,
+        "values must be a list of numbers"),
 }
 
 
@@ -485,6 +501,11 @@ def test_malformed_document_is_refused_by_parser_and_cli(name, tmp_path, state_f
         argv = [arg.format(doc=path, bell=state_files["bell"]) for arg in command]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and message in err
+
+
+def test_operator_to_json_refuses_a_vector():
+    with pytest.raises(InvalidInputError, match="^operators must be 2-dimensional$"):
+        eio.operator_to_json(np.ones(3))
 
 
 def test_non_finite_complex_array_from_memory_is_refused():
@@ -956,6 +977,40 @@ def test_cli_empty_list_flag_is_a_usage_error(argv, flag, capsys):
     assert err == f"entlab: {flag} needs at least one value\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag", "entry"),
+    [
+        (["embezzle", "sweep", "--d", "2", "--n-list", "inf"], "--n-list", "inf"),
+        (["embezzle", "sweep", "--d", "2", "--n-list", "nan"], "--n-list", "nan"),
+        (["catalysis", "decay", "--lambda", "0.5", "--m-list", "1e400"], "--m-list", "inf"),
+    ],
+    ids=["n-inf", "n-nan", "m-overflow"],
+)
+def test_cli_integer_list_refuses_non_finite_entries(argv, flag, entry):
+    """int() of inf or nan raised OverflowError or ValueError; the entry is
+    refused like a fraction, in one line, by the process itself."""
+    done = _run_entlab(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"entlab: {flag} entries must be integers, got {entry}\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_kappa_profile_non_numeric_negative_t_min_is_a_usage_error(capsys):
+    """``-x`` is not a negative number, so it is left as an option token and
+    --t-min has no value: a usage error, exit 2."""
+    code, out, err = run_cli(["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "2",
+                              "--t-min", "-x", "--t-max", "0.5", "--steps", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --t-min: expected one argument" in err
+
+
+def test_cli_monotones_of_a_product_state_prints_zero_not_minus_zero(tmp_path, capsys):
+    path = write_doc(tmp_path, "product.json", eio.state_to_json(product_basis_state(2, 2)))
+    code, out, _ = run_cli(["monotones", path, "--alpha", "2"], capsys)
+    assert code == 0
+    assert out == '{"H": 0, "H_alpha": {"2": 0}, "schmidt_rank": 1}\n'
+
+
 @pytest.mark.parametrize("alpha", ["", ","])
 def test_cli_monotones_empty_alpha_asks_for_no_orders(alpha, state_files, capsys):
     code, out, _ = run_cli(["monotones", state_files["bell"], "--alpha", alpha], capsys)
@@ -1332,12 +1387,15 @@ def test_repeated_json_key_is_refused(name, tmp_path, state_files, capsys):
 
 
 # documents json.load itself cannot read: too deep for its recursion, or an
-# integer past Python's int conversion limit
+# integer past Python's int conversion limit; and JSON that is not an object
+# with a "kind"
 UNREADABLE_DOCUMENTS = {
     "deep": (_SIMULATE, "[" * 100_000 + "]" * 100_000, "is nested too deeply to read"),
     "long-int": (["schmidt", "{doc}"],
                  '{"kind": "pure_bipartite", "dims": [' + "9" * 5000 + ', 2], "amplitudes": []}',
                  "holds an integer of more than "),
+    "list": (["schmidt", "{doc}"], "[1]", "must be a JSON object with a 'kind' field"),
+    "no-kind": (_SIMULATE, '{"x": 1}', "must be a JSON object with a 'kind' field"),
 }
 
 

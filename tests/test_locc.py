@@ -541,10 +541,9 @@ def test_nielsen_just_outside_the_polytope():
 
 
 def test_nielsen_target_with_close_small_eigenvalues():
-    """Target eigenvalues 2e-11 and 1e-11 lie within sorted_eigh's 1e-10
-    cluster gap yet differ; the mixing must still pair each eigenvector
-    with its own eigenvalue, or completeness on the 1e-4 source weight
-    breaks (residual ~1e-8)."""
+    """Target eigenvalues 2e-11 and 1e-11 are close yet distinct; the mixing
+    must still pair each eigenvector with its own eigenvalue, or
+    completeness on the 1e-4 source weight breaks (residual ~1e-8)."""
     rng = np.random.default_rng(0)
     psi = weighted_state([0.4, 0.3, 0.2, 0.0999, 0.0001])
     phi = weighted_state([0.5, 0.3, 0.2 - 3e-11, 2e-11, 1e-11])
@@ -874,10 +873,13 @@ def test_simulate_error_paths(run):
         (lambda: Instrument([P0, P1], ["0", "0"]),
          "labels must be distinct and match the outcome count"),
         (lambda: Instrument([EYE2], [""]), "label '' must be non-empty and free of ','"),
+        (lambda: locc_round("C", {(): instrument([EYE2])}), "party must be 'A' or 'B', got 'C'"),
+        (lambda: locc_round("A", {(): EYE2}), "branch values must be Instruments"),
     ],
     ids=["nan-kraus", "inf-kraus", "two-dimensions", "no-instrument", "super-normalized",
          "reserved-label", "depth-17", "string-history", "integer-label-history",
-         "no-outcome", "unequal-matrices", "repeated-label", "empty-label"],
+         "no-outcome", "unequal-matrices", "repeated-label", "empty-label", "party-c",
+         "matrix-branch"],
 )
 def test_protocol_parts_are_checked_when_built(build, message):
     """An instrument, round or protocol that no run could complete is

@@ -152,6 +152,11 @@ def test_constructors_refuse_indices_outside_dims(build, message):
         build()
 
 
+def test_haar_unitary_refuses_dimension_zero():
+    with pytest.raises(InvalidInputError, match="^dimension must be >= 1$"):
+        haar_unitary(0, 1)
+
+
 # --------------------------------------------------------------------------- #
 #                               Schmidt data                                   #
 # --------------------------------------------------------------------------- #
@@ -442,6 +447,26 @@ def test_sorted_eigh_degenerate_cluster():
     recon = (basis * vals) @ basis.conj().T
     assert np.abs(recon - rho.entries).max() < 1e-9
     assert np.abs(basis.conj().T @ basis - np.eye(4)).max() < 1e-9
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_sorted_eigh_columns_carry_their_own_eigenvalues(d):
+    """Eigenvalues in groups of 4 equal Dirichlet weights, each moved by up
+    to 3e-11: close but distinct.  Every column must still be an eigenvector
+    of its own eigenvalue, so v^dagger rho v is diag(w) to rounding (a
+    re-based cluster of close eigenvalues leaves it off by ~1e-11)."""
+    rng = np.random.default_rng(100 + d)
+    worst = 0.0
+    for _ in range(20):
+        w = np.repeat(rng.dirichlet(np.ones(d // 4)) / 4, 4)
+        w = w + rng.uniform(-3e-11, 3e-11, d)
+        w /= w.sum()
+        u = haar_unitary(d, rng)
+        rho = density((u * w) @ u.conj().T)
+        vals, vecs = sorted_eigh(rho)
+        assert np.all(np.diff(vals) <= 0)
+        worst = max(worst, float(np.abs(vecs.conj().T @ rho.entries @ vecs - np.diag(vals)).max()))
+    assert worst <= 1e-14
 
 
 def test_align_unitary_achieves_orbit_distance():

@@ -22,6 +22,7 @@ from entlab.quantum import density, pure_state, state_from_schmidt
 from entlab.spectra import (
     AtomicMeasure,
     Spectrum,
+    StepFunction,
     ZERO_STEP,
     atomic_measure,
     distribution_function,
@@ -168,6 +169,42 @@ def test_measure_and_step_function_reject_non_finite_entries(build, text):
     naming the entry as the spectrum does."""
     with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}, not a finite number$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: spectrum([[0.5], [0.5]]), "spectrum values must be a flat list"),
+     (lambda: flat_spectrum(0), "flat spectrum needs n >= 1"),
+     (lambda: StepFunction((1.0,), (1.0,)), "need exactly one more level than breakpoints"),
+     (lambda: StepFunction((1.0,), (1.0, 0.5)), "a step function must vanish eventually"),
+     (lambda: step_function([1.0], [1.0]), "need exactly one more level than breakpoints"),
+     (lambda: step_function([0.0], [1.0, 0.0]), "breakpoints must be positive"),
+     (lambda: step_function([2.0, 1.0], [2.0, 1.0, 0.0]), "breakpoints must be strictly increasing"),
+     (lambda: step_function([1.0], [-1.0, 0.0]), "levels must be non-negative"),
+     (lambda: step_function([1.0], [1.0, 0.5]), "final level must be zero"),
+     (lambda: atomic_measure([1.0, 2.0], [1.0]), "atoms and masses must be flat lists of equal length"),
+     (lambda: entanglement_entropies(spectrum([0.5])), "entropies are defined for state spectra")],
+    ids=["spectrum-2d", "flat-zero", "step-class-count", "step-class-last-level", "step-count",
+         "step-breakpoint-zero", "step-breakpoints-decrease", "step-level-negative",
+         "step-last-level", "measure-lengths", "entropies-non-state"],
+)
+def test_spectral_objects_refuse_malformed_input(build, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_empty_spectra_and_measures_and_foreign_comparisons():
+    """Two empty spectra majorize each other at orbit distance 0, an empty
+    measure has the zero distribution, a spectrum never equals a number, and
+    measures whose atom counts or positions differ are not close."""
+    empty = spectrum([])
+    assert majorizes(empty, empty) is True
+    assert orbit_distance(empty, empty) == 0.0
+    assert measure_distribution(atomic_measure([], [])) is ZERO_STEP
+    assert (Spectrum([1.0]) == 1) is False
+    m = atomic_measure([0.25, 1.0], [0.5, 0.5])
+    assert not m.isclose(atomic_measure([1.0], [1.0]))
+    assert not m.isclose(atomic_measure([0.5, 1.0], [0.5, 0.5]))
 
 
 @pytest.mark.parametrize(
@@ -727,6 +764,15 @@ def test_entropies_hand_values():
     rep2 = entanglement_entropies(state_spectrum([0.5, 0.25, 0.25]), [2.0])
     assert math.isclose(rep2.H_alpha[2.0], -math.log(0.375), abs_tol=1e-12)
     assert rep2.schmidt_rank == 3
+
+
+def test_entropies_of_a_rank_one_spectrum_are_positive_zero():
+    """-sum v log v and log(1) / (1 - alpha) for alpha > 1 are -0.0 in
+    floating point; the report gives 0.0, so JSON prints 0, not -0."""
+    report = entanglement_entropies(spectrum([1.0]), [0.5, 2.0, 3000.0])
+    values = [report.H, *report.H_alpha.values()]
+    assert values == [0.0] * 4
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
 
 def test_entropies_reject_degenerate_alpha():

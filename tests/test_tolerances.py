@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import entlab
-from entlab import locc
+from entlab import locc, tolerances
 from entlab.errors import (
     InvalidInputError,
     NoConnectorError,
@@ -62,6 +62,24 @@ def small_literals(path: Path) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_tolerance_literal_outside_the_table(path):
     assert small_literals(path) == []
+
+
+def test_readme_table_lists_every_tolerance_and_each_is_imported():
+    """README's "Numerical tolerances" table has one row per name the table
+    module defines, and some module imports each name: a tolerance nothing
+    reads, or a row for one that is gone, fails here."""
+    defined = {name for name in vars(tolerances) if name.isupper()}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Numerical tolerances", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == defined
+    imported = {
+        alias.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+        for alias in node.names
+    }
+    assert imported == defined
 
 
 SCHMIDT_73 = [math.sqrt(0.7), math.sqrt(0.3)]
