@@ -14,7 +14,7 @@ import argparse
 import math
 
 from entlab import LambdaFamilySpec, catalytic_deviation
-from entlab.cli import CommandConfig, emit_sweep
+from entlab.cli import emit_sweep
 
 
 def main() -> None:
@@ -35,8 +35,7 @@ def main() -> None:
             "deviation_on_period": catalytic_deviation(spec, period),
             "deviation_off_period": catalytic_deviation(spec, period / 2),
         })
-    emit_sweep(rows, ["m", "deviation_on_period", "deviation_off_period"],
-               CommandConfig(out=args.out))
+    emit_sweep(rows, ["m", "deviation_on_period", "deviation_off_period"], args.out)
 
     print(f"wrote {len(rows)} rows to {args.out}")
     crossing = next((row["m"] for row in rows if row["deviation_on_period"] < 0.25), None)

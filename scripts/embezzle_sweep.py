@@ -11,7 +11,7 @@ import argparse
 import math
 
 from entlab import bell_state, embezzle_report, product_basis_state, vdh_bound
-from entlab.cli import CommandConfig, emit_sweep
+from entlab.cli import emit_sweep
 
 
 def main() -> None:
@@ -42,7 +42,7 @@ def main() -> None:
             })
 
     columns = ["d", "n", "fidelity", "trace_error", "fidelity_bound", "epsilon", "meets_bound"]
-    emit_sweep(rows, columns, CommandConfig(out=args.out))
+    emit_sweep(rows, columns, args.out)
 
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"{'d':>3} {'n':>9} {'fidelity':>10} {'bound':>10}")

@@ -14,7 +14,7 @@ import argparse
 import math
 
 from entlab import LambdaFamilySpec, family_kappa_profile, kappa_max_formula
-from entlab.cli import CommandConfig, emit_sweep
+from entlab.cli import emit_sweep
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         rows.extend(
             {"m": m, "t": t, "deviation": dev} for t, dev in zip(grid, profile)
         )
-    emit_sweep(rows, ["m", "t", "deviation"], CommandConfig(out=args.out))
+    emit_sweep(rows, ["m", "t", "deviation"], args.out)
 
     peak = kappa_max_formula(args.lam)
     print(f"wrote {len(rows)} rows to {args.out}")

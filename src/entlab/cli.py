@@ -22,7 +22,6 @@ import functools
 import io as _stdio
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -55,23 +54,9 @@ from .locc import (
 from .quantum import bell_state, fidelity, product_basis_state, schmidt, trace_distance
 from .spectra import entanglement_entropies, spectrum
 
-__all__ = ["CommandConfig", "emit_sweep", "dispatch", "main"]
+__all__ = ["emit_sweep", "dispatch", "main"]
 
 TABLE_FORMATS = ("csv", "json")  # record commands always write JSON
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Output flags: ``--out`` on every subcommand, ``--format`` on the table
-    commands (record commands always write JSON)."""
-
-    out: Optional[str] = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in TABLE_FORMATS:
-            raise InvalidInputError(f"format must be {' or '.join(TABLE_FORMATS)}, "
-                                    f"got {self.format!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -83,12 +68,10 @@ def _cell(value: Any) -> str:
     return value if isinstance(value, str) else eio.canonical_json(value)
 
 
-def emit_sweep(
-    rows: Sequence[dict],
-    columns: Sequence[str],
-    config: CommandConfig,
-) -> None:
-    """Write a homogeneous table to ``config.out`` (or stdout).
+def emit_sweep(rows: Sequence[dict], columns: Sequence[str], out: Optional[str] = None,
+               format: str = "csv") -> None:
+    """Write a homogeneous table to the path ``out`` (stdout when None) in
+    ``format``, ``"csv"`` or ``"json"``.
 
     CSV uses RFC-4180 quoting with a single header row; JSON is an array of
     records.  Rows are emitted in the order given — callers sort by their
@@ -96,10 +79,12 @@ def emit_sweep(
     its canonical JSON, so both formats share one scalar format (floats with
     17 digits) and reruns are byte-identical.
     """
+    if format not in TABLE_FORMATS:
+        raise InvalidInputError(f"format must be {' or '.join(TABLE_FORMATS)}, got {format!r}")
     schema = set(columns)
     if any(row.keys() != schema for row in rows):
         raise InvalidInputError("sweep rows must share one schema")
-    if config.format == "json":
+    if format == "json":
         text = eio.canonical_json([{c: row[c] for c in columns} for row in rows])
     else:
         buf = _stdio.StringIO()
@@ -108,7 +93,7 @@ def emit_sweep(
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
         text = buf.getvalue()
-    eio.write_text(config.out, text)
+    eio.write_text(out, text)
 
 
 # --------------------------------------------------------------------------- #
@@ -433,7 +418,7 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         result = args.handler(args)
         if hasattr(args, "format"):  # only the table parent gives a command --format
-            emit_sweep(*result, CommandConfig(args.out, args.format))
+            emit_sweep(*result, args.out, args.format)
         else:
             eio.write_text(args.out, eio.canonical_json(result))
         return 0

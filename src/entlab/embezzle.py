@@ -37,7 +37,8 @@ from .spectra import (
     AtomicMeasure,
     Spectrum,
     _density_l1,
-    _flow_time,
+    _flow_times,
+    _integer,
     _merge_runs,
     atomic_measure,
     flow_act,
@@ -45,7 +46,6 @@ from .spectra import (
 from .tolerances import MERGE_TOL, UNIT_VECTOR_TOL
 
 __all__ = [
-    "VdhSpec",
     "VdhBound",
     "EmbezzleReport",
     "LambdaFamilySpec",
@@ -73,23 +73,6 @@ DENOMINATOR_CAP = 10**3
 #                                Config records                                #
 # --------------------------------------------------------------------------- #
 
-def _integer(value, least: int, need: str) -> int:
-    """``value`` as an int if it is an integer (NumPy too, not bool) >= ``least``; else refused."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-        raise InvalidInputError(f"{need}, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class VdhSpec:
-    """Harmonic-family size parameter."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, 1, "harmonic family needs integer n >= 1"))
-
-
 @dataclass(frozen=True)
 class LambdaFamilySpec:
     """Two-level tensor-power family: base Schmidt spectrum
@@ -103,7 +86,8 @@ class LambdaFamilySpec:
             raise InvalidInputError(
                 f"lambda must lie strictly between 0 and 1, got {self.lambda_!r}"
             )
-        object.__setattr__(self, "m", _integer(self.m, 1, "tensor power m must be a positive integer"))
+        object.__setattr__(self, "m", _integer(self.m, 1,
+                                               "tensor power m must be a positive integer, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -198,8 +182,8 @@ def vdh_coefficients(n: int) -> np.ndarray:
     harmonic number is the correctly rounded sum of the terms ``1 / alpha``,
     bit for bit ``math.fsum``'s.  The list is built in one buffer: the terms,
     then their square roots, then the scaling, each in place."""
-    spec = VdhSpec(n)
-    out = np.arange(1, spec.n + 1, dtype=float)
+    n = _integer(n, 1, "harmonic family needs integer n >= 1, got {!r}")
+    out = np.arange(1, n + 1, dtype=float)
     np.divide(1.0, out, out=out)
     c = 1.0 / math.sqrt(_fsum_descending(out))
     np.sqrt(out, out=out)
@@ -227,8 +211,8 @@ def vdh_bound(d: int, n: int) -> VdhBound:
     the size-``n`` harmonic resource: trace error at most
     ``sqrt(2 log d / log n)`` and fidelity at least ``(1 - log d / log n)^2``
     (clipped to [0, 1])."""
-    d = _integer(d, 1, "target rank d must be a positive integer")
-    n = _integer(n, 2, "the guarantee needs an integer n >= 2 (log n > 0)")
+    d = _integer(d, 1, "target rank d must be a positive integer, got {!r}")
+    n = _integer(n, 2, "the guarantee needs an integer n >= 2 (log n > 0), got {!r}")
     ratio = math.log(d) / math.log(n)
     eps = math.sqrt(2.0 * ratio)
     bound = (1.0 - ratio) ** 2 if ratio < 1.0 else 0.0
@@ -386,11 +370,11 @@ def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> lis
     The deviation is scale-free, so it is computed on the log-positions
     ``(k - k_heaviest) log lambda``, centred on the heaviest atom; no atom is
     formed, so every m and every finite ``t`` is accepted.  The times are
-    checked, then evaluated in one ``_density_l1`` grid pass.
+    checked and evaluated in one ``_density_l1`` grid pass.
     """
     k, masses = _binomial_avatar(spec.lambda_, spec.m)
     u, w = ((k - k[np.argmax(masses)]) * math.log(spec.lambda_))[::-1], masses[::-1]
-    return _density_l1(u, w, u, w, [_flow_time(t) for t in t_grid])
+    return _density_l1(u, w, u, w, t_grid)
 
 
 def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
@@ -403,7 +387,7 @@ def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
     decreases toward 0 as ``m`` grows.  Off the period the moved atoms
     interleave with the originals and the value is ``2 sum_k B(k)``.
     """
-    t = _flow_time(t)
+    (t,) = _flow_times([t]).tolist()
     _, masses = _binomial_avatar(spec.lambda_, spec.m)
     period = -math.log(spec.lambda_)
     s = round(abs(t) / period) if abs(t) <= (spec.m + 1) * period else 0

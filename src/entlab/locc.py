@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .quantum import (
     schmidt,
     sorted_eigh,
 )
-from .spectra import majorizes, spectrum, tensor_spectrum
+from .spectra import _numeric_array, majorizes, spectrum, tensor_spectrum
 from .tolerances import (BRANCH_TOL, COMPLETENESS_TOL, FLOOR_SLACK, MASS_CUT, POLAR_CUT,
                          SUPPORT_FLOOR)
 
@@ -218,6 +219,9 @@ class LoccProtocol:
     def __post_init__(self) -> None:
         if len(self.rounds) > MAX_ROUNDS:
             raise InvalidInputError(f"protocol depth {len(self.rounds)} exceeds the cap {MAX_ROUNDS}")
+        for i, rnd in enumerate(self.rounds):
+            if not isinstance(rnd, LoccRound):
+                raise InvalidInputError(f"round {i} must be a LoccRound, got {type(rnd).__name__}")
 
 
 def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
@@ -228,7 +232,8 @@ def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
 class OneWayProtocol:
     """Alice measures (one Kraus per outcome), Bob applies the matching
     partial isometry.  A branch's probability is its squared norm after both
-    operators.  Each side is one or more matrices of one shape, equally many."""
+    operators.  Each side is one or more matrices of one shape, equally many;
+    nested lists become complex arrays, and numeric arrays are kept as they are."""
 
     alice_kraus: tuple[np.ndarray, ...]
     bob_unitaries: tuple[np.ndarray, ...]
@@ -237,7 +242,12 @@ class OneWayProtocol:
         if not 0 < len(self.alice_kraus) == len(self.bob_unitaries):
             raise InvalidInputError("alice_kraus and bob_unitaries must pair up, one or more: got "
                                     f"{len(self.alice_kraus)} and {len(self.bob_unitaries)}")
-        for name, ops in (("alice_kraus", self.alice_kraus), ("bob_unitaries", self.bob_unitaries)):
+        for name in ("alice_kraus", "bob_unitaries"):
+            ops = getattr(self, name)
+            if not (set(map(type, ops)) <= {np.ndarray}
+                    and {dtype.kind for dtype in set(map(attrgetter("dtype"), ops))} <= set("biufc")):
+                ops = tuple(_numeric_array(op, name, complex) for op in ops)
+                object.__setattr__(self, name, ops)
             shapes = sorted(set(map(np.shape, ops)))
             if len(shapes) > 1 or len(shapes[0]) != 2:
                 raise InvalidInputError(f"{name} must be matrices of one shape, got {shapes}")

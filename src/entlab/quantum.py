@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, _numeric_array, _refuse_non_finite, spectrum
+from .spectra import Spectrum, _integer, _numeric_array, _refuse_non_finite, spectrum
 from .tolerances import BRANCH_TOL, INPUT_TOL, SUPPORT_CUT
 
 
@@ -44,6 +44,8 @@ def density(entries: np.ndarray | Iterable[Iterable[complex]]) -> DensityMatrix:
     arr = _numeric_array(entries, "density", complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("density matrix must be square")
+    if not arr.size:
+        raise InvalidInputError("density matrix must be at least 1 x 1")
     _refuse_non_finite(arr, "density")
     if np.abs(arr - arr.conj().T).max() > INPUT_TOL:
         raise InvalidInputError(f"density matrix is not Hermitian within {INPUT_TOL:g}")
@@ -72,10 +74,15 @@ class PureBipartiteState:
         return self.amplitudes.reshape(self.dims)
 
 
+def _dims(dims: tuple[int, int]) -> tuple[int, int]:
+    """The two local dimensions, each an integer >= 1 (NumPy too, not bool)."""
+    return tuple(_integer(d, 1, "dims must be integers >= 1, got {!r}") for d in (dims[0], dims[1]))
+
+
 def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipartiteState:
-    dA, dB = int(dims[0]), int(dims[1])
+    dA, dB = _dims(dims)
     arr = _numeric_array(amplitudes, "amplitudes", complex).ravel()
-    if dA < 1 or dB < 1 or arr.size != dA * dB:
+    if arr.size != dA * dB:
         raise InvalidInputError(f"amplitude length {arr.size} != {dA}*{dB}")
     _refuse_non_finite(arr, "amplitudes")
     n = np.linalg.norm(arr)
@@ -90,6 +97,7 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
 
 def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBipartiteState:
     """The computational product state |i>_A |j>_B."""
+    dA, dB = _dims((dA, dB))
     if not (0 <= i < dA and 0 <= j < dB):
         raise InvalidInputError(f"basis indices (i, j) = ({i}, {j}) outside dims ({dA}, {dB})")
     v = np.zeros(dA * dB, dtype=complex)
@@ -99,6 +107,7 @@ def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBiparti
 
 def bell_state(d: int = 2) -> PureBipartiteState:
     """Maximally entangled rank-d state on (C^d, C^d)."""
+    d = _integer(d, 1, "dimension must be an integer >= 1, got {!r}")
     m = np.eye(d, dtype=complex) / math.sqrt(d)
     return pure_state((d, d), m.ravel())
 
@@ -106,8 +115,7 @@ def bell_state(d: int = 2) -> PureBipartiteState:
 def state_from_schmidt(coeffs: Iterable[float], dims: Optional[tuple[int, int]] = None) -> PureBipartiteState:
     """Diagonal state with the given Schmidt coefficients."""
     c = _numeric_array(coeffs, "Schmidt coefficients")
-    if dims is None:
-        dims = (c.size, c.size)
+    dims = (c.size, c.size) if dims is None else _dims(dims)
     if c.size > min(dims):
         raise InvalidInputError(f"{c.size} Schmidt coefficients do not fit dims {tuple(dims)}")
     m = np.zeros(dims, dtype=complex)
@@ -315,9 +323,7 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
 
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (Gaussian QR with phase correction)."""
-    if d < 1:
-        raise InvalidInputError("dimension must be >= 1")
-    return haar_unitaries(d, 1, seed)[0]
+    return haar_unitaries(_integer(d, 1, "dimension must be >= 1"), 1, seed)[0]
 
 
 def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -332,6 +338,7 @@ def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.nd
 
 def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Wishart-distributed random density matrix."""
+    d = _integer(d, 1, "dimension must be an integer >= 1, got {!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
@@ -341,6 +348,7 @@ def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
 
 def random_pure_state(dims: tuple[int, int], seed: int | np.random.Generator) -> PureBipartiteState:
     """Haar-random bipartite pure state."""
+    dims = _dims(dims)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
     return pure_state(dims, v / np.linalg.norm(v))

@@ -106,6 +106,13 @@ def _numeric_array(x, name: str, dtype=float) -> np.ndarray:
     raise InvalidInputError(f"{name} must be an array of numbers: {reason}")
 
 
+def _integer(value, least: int, refusal: str) -> int:
+    """``value`` as an int if it is an integer (NumPy too, not bool) >= ``least``, else refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise InvalidInputError(refusal.format(value))
+    return int(value)
+
+
 def spectrum(values: Iterable[float]) -> Spectrum:
     """Build a canonical :class:`Spectrum` (sort, strip zeros).
 
@@ -139,8 +146,7 @@ def tensor_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
 
 def flat_spectrum(n: int) -> Spectrum:
     """The flat (maximally mixed) spectrum (1/n, ..., 1/n)."""
-    if n < 1:
-        raise InvalidInputError("flat spectrum needs n >= 1")
+    n = _integer(n, 1, "flat spectrum needs n >= 1")
     return Spectrum(np.full(n, 1.0 / n))
 
 
@@ -228,11 +234,6 @@ def generalized_inverse(f: StepFunction) -> StepFunction:
     levels; applying it twice gives back the original function exactly.
     """
     return StepFunction(f.levels[:-1][::-1], np.append(f.breakpoints[::-1], 0.0))
-
-
-# `scale_from` in property-test speak: the inverse of a distribution function
-# is the spectral scale.
-scale_from_distribution = generalized_inverse
 
 
 def l1_distance(f: StepFunction, g: StepFunction) -> float:
@@ -431,19 +432,20 @@ def measure_distribution(m: AtomicMeasure) -> StepFunction:
     return step_function(m.atoms, np.append(suffix, 0.0))
 
 
-def _flow_time(t: float) -> float:
-    """``t`` as a float; every finite time is a flow, NaN and infinities are refused."""
-    if not math.isfinite(t):
-        raise InvalidInputError(f"flow time t={float(t)!r} is not finite")
-    return float(t)
+def _flow_times(times: Iterable[float]) -> np.ndarray:
+    """``times`` as a float array; every finite time is a flow, the first NaN or infinity is refused."""
+    t = _numeric_array(times, "flow times")
+    if not np.isfinite(t).all():
+        raise InvalidInputError(f"flow time t={float(t[~np.isfinite(t)][0])!r} is not finite")
+    return t
 
 
 _BLOCK_ENTRIES = 1 << 15  # merged entries per block of shifts: O(atoms) memory at any grid length
 
 
-def _density_l1(u1, w1, u2, w2, shifts: Sequence[float]) -> list[float]:
+def _density_l1(u1, w1, u2, w2, shifts: Iterable[float]) -> list[float]:
     """L1 distances between the distribution densities of two atom sets, one
-    per shift.
+    per shift; the shifts are flow times, so NaN and infinities are refused.
 
     Each set is given by ascending log-positions ``u`` (arrays) and positive
     masses ``w``; for each shift the second set sits at ``u2 + shift``.  Over
@@ -473,7 +475,7 @@ def _density_l1(u1, w1, u2, w2, shifts: Sequence[float]) -> list[float]:
 
     suffix1, total1 = per_set(u1, w1)
     suffix2, total2 = (suffix1, total1) if u1 is u2 and w1 is w2 else per_set(u2, w2)
-    shifts = np.asarray(shifts, dtype=float).reshape(-1, 1)
+    shifts = _flow_times(shifts).reshape(-1, 1)
     rows = max(1, _BLOCK_ENTRIES // max(1, len(u1) + len(u2)))
     out: list[float] = []
     for shift in (shifts[i:i + rows] for i in range(0, len(shifts), rows)):
@@ -534,7 +536,7 @@ def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
     value.  A profile over many times is one grid pass in :func:`kappa_profile`.
     """
     u = np.log(psi_hat.atoms)
-    return _density_l1(u, psi_hat.masses, u, psi_hat.masses, [_flow_time(t)])[0]
+    return _density_l1(u, psi_hat.masses, u, psi_hat.masses, [t])[0]
 
 
 def kappa_profile(s: Spectrum, t_grid: Sequence[float]) -> list[float]:
@@ -548,7 +550,7 @@ def kappa_profile(s: Spectrum, t_grid: Sequence[float]) -> list[float]:
     """
     hat = spectral_state(s)
     u = np.log(hat.atoms)
-    return _density_l1(u, hat.masses, u, hat.masses, [_flow_time(float(t)) for t in t_grid])
+    return _density_l1(u, hat.masses, u, hat.masses, t_grid)
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,6 @@ from entlab.embezzle import (
     EmbezzleReport,
     LambdaFamilySpec,
     TypeLabel,
-    VdhSpec,
     catalytic_deviation,
     classify_itpfi,
     embezzle_report,
@@ -217,7 +216,7 @@ def test_vdh_state_small_and_materialization_cap():
     with pytest.raises(InvalidInputError):
         vdh_state(0)
     with pytest.raises(InvalidInputError):
-        VdhSpec(-3)
+        vdh_coefficients(-3)
 
 
 @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16, int])
@@ -226,7 +225,6 @@ def test_sizes_accept_any_integer_type_and_store_a_python_int(make):
     size gives the same result as the Python int, and the records hold one."""
     assert np.array_equal(vdh_coefficients(make(16)), vdh_coefficients(16))
     assert vdh_bound(make(2), make(16)) == vdh_bound(2, 16)
-    assert type(VdhSpec(make(16)).n) is int
     assert type(LambdaFamilySpec(0.5, make(3)).m) is int
     assert catalytic_deviation(LambdaFamilySpec(0.5, make(3)), math.log(2)) == \
         catalytic_deviation(LambdaFamilySpec(0.5, 3), math.log(2))
@@ -235,7 +233,7 @@ def test_sizes_accept_any_integer_type_and_store_a_python_int(make):
 @pytest.mark.parametrize("bad", [True, False, np.True_, 16.0, np.float64(16.0), "16", None])
 def test_sizes_refuse_bool_and_non_integers(bad):
     with pytest.raises(InvalidInputError, match="harmonic family needs integer n >= 1"):
-        VdhSpec(bad)
+        vdh_coefficients(bad)
     with pytest.raises(InvalidInputError, match="tensor power m must be a positive integer"):
         LambdaFamilySpec(0.5, bad)
     with pytest.raises(InvalidInputError, match="target rank d must be a positive integer"):

@@ -48,7 +48,7 @@ from entlab import (
 )
 from entlab import io as eio
 from entlab import cli
-from entlab.cli import CommandConfig, dispatch, emit_sweep
+from entlab.cli import dispatch, emit_sweep
 from entlab.errors import InvalidInputError, NotReducibleError
 from entlab.locc import Instrument, OneWayProtocol
 
@@ -542,11 +542,11 @@ def test_type_label_json_shapes():
 # --------------------------------------------------------------------------- #
 
 def test_emit_sweep_empty_rows_gives_header_only_csv(tmp_path, capsys):
-    emit_sweep([], ["a", "b"], CommandConfig())
+    emit_sweep([], ["a", "b"])
     out = capsys.readouterr().out
     assert out.splitlines() == ["a,b"]
     path = tmp_path / "table.csv"
-    emit_sweep([], ["a", "b"], CommandConfig(out=str(path)))
+    emit_sweep([], ["a", "b"], out=str(path))
     assert path.read_bytes() == b"a,b\r\n"
 
 
@@ -554,7 +554,6 @@ def test_emit_sweep_quotes_per_rfc4180(capsys):
     emit_sweep(
         [{"name": 'needs, "quoting"', "v": 1.5}],
         ["name", "v"],
-        CommandConfig(),
     )
     out = capsys.readouterr().out
     assert '"needs, ""quoting"""' in out
@@ -565,12 +564,12 @@ def test_emit_sweep_quotes_per_rfc4180(capsys):
 
 def test_emit_sweep_rejects_ragged_rows():
     with pytest.raises(InvalidInputError):
-        emit_sweep([{"a": 1}, {"a": 1, "b": 2}], ["a"], CommandConfig())
+        emit_sweep([{"a": 1}, {"a": 1, "b": 2}], ["a"])
 
 
 def test_command_config_validation():
     with pytest.raises(InvalidInputError):
-        CommandConfig(format="yaml")
+        emit_sweep([], ["a"], format="yaml")
 
 
 # --------------------------------------------------------------------------- #
@@ -816,7 +815,7 @@ def test_cli_bytes_are_pinned(command, code, expected, tmp_path, state_files, ca
 
 def test_csv_cells_share_the_json_scalar_format(capsys):
     row = {"b": True, "i": 3, "n": np.int64(-7), "f": np.float64(0.1), "z": -0.0, "s": "x,y"}
-    emit_sweep([row], list(row), CommandConfig())
+    emit_sweep([row], list(row))
     assert capsys.readouterr().out == 'b,i,n,f,z,s\r\ntrue,3,-7,0.10000000000000001,-0,"x,y"\r\n'
 
 

@@ -713,6 +713,35 @@ def test_one_way_protocol_refuses_a_malformed_shape(alice, bob, message):
     assert message in str(info.value)
 
 
+def test_one_way_protocol_runs_operators_given_as_lists():
+    """Nested lists become complex arrays that the runners can run; text or
+    object entries are refused, naming the side; numeric arrays are kept."""
+    b, target = bell_state(2), product_basis_state(2, 2)
+    synth = nielsen_synthesize(b, target)
+    arrays = OneWayProtocol(synth.alice_kraus, synth.bob_unitaries)
+    assert arrays.alice_kraus is synth.alice_kraus and arrays.bob_unitaries is synth.bob_unitaries
+    lists = OneWayProtocol(*(tuple(op.tolist() for op in ops)
+                             for ops in (synth.alice_kraus, synth.bob_unitaries)))
+    assert isinstance(lists.alice_kraus, tuple) and isinstance(lists.bob_unitaries, tuple)
+    assert all(op.dtype == complex for op in lists.alice_kraus + lists.bob_unitaries)
+    assert [leaf.probability for leaf in one_way_branches(lists, b)] == \
+        [leaf.probability for leaf in one_way_branches(synth, b)]
+    assert verify_protocol(lists, b, target).passed
+    for alice, bob, side in [(([["1", "0"], ["0", "0"]],), (EYE2,), "alice_kraus"),
+                             ((P0,), (np.array([["1", "0"], ["0", "1"]]),), "bob_unitaries"),
+                             (([[object(), 0], [0, 0]],), (EYE2,), "alice_kraus")]:
+        with pytest.raises(InvalidInputError, match=f"^{side} must be an array of numbers"):
+            OneWayProtocol(alice, bob)
+
+
+@pytest.mark.parametrize("run", [simulate, one_way_reduce], ids=["simulate", "one_way_reduce"])
+@pytest.mark.parametrize("bad", [object(), "x", EYE2], ids=["object", "text", "matrix"])
+def test_locc_protocol_refuses_rounds_that_are_not_rounds(run, bad):
+    good = locc_round("A", {(): instrument([EYE2])})
+    with pytest.raises(InvalidInputError, match=f"^round 1 must be a LoccRound, got {type(bad).__name__}$"):
+        run(locc_protocol([good, bad]), bell_state(2))
+
+
 # --------------------------------------------------------------------------- #
 #                                 simulation                                   #
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ from entlab.quantum import (
     trace_distance,
     uhlmann_optimizer,
 )
-from entlab.spectra import entanglement_entropies, orbit_distance
+from entlab.spectra import entanglement_entropies, flat_spectrum, orbit_distance
 
 # --------------------------------------------------------------------------- #
 #                         oracles (independent code paths)                     #
@@ -155,6 +155,33 @@ def test_constructors_refuse_indices_outside_dims(build, message):
 def test_haar_unitary_refuses_dimension_zero():
     with pytest.raises(InvalidInputError, match="^dimension must be >= 1$"):
         haar_unitary(0, 1)
+
+
+SIZED_CONSTRUCTORS = {
+    "pure_state": lambda n: pure_state((n, 2), [1, 0, 0, 0]),
+    "bell_state": lambda n: bell_state(n),
+    "product_basis_state": lambda n: product_basis_state(n, 2),
+    "flat_spectrum": lambda n: flat_spectrum(n),
+    "haar_unitary": lambda n: haar_unitary(n, 0),
+    "state_from_schmidt": lambda n: state_from_schmidt([1.0], dims=(n, 2)),
+    "random_density": lambda n: random_density(n, 0),
+    "random_pure_state": lambda n: random_pure_state((n, 2), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(SIZED_CONSTRUCTORS))
+@pytest.mark.parametrize("size", [2.5, -1, True], ids=["fraction", "negative", "bool"])
+def test_sizes_must_be_integers_of_at_least_one(name, size):
+    """A size is an integer >= 1: a fraction is not cut, a bool is not 1."""
+    build = SIZED_CONSTRUCTORS[name]
+    with pytest.raises(InvalidInputError):
+        build(size)
+    build(np.int64(2))
+
+
+def test_density_refuses_an_empty_matrix():
+    with pytest.raises(InvalidInputError, match="^density matrix must be at least 1 x 1$"):
+        density(np.zeros((0, 0)))
 
 
 # --------------------------------------------------------------------------- #

@@ -37,7 +37,6 @@ from entlab.spectra import (
     majorizes,
     measure_distribution,
     orbit_distance,
-    scale_from_distribution,
     smear,
     spectral_scale,
     spectral_state,
@@ -296,7 +295,6 @@ def test_generalized_inverse_duality_is_structural(s):
     dist = distribution_function(s)
     assert generalized_inverse(dist) == scale
     assert generalized_inverse(scale) == dist
-    assert scale_from_distribution(dist) == scale
 
 
 def test_generalized_inverse_of_empty():
