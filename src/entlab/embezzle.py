@@ -24,6 +24,7 @@ refused once they underflow float64 (m = 678 at lambda = 0.5).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -39,7 +40,9 @@ from .spectra import (
     _density_l1,
     _flow_times,
     _integer,
+    _is_integer,
     _merge_runs,
+    _numeric_array,
     atomic_measure,
     flow_act,
 )
@@ -67,6 +70,8 @@ __all__ = [
 DENSE_STATE_CAP = 4096
 # Largest denominator of a log-ratio relation classify_itpfi accepts.
 DENOMINATOR_CAP = 10**3
+# Refusal of a harmonic-family size that is not an integer >= 1.
+_HARMONIC_N_REFUSAL = "harmonic family needs integer n >= 1, got {!r}"
 
 
 # --------------------------------------------------------------------------- #
@@ -82,7 +87,7 @@ class LambdaFamilySpec:
     m: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_ < 1.0):
+        if not (isinstance(self.lambda_, numbers.Real) and 0.0 < self.lambda_ < 1.0):
             raise InvalidInputError(
                 f"lambda must lie strictly between 0 and 1, got {self.lambda_!r}"
             )
@@ -182,7 +187,7 @@ def vdh_coefficients(n: int) -> np.ndarray:
     harmonic number is the correctly rounded sum of the terms ``1 / alpha``,
     bit for bit ``math.fsum``'s.  The list is built in one buffer: the terms,
     then their square roots, then the scaling, each in place."""
-    n = _integer(n, 1, "harmonic family needs integer n >= 1, got {!r}")
+    n = _integer(n, 1, _HARMONIC_N_REFUSAL)
     out = np.arange(1, n + 1, dtype=float)
     np.divide(1.0, out, out=out)
     c = 1.0 / math.sqrt(_fsum_descending(out))
@@ -198,6 +203,7 @@ def vdh_state(n: int) -> PureBipartiteState:
     all large-``n`` analysis goes through :func:`vdh_coefficients` and
     :func:`embezzle_report`, which never materialize the state.
     """
+    n = _integer(n, 1, _HARMONIC_N_REFUSAL)
     if n > DENSE_STATE_CAP:
         raise InvalidInputError(
             f"refusing to materialize a {n}x{n} amplitude grid; "
@@ -311,16 +317,6 @@ def orbit_trace_defect(
 #                        Lambda family and catalysis                            #
 # --------------------------------------------------------------------------- #
 
-def _largest_fitting_m(fits, m: int) -> int:
-    """Largest ``j < m`` with ``fits(j)``, by bisection; 0 if none does.
-    ``fits`` must be monotone (true up to some j, false beyond)."""
-    lo, hi = 0, m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
-
-
 def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents ``k`` and masses ``Binomial(m, lambda/(1+lambda))(k)`` of the
     m-fold lambda family's spectral state, whose atom ``k`` sits at
@@ -348,20 +344,22 @@ def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
     multiplicity ``C(m, k)``, so the avatar carries mass
     ``Binomial(m, lambda/(1+lambda))(k)`` at that atom -- m+1 atoms instead
     of ``2**m`` tensor entries.  Refused once the smallest atom
-    ``(lambda/(1+lambda))^m`` underflows float64.
+    ``(lambda/(1+lambda))^m`` underflows float64: beyond the nearest integer
+    to ``1075 ln 2 / log((1+lambda)/lambda)``, less one if its atom is 0.
     """
     lam, m = spec.lambda_, spec.m
-
-    def fits(j: int) -> bool:
-        return math.exp(j * math.log(lam) - j * math.log1p(lam)) > 0.0
-
-    if not fits(m):
+    log_lam = math.log(lam)
+    log_1p = math.log1p(lam)
+    largest = round(1075 * math.log(2.0) / (log_1p - log_lam))
+    if math.exp(largest * log_lam - largest * log_1p) == 0.0:
+        largest -= 1
+    if m > largest:
         raise InvalidInputError(
             f"atoms underflow float64 for lambda={lam!r}, m={m}; "
-            f"the largest m that fits is {_largest_fitting_m(fits, m)}"
+            f"the largest m that fits is {largest}"
         )
     k, masses = _binomial_avatar(lam, m)
-    return flow_act(atomic_measure(np.power(lam, k), masses), -m * math.log1p(lam))
+    return flow_act(atomic_measure(np.power(lam, k), masses), -m * log_1p)
 
 
 def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> list[float]:
@@ -455,7 +453,7 @@ def kappa_max_formula(lam: float) -> float:
     Equivalently ``2 (1 - e^{-T/2}) / (1 + e^{-T/2})`` with
     ``T = -log(lambda)`` the period of the ratio group.
     """
-    if not (0.0 <= lam <= 1.0):
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
         raise InvalidInputError(f"lambda must lie in [0, 1], got {lam!r}")
     r = math.sqrt(lam)
     return 2.0 * (1.0 - r) / (1.0 + r)
@@ -493,21 +491,19 @@ def multipartite_lu_fidelity(
     reproducible for a fixed ``seed``.  The result is an estimate from below;
     it never exceeds 1.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
+    dims = tuple(dims) if np.iterable(dims) else (dims,)
+    if len(dims) < 2 or not all(_is_integer(d) and d >= 1 for d in dims):
         raise InvalidInputError(f"need at least two parties with positive dims, got {dims!r}")
-    if iters < 1:
-        raise InvalidInputError(f"iters must be >= 1, got {iters!r}")
+    iters = _integer(iters, 1, "iters must be >= 1, got {!r}")
     size = int(np.prod(dims))
-    psi_t = np.asarray(psi, dtype=complex).reshape(-1)
-    phi_t = np.asarray(phi, dtype=complex).reshape(-1)
+    psi_t = _numeric_array(psi, "psi", complex).ravel()
+    phi_t = _numeric_array(phi, "phi", complex).ravel()
     if psi_t.size != size or phi_t.size != size:
         raise InvalidInputError(
             f"state length must be prod(dims) = {size}, got {psi_t.size} and {phi_t.size}"
         )
-    for vec in (psi_t, phi_t):
-        if abs(np.linalg.norm(vec) - 1.0) > UNIT_VECTOR_TOL:
-            raise InvalidInputError("states must be unit vectors")
+    if not all(abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL for v in (psi_t, phi_t)):  # NaN too
+        raise InvalidInputError("states must be unit vectors")
     psi_t = psi_t.reshape(dims)
     phi_t = phi_t.reshape(dims)
     n_parties = len(dims)

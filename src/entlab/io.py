@@ -59,6 +59,7 @@ from .spectra import (
     AtomicMeasure,
     Spectrum,
     StepFunction,
+    _is_integer,
     atomic_measure,
     spectrum,
     step_function,
@@ -278,10 +279,6 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_list(v: Any) -> bool:
     return isinstance(v, (list, tuple, np.ndarray))
 
@@ -392,7 +389,7 @@ def state_to_json(psi: PureBipartiteState) -> dict:
 def state_from_json(doc: Mapping) -> PureBipartiteState:
     _expect_kind(doc, "pure_bipartite")
     dims = _field(doc, "dims")
-    if not isinstance(dims, (list, tuple)) or len(dims) != 2 or not all(map(_is_int, dims)):
+    if not isinstance(dims, (list, tuple)) or len(dims) != 2 or not all(map(_is_integer, dims)):
         raise InvalidInputError(f"dims must be a [dA, dB] pair of integers, got {dims!r}")
     amps = _complex_array(_field(doc, "amplitudes"), "amplitudes", 1)
     return pure_state((dims[0], dims[1]), amps)
@@ -409,7 +406,7 @@ def density_to_json(rho: DensityMatrix) -> dict:
 def density_from_json(doc: Mapping) -> DensityMatrix:
     _expect_kind(doc, "density")
     dim = _field(doc, "dim")
-    if not _is_int(dim):
+    if not _is_integer(dim):
         raise InvalidInputError(f"density 'dim' must be an integer, got {dim!r}")
     mat = _complex_array(_field(doc, "entries"), "entries", 2)
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != dim:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, _integer, _numeric_array, _refuse_non_finite, spectrum
+from .spectra import Spectrum, _integer, _is_integer, _numeric_array, _refuse_non_finite, spectrum
 from .tolerances import BRANCH_TOL, INPUT_TOL, SUPPORT_CUT
 
 
@@ -75,8 +75,12 @@ class PureBipartiteState:
 
 
 def _dims(dims: tuple[int, int]) -> tuple[int, int]:
-    """The two local dimensions, each an integer >= 1 (NumPy too, not bool)."""
-    return tuple(_integer(d, 1, "dims must be integers >= 1, got {!r}") for d in (dims[0], dims[1]))
+    """The two local dimensions: exactly a pair, each an integer >= 1 (NumPy too, not bool)."""
+    try:
+        dA, dB = dims
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"dims must be a pair of integers >= 1, got {dims!r}") from None
+    return tuple(_integer(d, 1, "dims must be integers >= 1, got {!r}") for d in (dA, dB))
 
 
 def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipartiteState:
@@ -98,7 +102,7 @@ def pure_state(dims: tuple[int, int], amplitudes: Iterable[complex]) -> PureBipa
 def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBipartiteState:
     """The computational product state |i>_A |j>_B."""
     dA, dB = _dims((dA, dB))
-    if not (0 <= i < dA and 0 <= j < dB):
+    if not (_is_integer(i) and _is_integer(j) and 0 <= i < dA and 0 <= j < dB):
         raise InvalidInputError(f"basis indices (i, j) = ({i}, {j}) outside dims ({dA}, {dB})")
     v = np.zeros(dA * dB, dtype=complex)
     v[i * dB + j] = 1.0
@@ -323,11 +327,13 @@ def connect_purifications(phi1: PureBipartiteState, phi2: PureBipartiteState) ->
 
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (Gaussian QR with phase correction)."""
-    return haar_unitaries(_integer(d, 1, "dimension must be >= 1"), 1, seed)[0]
+    return haar_unitaries(d, 1, seed)[0]
 
 
 def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.ndarray:
     """Batch of Haar unitaries, shape (count, d, d)."""
+    d = _integer(d, 1, "dimension must be >= 1")
+    count = _integer(count, 0, "count must be >= 0")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

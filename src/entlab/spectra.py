@@ -106,9 +106,14 @@ def _numeric_array(x, name: str, dtype=float) -> np.ndarray:
     raise InvalidInputError(f"{name} must be an array of numbers: {reason}")
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a NumPy integer, not for a bool or an array."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value, least: int, refusal: str) -> int:
-    """``value`` as an int if it is an integer (NumPy too, not bool) >= ``least``, else refused."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+    """``value`` as an int if it is an integer (``_is_integer``) >= ``least``, else refused."""
+    if not _is_integer(value) or value < least:
         raise InvalidInputError(refusal.format(value))
     return int(value)
 
@@ -580,7 +585,10 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     # and leaves every other value's bits as they are
     h = -math.fsum(v * math.log(v) for v in vals if v > 0) + 0.0
     out: dict[float, float] = {}
-    for alpha in map(float, alphas):
+    orders = _numeric_array(alphas, "Renyi orders")
+    if orders.ndim != 1:
+        raise InvalidInputError("Renyi orders must be a flat list")
+    for alpha in orders.tolist():
         if not (math.isfinite(alpha) and alpha > 0 and alpha != 1.0):
             raise InvalidInputError("Renyi order must lie in (0,1) or (1,oo)")
         total = math.fsum(vals**alpha)

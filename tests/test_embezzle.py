@@ -43,14 +43,17 @@ from entlab.errors import InvalidInputError
 from entlab.quantum import (
     _sorted_overlap,
     bell_state,
+    haar_unitaries,
     lu_orbit_fidelity,
     marginal,
     product_basis_state,
     pure_state,
+    random_pure_state,
     schmidt,
     state_from_schmidt,
 )
 from entlab.spectra import (
+    entanglement_entropies,
     flow_deviation,
     kappa_profile,
     spectral_state,
@@ -593,6 +596,52 @@ def test_lambda_family_limits_are_named():
     )
 
 
+def named_lambda_limit(lam: float) -> int:
+    """The largest m that ``lambda_family_measure``'s refusal names; every
+    limit is below 1076, since ``(1+lambda)/lambda > 2``."""
+    try:
+        lambda_family_measure(LambdaFamilySpec(lam, 1076))
+    except InvalidInputError as exc:
+        return int(re.fullmatch(r".*; the largest m that fits is (\d+)", str(exc)).group(1))
+    raise AssertionError(f"m = 1076 was not refused at lambda = {lam!r}")
+
+
+def test_lambda_limit_equals_a_brute_force_scan_of_the_smallest_atom():
+    """On 10^5 lambdas, uniform and log-uniform down to 1e-300, the named limit
+    is the last j before the atom ``exp(j log lambda - j log1p lambda)`` is 0,
+    scanning j = 1, 2, ... for every lambda."""
+    rng = np.random.default_rng(29)
+    lams = np.concatenate([rng.uniform(0.0, 1.0, 80_000), np.exp(-rng.uniform(0.0, 690.0, 20_000))])
+    lams = lams[(lams > 0.0) & (lams < 1.0)]
+    a, b = np.log(lams), np.log1p(lams)
+    scan, live = np.zeros(lams.size, dtype=np.int64), np.arange(lams.size)
+    for j in range(1, 1076):
+        live = live[np.exp(j * a[live] - j * b[live]) > 0.0]
+        scan[live] = j
+    named = np.array([named_lambda_limit(lam) for lam in lams.tolist()])
+    assert lams.size >= 99_990 and np.array_equal(named, scan)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    # 1/(2**k - 1) for k = 5, 25, 43, 215 (k divides 1075) puts the ratio
+    # 1075 ln 2 / log((1 + lambda)/lambda) within rounding of an integer
+    [1 / 31, 1 / (2**25 - 1), 1 / (2**43 - 1), 1 / (2**215 - 1), 0.5, 1 / 3, 0.1, 0.9, 0.99,
+     1e-3, 1e-100, 1e-300, 2.0**-1022, 1e-320, 5e-324, 0.25, 0.75, 1 - 1e-9, 1 - 2.0**-53, 2.0**-60],
+)
+def test_lambda_limit_builds_and_the_next_m_is_refused(lam):
+    """At the named limit L the measure builds; L + 1 is refused naming L; and
+    L is exact: ``(lambda/(1+lambda))^L`` exceeds 2^-1075, half the smallest
+    subnormal, and the next power does not (integer arithmetic)."""
+    largest = named_lambda_limit(lam)
+    assert lambda_family_measure(LambdaFamilySpec(lam, largest)).atoms.size >= 1
+    with pytest.raises(InvalidInputError, match=rf"m={largest + 1}; the largest m that fits is {largest}$"):
+        lambda_family_measure(LambdaFamilySpec(lam, largest + 1))
+    p, q = Fraction(lam).as_integer_ratio()  # lambda / (1 + lambda) = p / (p + q)
+    assert p**largest << 1075 > (p + q) ** largest
+    assert p ** (largest + 1) << 1075 <= (p + q) ** (largest + 1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 2000, 10**4])
 def test_lambda_family_matches_exact_integer_oracles(m):
     """At lambda = 1/2 and t = log 2 both diagnostics have exact integer
@@ -1040,3 +1089,58 @@ def test_embezzle_report_type():
     report = embezzle_report(4, product_basis_state(2, 2), bell_state(2))
     assert isinstance(report, EmbezzleReport)
     assert isinstance(report.permutations, tuple) and len(report.permutations) == 2
+
+
+# Each case gave a bare TypeError, IndexError or ValueError, or a silent cut.
+MALFORMED_INPUTS = {
+    "vdh_state-text": (lambda: vdh_state("8"), r"^harmonic family needs integer n >= 1, got '8'$"),
+    "vdh_state-none": (lambda: vdh_state(None), "harmonic family needs integer n >= 1"),
+    "haar-fraction-d": (lambda: haar_unitaries(2.5, 1, 0), "^dimension must be >= 1$"),
+    "haar-fraction-count": (lambda: haar_unitaries(2, 1.5, 0), "count"),
+    "haar-bool-d": (lambda: haar_unitaries(True, 1, 0), "^dimension must be >= 1$"),
+    "haar-bool-count": (lambda: haar_unitaries(2, True, 0), "count"),
+    "haar-negative-count": (lambda: haar_unitaries(2, -1, 0), "count"),
+    "bell-0d-array": (lambda: bell_state(np.array(2.5)), "dimension"),
+    "basis-fraction": (lambda: product_basis_state(2, 2, 0.5, 0), r"\(0\.5, 0\) outside dims \(2, 2\)"),
+    "basis-bool": (lambda: product_basis_state(2, 2, True, 0), r"\(True, 0\) outside dims \(2, 2\)"),
+    "multipartite-fraction-dims": (
+        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (2.5, 2)), "positive dims"),
+    "multipartite-fraction-iters": (
+        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (2, 2), iters=2.5), "iters"),
+    "multipartite-scalar-dims": (
+        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], 4), r"positive dims, got \(4,\)$"),
+    "multipartite-text": (
+        lambda: multipartite_lu_fidelity(["1", "0", "0", "0"], [1, 0, 0, 0], (2, 2)), "psi"),
+    "multipartite-nan": (
+        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [math.nan, 0, 0, 0], (2, 2)), "unit vectors"),
+    "pure-one-dim": (lambda: pure_state((2,), [1, 0]), "pair"),
+    "pure-three-dims": (lambda: pure_state((2, 2, 7), [1, 0, 0, 0]), "pair"),
+    "pure-scalar-dims": (lambda: pure_state(4, [1, 0, 0, 0]), "pair"),
+    "random-one-dim": (lambda: random_pure_state((2,), 0), "pair"),
+    "schmidt-one-dim": (lambda: state_from_schmidt([1.0], dims=(2,)), "pair"),
+    "lambda-text": (lambda: LambdaFamilySpec("0.5", 3), r"^lambda must lie strictly between 0 and 1, got '0\.5'$"),
+    "lambda-none": (lambda: LambdaFamilySpec(None, 3), "lambda must lie strictly between 0 and 1"),
+    "kappa-text": (lambda: kappa_max_formula("x"), r"^lambda must lie in \[0, 1\], got 'x'$"),
+    "renyi-text": (lambda: entanglement_entropies(spectrum([0.5, 0.5]), ["x"]), "Renyi orders"),
+    "renyi-numeric-text": (lambda: entanglement_entropies(spectrum([0.5, 0.5]), ["2"]), "Renyi orders"),
+    "renyi-nested": (lambda: entanglement_entropies(spectrum([0.5, 0.5]), [[2.0]]), "^Renyi orders must be a flat list$"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
+def test_public_inputs_are_refused_by_the_shared_rules(name):
+    """Sizes, counts and indices are integers (NumPy too, not bool or array),
+    dims are exactly a pair, real parameters and amplitudes are numbers and
+    not text; each refusal is an InvalidInputError.  NumPy scalars build."""
+    build, message = MALFORMED_INPUTS[name]
+    with pytest.raises(InvalidInputError, match=message):
+        build()
+    two, half = np.int64(2), np.float64(0.5)
+    assert vdh_state(two).dims == (2, 2)
+    assert haar_unitaries(two, two, 0).shape == (2, 2, 2) and haar_unitaries(2, 0, 0).shape == (0, 2, 2)
+    assert product_basis_state(two, 2, np.int64(1), 0).amplitudes[2] == 1.0
+    assert pure_state(np.array([2, 2]), [1, 0, 0, 0]).dims == (2, 2)
+    assert random_pure_state([two, 3], 0).dims == (2, 3)
+    assert LambdaFamilySpec(half, np.int64(3)).m == 3 and kappa_max_formula(half) > 0.0
+    assert entanglement_entropies(spectrum([0.5, 0.5]), [np.float64(2.0)]).H_alpha == {2.0: math.log(2)}
+    assert multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (two, 2), iters=two) == 1.0
