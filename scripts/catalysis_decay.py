@@ -12,9 +12,12 @@ the binomial masses, so larger m only costs time.
 
 import argparse
 import math
+import os
+import sys
 
-from entlab import LambdaFamilySpec, catalytic_deviation
+from entlab import InvalidInputError, catalytic_deviation
 from entlab.cli import emit_sweep
+from entlab.embezzle import _lambda_family
 
 
 def main() -> None:
@@ -25,15 +28,14 @@ def main() -> None:
     parser.add_argument("--out", default="catalysis_decay.csv")
     args = parser.parse_args()
 
-    period = math.log(1.0 / args.lam)
     rows = []
     for exp in range(args.exp_max + 1):
-        m = 2**exp
-        spec = LambdaFamilySpec(args.lam, m)
+        lam, m = _lambda_family(args.lam, 2**exp)  # a bad lambda is refused before the period
+        period = math.log(1.0 / lam)
         rows.append({
             "m": m,
-            "deviation_on_period": catalytic_deviation(spec, period),
-            "deviation_off_period": catalytic_deviation(spec, period / 2),
+            "deviation_on_period": catalytic_deviation(lam, m, period),
+            "deviation_off_period": catalytic_deviation(lam, m, period / 2),
         })
     emit_sweep(rows, ["m", "deviation_on_period", "deviation_off_period"], args.out)
 
@@ -49,4 +51,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
+        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
+        sys.exit(2)

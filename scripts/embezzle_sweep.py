@@ -9,9 +9,11 @@ for plotting (one row per (d, n)) and prints a short summary table.
 
 import argparse
 import math
+import os
+import sys
 
-from entlab import bell_state, embezzle_report, product_basis_state, vdh_bound
-from entlab.cli import emit_sweep
+from entlab import InvalidInputError, bell_state, embezzle_report, product_basis_state, vdh_bound
+from entlab.cli import _parse_int_list, emit_sweep
 
 
 def main() -> None:
@@ -22,7 +24,7 @@ def main() -> None:
     parser.add_argument("--out", default="embezzle_sweep.csv")
     args = parser.parse_args()
 
-    dims = [int(d) for d in args.d_list.split(",") if d.strip()]
+    dims = _parse_int_list(args.d_list, "--d-list")
     rows = []
     for d in dims:
         start = product_basis_state(d, d)
@@ -54,4 +56,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
+        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -12,9 +12,12 @@ the binomial masses and log-positions, so larger m only costs time.
 
 import argparse
 import math
+import os
+import sys
 
-from entlab import LambdaFamilySpec, family_kappa_profile, kappa_max_formula
-from entlab.cli import emit_sweep
+from entlab import InvalidInputError, family_kappa_profile, kappa_max_formula
+from entlab.cli import _parse_int_list, emit_sweep
+from entlab.embezzle import _lambda_family
 
 
 def main() -> None:
@@ -27,13 +30,17 @@ def main() -> None:
     parser.add_argument("--out", default="kappa_profile.csv")
     args = parser.parse_args()
 
+    m_values = _parse_int_list(args.m_list, "--m-list")
+    for m in m_values:
+        _lambda_family(args.lam, m)  # a bad lambda or m is refused before the period
+    if args.steps < 2:
+        raise InvalidInputError(f"--steps must be >= 2, got {args.steps}")
     period = -math.log(args.lam)
-    m_values = [int(m) for m in args.m_list.split(",") if m.strip()]
     grid = [args.periods * period * i / (args.steps - 1) for i in range(args.steps)]
 
     rows = []
     for m in m_values:
-        profile = family_kappa_profile(LambdaFamilySpec(args.lam, m), grid)
+        profile = family_kappa_profile(args.lam, m, grid)
         rows.extend(
             {"m": m, "t": t, "deviation": dev} for t, dev in zip(grid, profile)
         )
@@ -44,9 +51,13 @@ def main() -> None:
     print(f"closed-form peak for lambda={args.lam}: {peak:.8f}")
     print(f"{'m':>6}  {'half-period deviation':>21}  {'gap to peak':>11}")
     for m in m_values:
-        half = family_kappa_profile(LambdaFamilySpec(args.lam, m), [period / 2])[0]
+        half = family_kappa_profile(args.lam, m, [period / 2])[0]
         print(f"{m:>6}  {half:>21.12f}  {abs(half - peak):>11.3e}")
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
+        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
+        sys.exit(2)

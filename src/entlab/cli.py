@@ -28,7 +28,7 @@ import numpy as np
 
 from . import io as eio
 from .embezzle import (
-    LambdaFamilySpec,
+    _lambda_family,
     catalytic_deviation,
     classify_itpfi,
     embezzle_report,
@@ -52,7 +52,7 @@ from .locc import (
     slocc,
 )
 from .quantum import bell_state, fidelity, product_basis_state, schmidt, trace_distance
-from .spectra import entanglement_entropies, spectrum
+from .spectra import _allocatable, entanglement_entropies, spectrum
 
 __all__ = ["emit_sweep", "dispatch", "main"]
 
@@ -257,20 +257,17 @@ def _cmd_kappa_profile(args) -> Table:
         raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 <= args.t_max - args.t_min < math.inf:  # NaN and infinities fail too
         raise InvalidInputError(f"need --t-min <= --t-max, a finite span apart: {args.t_min!r}, {args.t_max!r}")
-    spec = LambdaFamilySpec(args.lam, args.m)
-    grid = [float(t) for t in np.linspace(args.t_min, args.t_max, args.steps)]
-    deviations = family_kappa_profile(spec, grid)
+    grid = [float(t) for t in np.linspace(args.t_min, args.t_max, _allocatable(args.steps))]
+    deviations = family_kappa_profile(args.lam, args.m, grid)
     return [{"t": t, "deviation": d} for t, d in zip(grid, deviations)], ["t", "deviation"]
 
 
 def _cmd_catalysis_decay(args) -> Table:
-    # each spec refuses a bad lambda or m before the period is taken from it
-    m_list = sorted(set(_parse_int_list(args.m_list, "--m-list")))
-    specs = [LambdaFamilySpec(args.lam, m) for m in m_list]
     rows = []
-    for spec in specs:
-        period = math.log(1.0 / spec.lambda_)
-        rows.append({"m": spec.m, "t": period, "deviation": catalytic_deviation(spec, period)})
+    for m in sorted(set(_parse_int_list(args.m_list, "--m-list"))):
+        lam, m = _lambda_family(args.lam, m)  # a bad lambda or m is refused before the period
+        period = math.log(1.0 / lam)
+        rows.append({"m": m, "t": period, "deviation": catalytic_deviation(lam, m, period)})
     return rows, ["m", "t", "deviation"]
 
 

@@ -37,6 +37,7 @@ from .quantum import PureBipartiteState, _sorted_overlap, haar_unitary, schmidt,
 from .spectra import (
     AtomicMeasure,
     Spectrum,
+    _allocatable,
     _density_l1,
     _flow_times,
     _integer,
@@ -51,7 +52,6 @@ from .tolerances import MERGE_TOL, UNIT_VECTOR_TOL
 __all__ = [
     "VdhBound",
     "EmbezzleReport",
-    "LambdaFamilySpec",
     "TypeLabel",
     "vdh_coefficients",
     "vdh_state",
@@ -72,27 +72,6 @@ DENSE_STATE_CAP = 4096
 DENOMINATOR_CAP = 10**3
 # Refusal of a harmonic-family size that is not an integer >= 1.
 _HARMONIC_N_REFUSAL = "harmonic family needs integer n >= 1, got {!r}"
-
-
-# --------------------------------------------------------------------------- #
-#                                Config records                                #
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class LambdaFamilySpec:
-    """Two-level tensor-power family: base Schmidt spectrum
-    ``(1, lambda_) / (1 + lambda_)`` raised to the m-th tensor power."""
-
-    lambda_: float
-    m: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.lambda_, numbers.Real) and 0.0 < self.lambda_ < 1.0):
-            raise InvalidInputError(
-                f"lambda must lie strictly between 0 and 1, got {self.lambda_!r}"
-            )
-        object.__setattr__(self, "m", _integer(self.m, 1,
-                                               "tensor power m must be a positive integer, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -188,7 +167,7 @@ def vdh_coefficients(n: int) -> np.ndarray:
     bit for bit ``math.fsum``'s.  The list is built in one buffer: the terms,
     then their square roots, then the scaling, each in place."""
     n = _integer(n, 1, _HARMONIC_N_REFUSAL)
-    out = np.arange(1, n + 1, dtype=float)
+    out = np.arange(1, _allocatable(n) + 1, dtype=float)
     np.divide(1.0, out, out=out)
     c = 1.0 / math.sqrt(_fsum_descending(out))
     np.sqrt(out, out=out)
@@ -317,6 +296,14 @@ def orbit_trace_defect(
 #                        Lambda family and catalysis                            #
 # --------------------------------------------------------------------------- #
 
+def _lambda_family(lam, m) -> tuple[float, int]:
+    """``lam`` and ``m`` of the m-fold family on the base Schmidt spectrum
+    ``(1, lam) / (1 + lam)``, refused unless ``0 < lam < 1`` and ``m >= 1``."""
+    if not (isinstance(lam, numbers.Real) and 0.0 < lam < 1.0):
+        raise InvalidInputError(f"lambda must lie strictly between 0 and 1, got {lam!r}")
+    return float(lam), _integer(m, 1, "tensor power m must be a positive integer, got {!r}")
+
+
 def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents ``k`` and masses ``Binomial(m, lambda/(1+lambda))(k)`` of the
     m-fold lambda family's spectral state, whose atom ``k`` sits at
@@ -328,7 +315,7 @@ def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     a few ulp of itself; exponents whose mass underflows to 0 are dropped.
     """
     mode = int((m + 1) * lam / (1.0 + lam))
-    k = np.arange(m)
+    k = np.arange(_allocatable(m))
     masses = np.ones(m + 1)
     masses[mode + 1 :] = np.cumprod((m - k[mode:]) / (k[mode:] + 1.0) * lam)
     masses[:mode] = np.cumprod(((k[:mode] + 1.0) / ((m - k[:mode]) * lam))[::-1])[::-1]
@@ -337,7 +324,7 @@ def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return keep, masses[keep]
 
 
-def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
+def lambda_family_measure(lam: float, m: int) -> AtomicMeasure:
     """Spectral-state avatar of the m-fold lambda family, in closed form.
 
     The m-fold Schmidt spectrum has value ``lambda^k / (1+lambda)^m`` with
@@ -347,7 +334,7 @@ def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
     ``(lambda/(1+lambda))^m`` underflows float64: beyond the nearest integer
     to ``1075 ln 2 / log((1+lambda)/lambda)``, less one if its atom is 0.
     """
-    lam, m = spec.lambda_, spec.m
+    lam, m = _lambda_family(lam, m)
     log_lam = math.log(lam)
     log_1p = math.log1p(lam)
     largest = round(1075 * math.log(2.0) / (log_1p - log_lam))
@@ -362,7 +349,7 @@ def lambda_family_measure(spec: LambdaFamilySpec) -> AtomicMeasure:
     return flow_act(atomic_measure(np.power(lam, k), masses), -m * log_1p)
 
 
-def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> list[float]:
+def family_kappa_profile(lam: float, m: int, t_grid: Sequence[float]) -> list[float]:
     """Flow-deviation profile of the m-fold lambda family over a time grid.
 
     The deviation is scale-free, so it is computed on the log-positions
@@ -370,12 +357,13 @@ def family_kappa_profile(spec: LambdaFamilySpec, t_grid: Sequence[float]) -> lis
     formed, so every m and every finite ``t`` is accepted.  The times are
     checked and evaluated in one ``_density_l1`` grid pass.
     """
-    k, masses = _binomial_avatar(spec.lambda_, spec.m)
-    u, w = ((k - k[np.argmax(masses)]) * math.log(spec.lambda_))[::-1], masses[::-1]
+    lam, m = _lambda_family(lam, m)
+    k, masses = _binomial_avatar(lam, m)
+    u, w = ((k - k[np.argmax(masses)]) * math.log(lam))[::-1], masses[::-1]
     return _density_l1(u, w, u, w, t_grid)
 
 
-def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
+def catalytic_deviation(lam: float, m: int, t: float) -> float:
     """Atom-mass total variation between the m-fold spectral avatar and its
     image under the scaling flow at time ``t``.
 
@@ -385,10 +373,11 @@ def catalytic_deviation(spec: LambdaFamilySpec, t: float) -> float:
     decreases toward 0 as ``m`` grows.  Off the period the moved atoms
     interleave with the originals and the value is ``2 sum_k B(k)``.
     """
-    (t,) = _flow_times([t]).tolist()
-    _, masses = _binomial_avatar(spec.lambda_, spec.m)
-    period = -math.log(spec.lambda_)
-    s = round(abs(t) / period) if abs(t) <= (spec.m + 1) * period else 0
+    lam, m = _lambda_family(lam, m)
+    (t,) = _flow_times(t, single=True).tolist()
+    _, masses = _binomial_avatar(lam, m)
+    period = -math.log(lam)
+    s = round(abs(t) / period) if abs(t) <= (m + 1) * period else 0
     # off the period no atom lands on another, as if shifted past the support
     s = s if abs(abs(t) - s * period) <= MERGE_TOL else masses.size
     terms = np.zeros(masses.size + s)

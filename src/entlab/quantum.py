@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConnectorError
-from .spectra import Spectrum, _integer, _is_integer, _numeric_array, _refuse_non_finite, spectrum
+from .spectra import Spectrum, _allocatable, _integer, _is_integer, _numeric_array, _refuse_non_finite, spectrum
 from .tolerances import BRANCH_TOL, INPUT_TOL, SUPPORT_CUT
 
 
@@ -334,6 +334,7 @@ def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.nd
     """Batch of Haar unitaries, shape (count, d, d)."""
     d = _integer(d, 1, "dimension must be >= 1")
     count = _integer(count, 0, "count must be >= 0")
+    _allocatable(count * d * d)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
@@ -118,6 +119,13 @@ def _integer(value, least: int, refusal: str) -> int:
     return int(value)
 
 
+def _allocatable(entries: int) -> int:
+    """``entries`` as an array size; past complex128's address space, NumPy's ``MemoryError``."""
+    if entries > sys.maxsize // 16:
+        raise MemoryError(f"cannot allocate an array of {entries} entries")
+    return entries
+
+
 def spectrum(values: Iterable[float]) -> Spectrum:
     """Build a canonical :class:`Spectrum` (sort, strip zeros).
 
@@ -152,7 +160,7 @@ def tensor_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
 def flat_spectrum(n: int) -> Spectrum:
     """The flat (maximally mixed) spectrum (1/n, ..., 1/n)."""
     n = _integer(n, 1, "flat spectrum needs n >= 1")
-    return Spectrum(np.full(n, 1.0 / n))
+    return Spectrum(np.full(_allocatable(n), 1.0 / n))
 
 
 # --------------------------------------------------------------------------- #
@@ -382,6 +390,7 @@ def flow_act(m: AtomicMeasure, t: float) -> AtomicMeasure:
     Refused when ``e^t`` overflows or a moved atom leaves float64 (becomes 0
     or inf).
     """
+    (t,) = _flow_times(t, single=True, finite=False).tolist()
     if t == 0.0 or not m.atoms.size:
         return m
     try:
@@ -437,10 +446,15 @@ def measure_distribution(m: AtomicMeasure) -> StepFunction:
     return step_function(m.atoms, np.append(suffix, 0.0))
 
 
-def _flow_times(times: Iterable[float]) -> np.ndarray:
-    """``times`` as a float array; every finite time is a flow, the first NaN or infinity is refused."""
-    t = _numeric_array(times, "flow times")
-    if not np.isfinite(t).all():
+def _flow_times(times, single: bool = False, finite: bool = True) -> np.ndarray:
+    """``times``, a flat list of flow times or (``single``) one real number, as a flat float
+    array; anything else is refused, and so is the first NaN or infinity when ``finite``."""
+    if single and not isinstance(times, numbers.Real):
+        raise InvalidInputError(f"a flow time must be one real number, got {times!r}")
+    t = _numeric_array([times] if single else times, "flow times")
+    if t.ndim != 1:
+        raise InvalidInputError(f"flow times must be a flat list of numbers, got shape {t.shape}")
+    if finite and not np.isfinite(t).all():
         raise InvalidInputError(f"flow time t={float(t[~np.isfinite(t)][0])!r} is not finite")
     return t
 
@@ -541,7 +555,7 @@ def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
     value.  A profile over many times is one grid pass in :func:`kappa_profile`.
     """
     u = np.log(psi_hat.atoms)
-    return _density_l1(u, psi_hat.masses, u, psi_hat.masses, [t])[0]
+    return _density_l1(u, psi_hat.masses, u, psi_hat.masses, _flow_times(t, single=True))[0]
 
 
 def kappa_profile(s: Spectrum, t_grid: Sequence[float]) -> list[float]:

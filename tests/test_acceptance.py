@@ -22,7 +22,6 @@ from test_locc import (
 )
 
 from entlab.embezzle import (
-    LambdaFamilySpec,
     catalytic_deviation,
     classify_itpfi,
     embezzle_report,
@@ -278,7 +277,7 @@ def test_criterion_07_catalytic_deviation_decay():
     period = math.log(1 / lam)
     previous = math.inf
     for m in range(1, 257):
-        dev = catalytic_deviation(LambdaFamilySpec(lam, m), period)
+        dev = catalytic_deviation(lam, m, period)
         assert math.isclose(dev, binomial_shift_l1(lam, m), rel_tol=0, abs_tol=1e-12), m
         assert dev <= previous + 1e-12, m
         previous = dev
@@ -288,7 +287,7 @@ def test_criterion_07_catalytic_deviation_decay():
             assert math.isclose(dev, 8 / 9, rel_tol=0, abs_tol=1e-12)
         if m == 64:
             assert dev < 0.25
-        assert catalytic_deviation(LambdaFamilySpec(lam, m), 0.5 * period) > 1.5, m
+        assert catalytic_deviation(lam, m, 0.5 * period) > 1.5, m
     print(
         "[criterion 7] PASS: deviation matches the binomial-shift oracle for m <= 256 "
         f"(4/3, 8/9, ..., {previous:.4f}), monotone, < 0.25 by m=64, off-period > 1.5"

@@ -17,7 +17,7 @@ import pytest
 
 from entlab import spectra
 from entlab.cli import dispatch
-from entlab.embezzle import LambdaFamilySpec, _binomial_avatar, family_kappa_profile
+from entlab.embezzle import _binomial_avatar, family_kappa_profile
 from entlab.spectra import (
     atomic_measure,
     flow_act,
@@ -72,7 +72,7 @@ def test_family_profile_equals_the_scalar_kernel(m):
     for lam in LAMBDAS:
         u, w = _family_frame(lam, m)
         grid = _grid(-math.log(lam))
-        assert family_kappa_profile(LambdaFamilySpec(lam, m), grid) == _scalar_profile(u, w, grid)
+        assert family_kappa_profile(lam, m, grid) == _scalar_profile(u, w, grid)
 
 
 @pytest.mark.parametrize("rank", [300, 600, 1000, 2000])
@@ -95,14 +95,14 @@ def test_grids_across_block_boundaries(lam, m):
     u, w = _family_frame(lam, m)
     rows = max(1, spectra._BLOCK_ENTRIES // (2 * len(u)))
     grid = [float(t) for t in np.linspace(-3.0, 3.0, 2 * rows + 1)]
-    assert family_kappa_profile(LambdaFamilySpec(lam, m), grid) == _scalar_profile(u, w, grid)
+    assert family_kappa_profile(lam, m, grid) == _scalar_profile(u, w, grid)
 
 
 def test_one_step_profile_equals_the_scalar_kernel(capsys):
     """``kappa profile --steps 1`` is the single time ``--t-min``."""
     u, w = _family_frame(0.5, 256)
     (want,) = _scalar_profile(u, w, [0.3])
-    assert family_kappa_profile(LambdaFamilySpec(0.5, 256), [0.3]) == [want]
+    assert family_kappa_profile(0.5, 256, [0.3]) == [want]
     argv = ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "256",
             "--t-min", "0.3", "--t-max", "0.9", "--steps", "1"]
     capsys.readouterr()
@@ -114,7 +114,7 @@ def test_one_step_profile_equals_the_scalar_kernel(capsys):
 def test_empty_grid_gives_an_empty_profile():
     u, w = _family_frame(0.5, 64)
     assert spectra._density_l1(u, w, u, w, []) == []
-    assert family_kappa_profile(LambdaFamilySpec(0.5, 64), []) == []
+    assert family_kappa_profile(0.5, 64, []) == []
     assert kappa_profile(state_spectrum([0.5, 0.3, 0.2]), []) == []
 
 
@@ -137,11 +137,10 @@ PEAK_BOUND_BYTES = 5 * 2**20
 
 @pytest.mark.parametrize(("lam", "m", "steps"), [(0.25, 64, 20_000), (0.5, 10**4, 121)])
 def test_profile_memory_is_bounded_by_the_block(lam, m, steps):
-    spec = LambdaFamilySpec(lam, m)
     grid = [float(t) for t in np.linspace(0.0, 1.5 * -math.log(lam), steps)]
     tracemalloc.start()
     try:
-        family_kappa_profile(spec, grid)
+        family_kappa_profile(lam, m, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

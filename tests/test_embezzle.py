@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from entlab import embezzle
 from entlab.embezzle import (
     EmbezzleReport,
-    LambdaFamilySpec,
     TypeLabel,
     catalytic_deviation,
     classify_itpfi,
@@ -53,7 +52,10 @@ from entlab.quantum import (
     state_from_schmidt,
 )
 from entlab.spectra import (
+    atomic_measure,
     entanglement_entropies,
+    flat_spectrum,
+    flow_act,
     flow_deviation,
     kappa_profile,
     spectral_state,
@@ -228,9 +230,8 @@ def test_sizes_accept_any_integer_type_and_store_a_python_int(make):
     size gives the same result as the Python int, and the records hold one."""
     assert np.array_equal(vdh_coefficients(make(16)), vdh_coefficients(16))
     assert vdh_bound(make(2), make(16)) == vdh_bound(2, 16)
-    assert type(LambdaFamilySpec(0.5, make(3)).m) is int
-    assert catalytic_deviation(LambdaFamilySpec(0.5, make(3)), math.log(2)) == \
-        catalytic_deviation(LambdaFamilySpec(0.5, 3), math.log(2))
+    assert catalytic_deviation(0.5, make(3), math.log(2)) == \
+        catalytic_deviation(0.5, 3, math.log(2))
 
 
 @pytest.mark.parametrize("bad", [True, False, np.True_, 16.0, np.float64(16.0), "16", None])
@@ -238,11 +239,36 @@ def test_sizes_refuse_bool_and_non_integers(bad):
     with pytest.raises(InvalidInputError, match="harmonic family needs integer n >= 1"):
         vdh_coefficients(bad)
     with pytest.raises(InvalidInputError, match="tensor power m must be a positive integer"):
-        LambdaFamilySpec(0.5, bad)
+        lambda_family_measure(0.5, bad)
     with pytest.raises(InvalidInputError, match="target rank d must be a positive integer"):
         vdh_bound(bad, 16)
     with pytest.raises(InvalidInputError, match="the guarantee needs an integer n >= 2"):
         vdh_bound(2, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vdh_coefficients(10**30),
+        lambda: embezzle_report(10**30, product_basis_state(2, 2), bell_state(2)),
+        lambda: family_kappa_profile(0.5, 10**20, [0.1]),
+        lambda: catalytic_deviation(0.5, 10**20, 0.1),
+        lambda: flat_spectrum(10**30),
+        lambda: haar_unitaries(2, 10**30, 0),
+        lambda: haar_unitaries(10**30, 1, 0),
+    ],
+    ids=["vdh", "report", "kappa", "catalysis", "flat", "haar-count", "haar-dim"],
+)
+def test_sizes_numpy_cannot_index_raise_memory_error(call):
+    """A size past NumPy's address space fails as one too large to allocate
+    (2**50 terms) does: a MemoryError, not NumPy's ValueError."""
+    with pytest.raises(MemoryError):
+        call()
+
+
+def test_lambda_family_measure_refuses_a_huge_m_by_the_float64_limit():
+    with pytest.raises(InvalidInputError, match="the largest m that fits is 678"):
+        lambda_family_measure(0.5, 10**30)
 
 
 def test_vdh_bound_hand_values():
@@ -501,30 +527,59 @@ def test_embezzle_report_n1_reduces_to_plain_orbit_fidelity():
 # --------------------------------------------------------------------------- #
 
 def test_catalytic_deviation_hand_values():
-    assert catalytic_deviation(LambdaFamilySpec(0.5, 1), math.log(2)) == pytest.approx(4 / 3, abs=1e-12)
-    assert catalytic_deviation(LambdaFamilySpec(0.5, 2), math.log(2)) == pytest.approx(8 / 9, abs=1e-12)
-    assert catalytic_deviation(LambdaFamilySpec(0.5, 3), 0.0) == 0.0
+    assert catalytic_deviation(0.5, 1, math.log(2)) == pytest.approx(4 / 3, abs=1e-12)
+    assert catalytic_deviation(0.5, 2, math.log(2)) == pytest.approx(8 / 9, abs=1e-12)
+    assert catalytic_deviation(0.5, 3, 0.0) == 0.0
     for bad_lam in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidInputError):
-            LambdaFamilySpec(bad_lam, 1)
+            catalytic_deviation(bad_lam, 1, 0.0)
     with pytest.raises(InvalidInputError):
-        LambdaFamilySpec(0.5, 0)
+        catalytic_deviation(0.5, 0, 0.0)
 
 
 @pytest.mark.parametrize("t", [-800.0, 800.0])
 def test_catalytic_deviation_refuses_flow_out_of_float_range(t):
     """A flow far past float64's range for real atoms is still a flow: no
     atom lands on another, so the deviation is 2."""
-    assert catalytic_deviation(LambdaFamilySpec(0.5, 4), t) == pytest.approx(2.0, abs=1e-15)
+    assert catalytic_deviation(0.5, 4, t) == pytest.approx(2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_lambda_family_diagnostics_refuse_non_finite_times(t):
-    spec = LambdaFamilySpec(0.5, 4)
     with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} is not finite"):
-        family_kappa_profile(spec, [0.1, t])
+        family_kappa_profile(0.5, 4, [0.1, t])
     with pytest.raises(InvalidInputError, match=rf"flow time t={t!r} is not finite"):
-        catalytic_deviation(spec, t)
+        catalytic_deviation(0.5, 4, t)
+
+
+_ATOMS = atomic_measure([0.0625, 0.25, 1.0], [0.25, 0.25, 0.5])
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: flow_act(_ATOMS, "0.5"), r"^a flow time must be one real number, got '0\.5'$"),
+        (lambda: flow_act(_ATOMS, [0.1]), r"^a flow time must be one real number, got \[0\.1\]$"),
+        (lambda: flow_act(_ATOMS, None), r"^a flow time must be one real number, got None$"),
+        (lambda: flow_deviation(_ATOMS, [0.1, 0.2]), "a flow time must be one real number"),
+        (lambda: flow_deviation(_ATOMS, [0.1]), "a flow time must be one real number"),
+        (lambda: catalytic_deviation(0.5, 4, [0.1, 0.2]), "a flow time must be one real number"),
+        (lambda: kappa_profile(spectrum([0.5, 0.5]), [[0.1], [0.2]]),
+         r"^flow times must be a flat list of numbers, got shape \(2, 1\)$"),
+        (lambda: family_kappa_profile(0.5, 4, [[0.1, 0.2]]), "flow times must be a flat list"),
+    ],
+    ids=["act-text", "act-list", "act-none", "deviation-pair", "deviation-list",
+         "catalysis-pair", "profile-nested", "family-nested"],
+)
+def test_flow_times_are_one_real_number_or_a_flat_grid(call, message):
+    """A single flow time is one real number and a grid is a flat list; NumPy
+    scalars pass as single times."""
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+    t = np.float64(math.log(2))
+    assert flow_act(_ATOMS, t) == flow_act(_ATOMS, math.log(2))
+    assert flow_deviation(_ATOMS, t) == flow_deviation(_ATOMS, math.log(2))
+    assert catalytic_deviation(0.5, np.int64(4), t) == catalytic_deviation(0.5, 4, math.log(2))
 
 
 @pytest.mark.parametrize("t", [700.0, -700.0, 800.0, -800.0, 1e308, -1e308])
@@ -532,9 +587,8 @@ def test_lambda_family_diagnostics_accept_every_finite_time(t):
     """Far from the atoms' log spread both diagnostics sit at 2 (the total
     mass is 1), and neither ever leaves [0, 2]."""
     for lam, m in ((0.5, 4), (0.9, 10**4), (0.1, 300)):
-        spec = LambdaFamilySpec(lam, m)
-        kappa = family_kappa_profile(spec, [t])[0]
-        catalysis = catalytic_deviation(spec, t)
+        kappa = family_kappa_profile(lam, m, [t])[0]
+        catalysis = catalytic_deviation(lam, m, t)
         assert 0.0 <= kappa <= 2.0 and 0.0 <= catalysis <= 2.0
         assert kappa == pytest.approx(2.0, abs=1e-15)
         assert catalysis == pytest.approx(2.0, abs=1e-15)
@@ -543,21 +597,21 @@ def test_lambda_family_diagnostics_accept_every_finite_time(t):
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
 def test_catalytic_deviation_matches_binomial_shift(lam):
     for m in (1, 2, 3, 4, 5, 6, 7, 8, 32, 64):
-        got = catalytic_deviation(LambdaFamilySpec(lam, m), math.log(1.0 / lam))
+        got = catalytic_deviation(lam, m, math.log(1.0 / lam))
         assert got == pytest.approx(binomial_shift_l1(lam, m), abs=1e-12)
 
 
 def test_catalytic_decay_monotone_and_small_by_m64():
     period = math.log(2)
     grid = [1, 2, 4, 8, 16, 32, 64, 128, 256]
-    values = [catalytic_deviation(LambdaFamilySpec(0.5, m), period) for m in grid]
+    values = [catalytic_deviation(0.5, m, period) for m in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     by_m = dict(zip(grid, values))
     assert by_m[64] < 0.25
     assert by_m[64] == pytest.approx(0.2106082, abs=2e-5)
     # Off the period the shifted atoms interleave and the deviation saturates.
     for m in grid:
-        off = catalytic_deviation(LambdaFamilySpec(0.5, m), 0.5 * period)
+        off = catalytic_deviation(0.5, m, 0.5 * period)
         assert off > 1.5
         assert off == pytest.approx(2.0, abs=1e-9)
 
@@ -567,7 +621,7 @@ def test_lambda_measure_matches_tensor_power_pipeline(lam):
     base = spectrum([1 / (1 + lam), lam / (1 + lam)])
     power = base
     for m in range(1, 7):
-        avatar = lambda_family_measure(LambdaFamilySpec(lam, m))
+        avatar = lambda_family_measure(lam, m)
         reference = spectral_state(power)
         assert np.allclose(avatar.atoms, reference.atoms, rtol=1e-12, atol=0)
         assert np.allclose(avatar.masses, reference.masses, rtol=1e-10, atol=1e-15)
@@ -577,7 +631,7 @@ def test_lambda_measure_matches_tensor_power_pipeline(lam):
 
 def test_lambda_measure_underflow_guard():
     with pytest.raises(InvalidInputError):
-        lambda_family_measure(LambdaFamilySpec(0.5, 2000))
+        lambda_family_measure(0.5, 2000)
 
 
 def test_lambda_family_limits_are_named():
@@ -585,13 +639,13 @@ def test_lambda_family_limits_are_named():
     fits, and that m does fit; the kappa and catalysis diagnostics, which
     never form an atom, run past it and match the exact oracles."""
     with pytest.raises(InvalidInputError, match=r"lambda=0\.5, m=2000; the largest m that fits is 678"):
-        lambda_family_measure(LambdaFamilySpec(0.5, 2000))
-    assert len(lambda_family_measure(LambdaFamilySpec(0.5, 678)).atoms) == 679
-    kappa = family_kappa_profile(LambdaFamilySpec(0.5, 2000), [math.log(2)])[0]
+        lambda_family_measure(0.5, 2000)
+    assert len(lambda_family_measure(0.5, 678).atoms) == 679
+    kappa = family_kappa_profile(0.5, 2000, [math.log(2)])[0]
     assert kappa == pytest.approx(half_kappa_oracle(2000), abs=1e-14)
-    catalysis = catalytic_deviation(LambdaFamilySpec(0.5, 1253), math.log(2))
+    catalysis = catalytic_deviation(0.5, 1253, math.log(2))
     assert catalysis == pytest.approx(half_catalysis_oracle(1253), abs=1e-15)
-    assert catalytic_deviation(LambdaFamilySpec(0.5, 1252), math.log(2)) == pytest.approx(
+    assert catalytic_deviation(0.5, 1252, math.log(2)) == pytest.approx(
         lgamma_binomial_shift_l1(0.5, 1252), abs=1e-12
     )
 
@@ -600,7 +654,7 @@ def named_lambda_limit(lam: float) -> int:
     """The largest m that ``lambda_family_measure``'s refusal names; every
     limit is below 1076, since ``(1+lambda)/lambda > 2``."""
     try:
-        lambda_family_measure(LambdaFamilySpec(lam, 1076))
+        lambda_family_measure(lam, 1076)
     except InvalidInputError as exc:
         return int(re.fullmatch(r".*; the largest m that fits is (\d+)", str(exc)).group(1))
     raise AssertionError(f"m = 1076 was not refused at lambda = {lam!r}")
@@ -634,9 +688,9 @@ def test_lambda_limit_builds_and_the_next_m_is_refused(lam):
     L is exact: ``(lambda/(1+lambda))^L`` exceeds 2^-1075, half the smallest
     subnormal, and the next power does not (integer arithmetic)."""
     largest = named_lambda_limit(lam)
-    assert lambda_family_measure(LambdaFamilySpec(lam, largest)).atoms.size >= 1
+    assert lambda_family_measure(lam, largest).atoms.size >= 1
     with pytest.raises(InvalidInputError, match=rf"m={largest + 1}; the largest m that fits is {largest}$"):
-        lambda_family_measure(LambdaFamilySpec(lam, largest + 1))
+        lambda_family_measure(lam, largest + 1)
     p, q = Fraction(lam).as_integer_ratio()  # lambda / (1 + lambda) = p / (p + q)
     assert p**largest << 1075 > (p + q) ** largest
     assert p ** (largest + 1) << 1075 <= (p + q) ** (largest + 1)
@@ -646,17 +700,15 @@ def test_lambda_limit_builds_and_the_next_m_is_refused(lam):
 def test_lambda_family_matches_exact_integer_oracles(m):
     """At lambda = 1/2 and t = log 2 both diagnostics have exact integer
     oracles; kappa matches to 1e-14 and catalysis to the last bit."""
-    spec = LambdaFamilySpec(0.5, m)
-    assert family_kappa_profile(spec, [math.log(2)])[0] == pytest.approx(
+    assert family_kappa_profile(0.5, m, [math.log(2)])[0] == pytest.approx(
         half_kappa_oracle(m), abs=1e-14
     )
-    assert catalytic_deviation(spec, math.log(2)) == half_catalysis_oracle(m)
+    assert catalytic_deviation(0.5, m, math.log(2)) == half_catalysis_oracle(m)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_half_period_kappa_at_m_1e5_matches_closed_form(lam):
-    spec = LambdaFamilySpec(lam, 10**5)
-    half = family_kappa_profile(spec, [-math.log(lam) / 2])[0]
+    half = family_kappa_profile(lam, 10**5, [-math.log(lam) / 2])[0]
     assert half == pytest.approx(kappa_max_formula(lam), abs=1e-12)
 
 
@@ -665,7 +717,7 @@ def test_family_kappa_profile_m1000_matches_distribution_integral():
     profile equals the NumPy integral of the two distribution functions."""
     lam, m = 0.5, 1000
     grid = [0.0, 0.05, 0.2, math.log(2) / 2, 0.5, math.log(2), 1.0]
-    got = family_kappa_profile(LambdaFamilySpec(lam, m), grid)
+    got = family_kappa_profile(lam, m, grid)
     assert got[0] == 0.0
     for t, value in zip(grid[1:], got[1:]):
         assert value == pytest.approx(lambda_distribution_l1(lam, m, t), abs=1e-12), t
@@ -673,18 +725,17 @@ def test_family_kappa_profile_m1000_matches_distribution_integral():
 
 def test_family_kappa_profile_is_flow_invariant():
     """The flow-normalized avatar and the true measure give the same profile."""
-    spec = LambdaFamilySpec(0.9, 300)
     grid = np.linspace(0.0, 0.2, 5)
-    direct = [flow_deviation(lambda_family_measure(spec), float(t)) for t in grid]
-    assert family_kappa_profile(spec, grid) == pytest.approx(direct, abs=1e-13)
+    direct = [flow_deviation(lambda_family_measure(0.9, 300), float(t)) for t in grid]
+    assert family_kappa_profile(0.9, 300, grid) == pytest.approx(direct, abs=1e-13)
 
 
 def test_catalytic_deviation_m2000_matches_lgamma_oracle():
     lam, m = 0.9, 2000
     period = math.log(1.0 / lam)
-    got = catalytic_deviation(LambdaFamilySpec(lam, m), period)
+    got = catalytic_deviation(lam, m, period)
     assert got == pytest.approx(lgamma_binomial_shift_l1(lam, m), abs=1e-12)
-    assert catalytic_deviation(LambdaFamilySpec(lam, m), period / 2) == pytest.approx(2.0, abs=1e-12)
+    assert catalytic_deviation(lam, m, period / 2) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_family_kappa_profile_matches_spectral_route():
@@ -692,7 +743,7 @@ def test_family_kappa_profile_matches_spectral_route():
     base = spectrum([1 / (1 + lam), lam / (1 + lam)])
     power = tensor_spectrum(tensor_spectrum(base, base), base)
     grid = np.linspace(0.05, 2.5, 23)
-    fast = family_kappa_profile(LambdaFamilySpec(lam, m), grid)
+    fast = family_kappa_profile(lam, m, grid)
     slow = kappa_profile(power, grid)
     assert np.allclose(fast, slow, atol=1e-12)
 
@@ -702,7 +753,7 @@ def test_half_period_deviation_converges_to_closed_form_peak():
         period = -math.log(lam)
         target = kappa_max_formula(lam)
         gaps = [
-            abs(family_kappa_profile(LambdaFamilySpec(lam, m), [period / 2])[0] - target)
+            abs(family_kappa_profile(lam, m, [period / 2])[0] - target)
             for m in (16, 64, 256)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -1118,8 +1169,8 @@ MALFORMED_INPUTS = {
     "pure-scalar-dims": (lambda: pure_state(4, [1, 0, 0, 0]), "pair"),
     "random-one-dim": (lambda: random_pure_state((2,), 0), "pair"),
     "schmidt-one-dim": (lambda: state_from_schmidt([1.0], dims=(2,)), "pair"),
-    "lambda-text": (lambda: LambdaFamilySpec("0.5", 3), r"^lambda must lie strictly between 0 and 1, got '0\.5'$"),
-    "lambda-none": (lambda: LambdaFamilySpec(None, 3), "lambda must lie strictly between 0 and 1"),
+    "lambda-text": (lambda: lambda_family_measure("0.5", 3), r"^lambda must lie strictly between 0 and 1, got '0\.5'$"),
+    "lambda-none": (lambda: lambda_family_measure(None, 3), "lambda must lie strictly between 0 and 1"),
     "kappa-text": (lambda: kappa_max_formula("x"), r"^lambda must lie in \[0, 1\], got 'x'$"),
     "renyi-text": (lambda: entanglement_entropies(spectrum([0.5, 0.5]), ["x"]), "Renyi orders"),
     "renyi-numeric-text": (lambda: entanglement_entropies(spectrum([0.5, 0.5]), ["2"]), "Renyi orders"),
@@ -1141,6 +1192,6 @@ def test_public_inputs_are_refused_by_the_shared_rules(name):
     assert product_basis_state(two, 2, np.int64(1), 0).amplitudes[2] == 1.0
     assert pure_state(np.array([2, 2]), [1, 0, 0, 0]).dims == (2, 2)
     assert random_pure_state([two, 3], 0).dims == (2, 3)
-    assert LambdaFamilySpec(half, np.int64(3)).m == 3 and kappa_max_formula(half) > 0.0
+    assert catalytic_deviation(half, np.int64(3), 0.0) == 0.0 and kappa_max_formula(half) > 0.0
     assert entanglement_entropies(spectrum([0.5, 0.5]), [np.float64(2.0)]).H_alpha == {2.0: math.log(2)}
     assert multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (two, 2), iters=two) == 1.0

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import entlab
 from entlab import (
-    LambdaFamilySpec,
     TypeLabel,
     bell_state,
     catalytic_deviation,
@@ -933,7 +932,7 @@ def test_cli_kappa_profile_columns_sorted_by_t(capsys):
     rows = list(csv.DictReader(stdio.StringIO(out)))
     ts = [float(row["t"]) for row in rows]
     assert len(ts) == 5 and ts == sorted(ts)
-    expected = family_kappa_profile(LambdaFamilySpec(0.5, 2), ts)
+    expected = family_kappa_profile(0.5, 2, ts)
     assert [float(row["deviation"]) for row in rows] == pytest.approx(expected, abs=0)
     code, _, _ = run_cli(argv[:-1] + ["0"], capsys)  # steps = 0
     assert code == 2
@@ -944,7 +943,7 @@ def test_cli_catalysis_decay_hand_values(capsys):
     assert code == 0
     rows = list(csv.DictReader(stdio.StringIO(out)))
     assert [row["m"] for row in rows] == ["1", "2"]
-    assert float(rows[0]["deviation"]) == catalytic_deviation(LambdaFamilySpec(0.5, 1), math.log(2))
+    assert float(rows[0]["deviation"]) == catalytic_deviation(0.5, 1, math.log(2))
     assert float(rows[0]["deviation"]) == pytest.approx(4 / 3, abs=1e-12)
     assert float(rows[1]["deviation"]) == pytest.approx(8 / 9, abs=1e-12)
 
@@ -1309,6 +1308,26 @@ def test_cli_out_of_memory_exits_3_with_one_line(capsys):
     """An n whose harmonic list cannot be allocated (2**50 terms, 8 PiB) is
     refused at once: one stderr line, exit code 3, nothing on stdout."""
     code, out, err = run_cli(["embezzle", "sweep", "--d", "2", "--n-list", f"16,{2**50}"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("entlab: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embezzle", "sweep", "--d", "2", "--n-list", "1e30"],
+        ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", str(10**20),
+         "--t-min", "0", "--t-max", "1", "--steps", "3"],
+        ["catalysis", "decay", "--lambda", "0.5", "--m-list", str(10**20)],
+        ["kappa", "profile", "--family", "lambda", "--lambda", "0.5", "--m", "3",
+         "--t-min", "0", "--t-max", "1", "--steps", str(10**20)],
+    ],
+    ids=["embezzle", "kappa", "catalysis", "kappa-steps"],
+)
+def test_cli_sizes_numpy_cannot_index_exit_3_with_one_line(argv, capsys):
+    """A size past NumPy's address space is out of memory, as 2**50 is: one
+    stderr line, exit code 3, nothing on stdout."""
+    code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("entlab: out of memory: ") and err.count("\n") == 1
 
