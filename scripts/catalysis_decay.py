@@ -31,7 +31,8 @@ def main() -> None:
     rows = []
     for exp in range(args.exp_max + 1):
         lam, m = _lambda_family(args.lam, 2**exp)  # a bad lambda is refused before the period
-        period = math.log(1.0 / lam)
+        inverse = 1.0 / lam  # inf for lambda below 1 / sys.float_info.max
+        period = math.log(inverse) if inverse < math.inf else -math.log(lam)
         rows.append({
             "m": m,
             "deviation_on_period": catalytic_deviation(lam, m, period),

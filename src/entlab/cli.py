@@ -229,7 +229,9 @@ def _cmd_oneshot(args) -> dict:
 
 
 def _cmd_embezzle_sweep(args) -> Table:
-    if args.d < 1:
+    if args.d is None and (args.target == "bell" or not args.start):
+        raise InvalidInputError("--d is needed unless --target and --start are both files")
+    if args.d is not None and args.d < 1:
         raise InvalidInputError(f"--d must be a positive integer, got {args.d}")
     n_list = sorted(set(_parse_int_list(args.n_list, "--n-list")))
     target = bell_state(args.d) if args.target == "bell" else _load_state(args.target)
@@ -266,7 +268,8 @@ def _cmd_catalysis_decay(args) -> Table:
     rows = []
     for m in sorted(set(_parse_int_list(args.m_list, "--m-list"))):
         lam, m = _lambda_family(args.lam, m)  # a bad lambda or m is refused before the period
-        period = math.log(1.0 / lam)
+        inverse = 1.0 / lam  # inf for lambda below 1 / sys.float_info.max
+        period = math.log(inverse) if inverse < math.inf else -math.log(lam)
         rows.append({"m": m, "t": period, "deviation": catalytic_deviation(lam, m, period)})
     return rows, ["m", "t", "deviation"]
 
@@ -347,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     embezzle_parser = sub.add_parser("embezzle", help="embezzlement sweeps")
     embezzle_sub = embezzle_parser.add_subparsers(dest="embezzle_command", required=True)
     p = embezzle_sub.add_parser("sweep", parents=[table], help="fidelity vs resource size")
-    p.add_argument("--d", type=int, required=True, help="Bell target and |00> start dimension")
+    p.add_argument("--d", type=int, default=None,
+                   help="Bell target and |00> start dimension (needed unless both are files)")
     p.add_argument("--n-list", required=True, help="comma-separated resource sizes")
     p.add_argument("--target", default="bell", help="'bell' or a pure_bipartite file")
     p.add_argument("--start", default=None, help="pure_bipartite file (default |00>)")

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .quantum import PureBipartiteState, _sorted_overlap, haar_unitary, schmidt, state_from_schmidt
+from .quantum import PureBipartiteState, _sorted_overlap, schmidt, state_from_schmidt
 from .spectra import (
     AtomicMeasure,
     Spectrum,
@@ -41,13 +41,11 @@ from .spectra import (
     _density_l1,
     _flow_times,
     _integer,
-    _is_integer,
     _merge_runs,
-    _numeric_array,
     atomic_measure,
     flow_act,
 )
-from .tolerances import MERGE_TOL, UNIT_VECTOR_TOL
+from .tolerances import MERGE_TOL
 
 __all__ = [
     "VdhBound",
@@ -63,7 +61,6 @@ __all__ = [
     "catalytic_deviation",
     "classify_itpfi",
     "kappa_max_formula",
-    "multipartite_lu_fidelity",
 ]
 
 # Largest n for which vdh_state will build the dense (n, n) amplitude grid.
@@ -446,75 +443,3 @@ def kappa_max_formula(lam: float) -> float:
         raise InvalidInputError(f"lambda must lie in [0, 1], got {lam!r}")
     r = math.sqrt(lam)
     return 2.0 * (1.0 - r) / (1.0 + r)
-
-
-# --------------------------------------------------------------------------- #
-#                       Multipartite alignment estimator                       #
-# --------------------------------------------------------------------------- #
-
-def _apply_except(
-    tensor: np.ndarray, unitaries: list[np.ndarray], skip: int
-) -> np.ndarray:
-    out = tensor
-    for j, u in enumerate(unitaries):
-        if j == skip:
-            continue
-        out = np.moveaxis(np.tensordot(u, out, axes=([1], [j])), 0, j)
-    return out
-
-
-def multipartite_lu_fidelity(
-    psi: np.ndarray,
-    phi: np.ndarray,
-    dims: Sequence[int],
-    iters: int = 60,
-    seed: int = 0,
-) -> float:
-    """Lower estimate of ``max |<psi| U_1 (x) ... (x) U_N |phi>|^2`` over
-    local unitaries, by alternating single-party polar updates.
-
-    One run starts from the identity; ``1 + iters // 25`` further runs start
-    from seeded Haar unitaries.  Each block update is an exact ascent step,
-    so the per-run value is non-decreasing and the reported maximum is
-    monotone in ``iters`` (runs only get longer and more numerous) and
-    reproducible for a fixed ``seed``.  The result is an estimate from below;
-    it never exceeds 1.
-    """
-    dims = tuple(dims) if np.iterable(dims) else (dims,)
-    if len(dims) < 2 or not all(_is_integer(d) and d >= 1 for d in dims):
-        raise InvalidInputError(f"need at least two parties with positive dims, got {dims!r}")
-    iters = _integer(iters, 1, "iters must be >= 1, got {!r}")
-    size = int(np.prod(dims))
-    psi_t = _numeric_array(psi, "psi", complex).ravel()
-    phi_t = _numeric_array(phi, "phi", complex).ravel()
-    if psi_t.size != size or phi_t.size != size:
-        raise InvalidInputError(
-            f"state length must be prod(dims) = {size}, got {psi_t.size} and {phi_t.size}"
-        )
-    if not all(abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL for v in (psi_t, phi_t)):  # NaN too
-        raise InvalidInputError("states must be unit vectors")
-    psi_t = psi_t.reshape(dims)
-    phi_t = phi_t.reshape(dims)
-    n_parties = len(dims)
-    restarts = 1 + iters // 25
-
-    best = 0.0
-    for run in range(restarts + 1):
-        if run == 0:
-            unitaries = [np.eye(d, dtype=complex) for d in dims]
-        else:
-            rng = np.random.default_rng((seed, run))
-            unitaries = [haar_unitary(d, rng) for d in dims]
-        value = 0.0
-        for _ in range(iters):
-            for k in range(n_parties):
-                dressed = _apply_except(phi_t, unitaries, skip=k)
-                other_axes = [j for j in range(n_parties) if j != k]
-                overlap_matrix = np.tensordot(
-                    psi_t.conj(), dressed, axes=(other_axes, other_axes)
-                )
-                u_left, sing, v_right = np.linalg.svd(overlap_matrix)
-                unitaries[k] = np.conj(u_left @ v_right)
-                value = float(np.sum(sing)) ** 2
-        best = max(best, min(value, 1.0))
-    return best

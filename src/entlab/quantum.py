@@ -104,7 +104,7 @@ def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBiparti
     dA, dB = _dims((dA, dB))
     if not (_is_integer(i) and _is_integer(j) and 0 <= i < dA and 0 <= j < dB):
         raise InvalidInputError(f"basis indices (i, j) = ({i}, {j}) outside dims ({dA}, {dB})")
-    v = np.zeros(dA * dB, dtype=complex)
+    v = np.zeros(_allocatable(dA * dB), dtype=complex)
     v[i * dB + j] = 1.0
     return pure_state((dA, dB), v)
 
@@ -112,6 +112,7 @@ def product_basis_state(dA: int, dB: int, i: int = 0, j: int = 0) -> PureBiparti
 def bell_state(d: int = 2) -> PureBipartiteState:
     """Maximally entangled rank-d state on (C^d, C^d)."""
     d = _integer(d, 1, "dimension must be an integer >= 1, got {!r}")
+    _allocatable(d * d)
     m = np.eye(d, dtype=complex) / math.sqrt(d)
     return pure_state((d, d), m.ravel())
 
@@ -122,6 +123,7 @@ def state_from_schmidt(coeffs: Iterable[float], dims: Optional[tuple[int, int]] 
     dims = (c.size, c.size) if dims is None else _dims(dims)
     if c.size > min(dims):
         raise InvalidInputError(f"{c.size} Schmidt coefficients do not fit dims {tuple(dims)}")
+    _allocatable(dims[0] * dims[1])
     m = np.zeros(dims, dtype=complex)
     m[np.diag_indices(c.size)] = c
     return pure_state(dims, m.ravel())
@@ -346,6 +348,7 @@ def haar_unitaries(d: int, count: int, seed: int | np.random.Generator) -> np.nd
 def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Wishart-distributed random density matrix."""
     d = _integer(d, 1, "dimension must be an integer >= 1, got {!r}")
+    _allocatable(d * d)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
@@ -356,6 +359,7 @@ def random_density(d: int, seed: int | np.random.Generator) -> DensityMatrix:
 def random_pure_state(dims: tuple[int, int], seed: int | np.random.Generator) -> PureBipartiteState:
     """Haar-random bipartite pure state."""
     dims = _dims(dims)
+    n = _allocatable(dims[0] * dims[1])
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dims[0] * dims[1]) + 1j * rng.standard_normal(dims[0] * dims[1])
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return pure_state(dims, v / np.linalg.norm(v))

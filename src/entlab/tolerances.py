@@ -18,9 +18,6 @@ permutohedron step's ``8 m eps`` in ``locc``) stay with that algorithm.
 # off 1, and two spectra's totals and partial sums in ``majorizes``.  Within
 # it entlab symmetrizes, clips to 0 and renormalizes; beyond it it refuses.
 INPUT_TOL = 1e-10
-# Absolute.  ``multipartite_lu_fidelity`` reads raw amplitude arrays and does
-# not renormalize them; each norm may miss 1 by at most this.
-UNIT_VECTOR_TOL = 1e-8
 
 # --------------------------------------------------------------------------- #
 #                                 equal reals                                  #

@@ -6,8 +6,7 @@ Oracles used here:
   * an exact binomial-shift l1 formula (for the catalytic deviation at the
     period),
   * the tensor-power spectral pipeline from the spectra module (for the
-    closed-form binomial avatar),
-  * a vectorized rotation-grid search (for the three-party alignment value).
+    closed-form binomial avatar).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from entlab.embezzle import (
     family_kappa_profile,
     kappa_max_formula,
     lambda_family_measure,
-    multipartite_lu_fidelity,
     orbit_trace_defect,
     vdh_bound,
     vdh_coefficients,
@@ -1064,78 +1062,6 @@ def test_kappa_max_formula_endpoints_and_parametrizations():
             kappa_max_formula(bad)
 
 
-# --------------------------------------------------------------------------- #
-#                        Multipartite alignment estimator                      #
-# --------------------------------------------------------------------------- #
-
-def test_multipartite_matches_bipartite_closed_form():
-    rng = np.random.default_rng(7)
-    for dims in [(2, 2), (3, 3), (2, 3)]:
-        size = int(np.prod(dims))
-        for _ in range(4):
-            a = rng.normal(size=size) + 1j * rng.normal(size=size)
-            b = rng.normal(size=size) + 1j * rng.normal(size=size)
-            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            closed = lu_orbit_fidelity(pure_state(dims, a), pure_state(dims, b))
-            estimate = multipartite_lu_fidelity(a, b, dims, iters=80, seed=1)
-            assert estimate == pytest.approx(closed, abs=1e-6)
-            assert estimate <= 1.0
-
-
-def test_multipartite_ghz_value_pinned_by_grid_oracle():
-    ghz = np.zeros(8)
-    ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    origin = np.zeros(8)
-    origin[0] = 1.0
-    estimate = multipartite_lu_fidelity(origin, ghz, (2, 2, 2), iters=60, seed=0)
-    # Vectorized rotation grid: the GHZ amplitudes are real, so real
-    # single-qubit rotations exhaust the orbit value for this pair.
-    theta = np.linspace(0.0, np.pi, 181)
-    a, b, c = np.meshgrid(theta, theta, theta, indexing="ij")
-    grid_best = float(
-        ((np.cos(a) * np.cos(b) * np.cos(c) + np.sin(a) * np.sin(b) * np.sin(c)) ** 2 / 2).max()
-    )
-    assert grid_best == pytest.approx(0.5, abs=1e-12)
-    assert estimate >= grid_best - 1e-6
-    assert estimate <= grid_best + 1e-9
-
-
-def test_multipartite_estimator_is_monotone_and_reproducible():
-    ghz = np.zeros(8)
-    ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    origin = np.zeros(8)
-    origin[0] = 1.0
-    values = [
-        multipartite_lu_fidelity(origin, ghz, (2, 2, 2), iters=it, seed=3)
-        for it in (10, 40, 80)
-    ]
-    assert values[0] <= values[1] + 1e-12 and values[1] <= values[2] + 1e-12
-    again = multipartite_lu_fidelity(origin, ghz, (2, 2, 2), iters=40, seed=3)
-    assert again == values[1]
-    psi = (np.arange(12) + 1).astype(complex)
-    psi = psi / np.linalg.norm(psi)
-    self_value = multipartite_lu_fidelity(psi, psi, (2, 3, 2), iters=1, seed=0)
-    assert self_value >= 1.0 - 1e-9 and self_value <= 1.0
-
-
-def test_multipartite_validation_and_four_parties():
-    rng = np.random.default_rng(11)
-    size = 16
-    a = rng.normal(size=size) + 1j * rng.normal(size=size)
-    b = rng.normal(size=size) + 1j * rng.normal(size=size)
-    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    value = multipartite_lu_fidelity(a, b, (2, 2, 2, 2), iters=30, seed=5)
-    assert 0.0 <= value <= 1.0
-    with pytest.raises(InvalidInputError):
-        multipartite_lu_fidelity(a, b, (16,), iters=10, seed=0)
-    with pytest.raises(InvalidInputError):
-        multipartite_lu_fidelity(a, b, (2, 2, 2), iters=10, seed=0)
-    with pytest.raises(InvalidInputError):
-        multipartite_lu_fidelity(2 * a, b, (2, 2, 2, 2), iters=10, seed=0)
-    with pytest.raises(InvalidInputError):
-        multipartite_lu_fidelity(a, b, (2, 2, 2, 2), iters=0, seed=0)
-
-
 def test_embezzle_report_type():
     report = embezzle_report(4, product_basis_state(2, 2), bell_state(2))
     assert isinstance(report, EmbezzleReport)
@@ -1154,16 +1080,6 @@ MALFORMED_INPUTS = {
     "bell-0d-array": (lambda: bell_state(np.array(2.5)), "dimension"),
     "basis-fraction": (lambda: product_basis_state(2, 2, 0.5, 0), r"\(0\.5, 0\) outside dims \(2, 2\)"),
     "basis-bool": (lambda: product_basis_state(2, 2, True, 0), r"\(True, 0\) outside dims \(2, 2\)"),
-    "multipartite-fraction-dims": (
-        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (2.5, 2)), "positive dims"),
-    "multipartite-fraction-iters": (
-        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (2, 2), iters=2.5), "iters"),
-    "multipartite-scalar-dims": (
-        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], 4), r"positive dims, got \(4,\)$"),
-    "multipartite-text": (
-        lambda: multipartite_lu_fidelity(["1", "0", "0", "0"], [1, 0, 0, 0], (2, 2)), "psi"),
-    "multipartite-nan": (
-        lambda: multipartite_lu_fidelity([1, 0, 0, 0], [math.nan, 0, 0, 0], (2, 2)), "unit vectors"),
     "pure-one-dim": (lambda: pure_state((2,), [1, 0]), "pair"),
     "pure-three-dims": (lambda: pure_state((2, 2, 7), [1, 0, 0, 0]), "pair"),
     "pure-scalar-dims": (lambda: pure_state(4, [1, 0, 0, 0]), "pair"),
@@ -1194,4 +1110,3 @@ def test_public_inputs_are_refused_by_the_shared_rules(name):
     assert random_pure_state([two, 3], 0).dims == (2, 3)
     assert catalytic_deviation(half, np.int64(3), 0.0) == 0.0 and kappa_max_formula(half) > 0.0
     assert entanglement_entropies(spectrum([0.5, 0.5]), [np.float64(2.0)]).H_alpha == {2.0: math.log(2)}
-    assert multipartite_lu_fidelity([1, 0, 0, 0], [1, 0, 0, 0], (two, 2), iters=two) == 1.0

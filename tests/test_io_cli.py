@@ -884,6 +884,31 @@ def test_cli_embezzle_sweep_bound_uses_target_rank(tmp_path, capsys):
         assert row["meets_bound"] == ("true" if meets else "false")
 
 
+def test_cli_embezzle_sweep_of_two_files_needs_no_d(state_files, capsys):
+    """--d builds only the default Bell target and |00> start, so with both
+    states from files it may be left out; the table is the one --d 2 gives."""
+    files = ["--target", state_files["phi73"], "--start", state_files["prod"]]
+    code, out, err = run_cli(["embezzle", "sweep", "--n-list", "16,64", *files], capsys)
+    assert (code, err) == (0, "") and out.count("\r\n") == 3
+    assert run_cli(["embezzle", "sweep", "--d", "2", "--n-list", "16,64", *files], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize("files", [[], ["--start", "{prod}"], ["--target", "{phi73}"]],
+                         ids=["defaults", "bell-target", "product-start"])
+def test_cli_embezzle_sweep_with_a_default_state_needs_d(files, state_files, capsys):
+    argv = ["embezzle", "sweep", "--n-list", "16", *(f.format(**state_files) for f in files)]
+    assert run_cli(argv, capsys) == (
+        2, "", "entlab: --d is needed unless --target and --start are both files\n")
+
+
+def test_cli_embezzle_sweep_dimension_numpy_cannot_index_exits_3(capsys):
+    """A Bell dimension whose d x d amplitudes NumPy cannot index is out of
+    memory: one stderr line, exit code 3, nothing on stdout."""
+    code, out, err = run_cli(["embezzle", "sweep", "--d", str(10**20), "--n-list", "4"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("entlab: out of memory: ") and err.count("\n") == 1
+
+
 # Schmidt coefficients (0.8, 0.6, 0) in Haar frames, in 17-digit text; the
 # SVD of these amplitudes returns a third coefficient of rounding size, not 0
 RANK2_STATE = (
@@ -955,6 +980,22 @@ def test_cli_catalysis_decay_refuses_lambda_outside_the_unit_interval(lam, capsy
     code, out, err = run_cli(["catalysis", "decay", "--lambda", lam, "--m-list", "1"], capsys)
     assert code == 2 and out == ""
     assert err == f"entlab: lambda must lie strictly between 0 and 1, got {float(lam)!r}\n"
+
+
+@pytest.mark.parametrize("lam", ["1e-320", "5e-324", "5e-309"])
+def test_cli_catalysis_decay_where_the_inverse_of_lambda_overflows(lam, capsys):
+    """Below 1 / sys.float_info.max, 1/lambda is inf and the period is
+    -log(lambda): the row is printed, not refused as a flow time t=inf."""
+    code, out, err = run_cli(["catalysis", "decay", "--lambda", lam, "--m-list", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"m,t,deviation\r\n1,{eio.format_float(-math.log(float(lam)))},2\r\n"
+
+
+@pytest.mark.parametrize("lam", ["0.5", "0.3", "1e-300", "1e-308", "6e-309"])
+def test_cli_catalysis_decay_period_is_log_of_the_finite_inverse(lam, capsys):
+    code, out, _ = run_cli(["catalysis", "decay", "--lambda", lam, "--m-list", "1"], capsys)
+    (row,) = csv.DictReader(stdio.StringIO(out))
+    assert code == 0 and row["t"] == eio.format_float(math.log(1.0 / float(lam)))
 
 
 @pytest.mark.parametrize(

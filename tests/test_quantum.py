@@ -179,6 +179,24 @@ def test_sizes_must_be_integers_of_at_least_one(name, size):
     build(np.int64(2))
 
 
+@pytest.mark.parametrize("name", [name for name in SIZED_CONSTRUCTORS if name != "pure_state"])
+@pytest.mark.parametrize("size", [10**30, 2**60], ids=["1e30", "2^60"])
+def test_sizes_past_the_address_space_are_out_of_memory(name, size):
+    """A size NumPy cannot index (10**30), or one whose entries NumPy cannot
+    address (2**60), raises MemoryError, not NumPy's ValueError.  pure_state
+    allocates nothing: its amplitude count is refused first."""
+    with pytest.raises(MemoryError):
+        SIZED_CONSTRUCTORS[name](size)
+
+
+@pytest.mark.parametrize("build", [bell_state, lambda d: random_density(d, 0)],
+                         ids=["bell_state", "random_density"])
+def test_a_square_past_the_address_space_is_out_of_memory(build):
+    """d = 2**40 is indexable, but a d x d matrix is not."""
+    with pytest.raises(MemoryError):
+        build(2**40)
+
+
 def test_density_refuses_an_empty_matrix():
     with pytest.raises(InvalidInputError, match="^density matrix must be at least 1 x 1$"):
         density(np.zeros((0, 0)))
