@@ -11,13 +11,11 @@ the binomial masses, so larger m only costs time.
 """
 
 import argparse
-import math
 import os
 import sys
 
-from entlab import InvalidInputError, catalytic_deviation
-from entlab.cli import emit_sweep
-from entlab.embezzle import _lambda_family
+from entlab import catalytic_deviation
+from entlab.cli import _catalysis_rows, _exit_code, emit_sweep
 
 
 def main() -> None:
@@ -28,16 +26,10 @@ def main() -> None:
     parser.add_argument("--out", default="catalysis_decay.csv")
     args = parser.parse_args()
 
-    rows = []
-    for exp in range(args.exp_max + 1):
-        lam, m = _lambda_family(args.lam, 2**exp)  # a bad lambda is refused before the period
-        inverse = 1.0 / lam  # inf for lambda below 1 / sys.float_info.max
-        period = math.log(inverse) if inverse < math.inf else -math.log(lam)
-        rows.append({
-            "m": m,
-            "deviation_on_period": catalytic_deviation(lam, m, period),
-            "deviation_off_period": catalytic_deviation(lam, m, period / 2),
-        })
+    ms = [2**exp for exp in range(args.exp_max + 1)]
+    rows = [{"m": row["m"], "deviation_on_period": row["deviation"],
+             "deviation_off_period": catalytic_deviation(args.lam, row["m"], row["t"] / 2)}
+            for row in _catalysis_rows(args.lam, ms)]
     emit_sweep(rows, ["m", "deviation_on_period", "deviation_off_period"], args.out)
 
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -52,8 +44,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
-        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_code(os.path.basename(__file__), main))

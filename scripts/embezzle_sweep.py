@@ -12,8 +12,8 @@ import math
 import os
 import sys
 
-from entlab import InvalidInputError, bell_state, embezzle_report, product_basis_state, vdh_bound
-from entlab.cli import _parse_int_list, emit_sweep
+from entlab import bell_state, product_basis_state
+from entlab.cli import _embezzle_rows, _exit_code, _parse_int_list, emit_sweep
 
 
 def main() -> None:
@@ -25,23 +25,9 @@ def main() -> None:
     args = parser.parse_args()
 
     dims = _parse_int_list(args.d_list, "--d-list")
-    rows = []
-    for d in dims:
-        start = product_basis_state(d, d)
-        target = bell_state(d)
-        for exp in range(2, args.exp_max + 1, 2):
-            n = 2**exp
-            report = embezzle_report(n, start, target)
-            bound = vdh_bound(d, n)
-            rows.append({
-                "d": d,
-                "n": n,
-                "fidelity": report.fidelity,
-                "trace_error": report.trace_error,
-                "fidelity_bound": bound.fidelity_bound,
-                "epsilon": bound.epsilon,
-                "meets_bound": report.meets_bound,
-            })
+    ns = [2**exp for exp in range(2, args.exp_max + 1, 2)]
+    rows = [{"d": d, **row} for d in dims
+            for row in _embezzle_rows(ns, product_basis_state(d, d), bell_state(d))]
 
     columns = ["d", "n", "fidelity", "trace_error", "fidelity_bound", "epsilon", "meets_bound"]
     emit_sweep(rows, columns, args.out)
@@ -56,8 +42,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
-        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_code(os.path.basename(__file__), main))

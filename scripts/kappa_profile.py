@@ -16,7 +16,7 @@ import os
 import sys
 
 from entlab import InvalidInputError, family_kappa_profile, kappa_max_formula
-from entlab.cli import _parse_int_list, emit_sweep
+from entlab.cli import _exit_code, _parse_int_list, emit_sweep
 from entlab.embezzle import _lambda_family
 
 
@@ -56,8 +56,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except InvalidInputError as exc:  # a bad flag: one line and exit 2, as the entlab CLI does
-        print(f"{os.path.basename(__file__)}: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_code(os.path.basename(__file__), main))

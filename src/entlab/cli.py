@@ -3,7 +3,9 @@
 Exit codes: 0 for success (a negative decision is data, not an error),
 2 for parse/validation problems (including unknown commands and bad flag
 values), 3 for numerical failures inside core operations, unwritable
-output paths, or a computation too large for memory.
+output paths, or a computation too large for memory.  The experiment
+scripts in ``scripts/`` exit by the same policy (:func:`_exit_code`) and
+build their rows with the table commands' code.
 
 Each handler is a function of the parsed arguments alone and returns what
 the command prints; :func:`dispatch` writes it.  A record command returns a
@@ -22,7 +24,7 @@ import functools
 import io as _stdio
 import math
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +83,11 @@ def emit_sweep(rows: Sequence[dict], columns: Sequence[str], out: Optional[str] 
     """
     if format not in TABLE_FORMATS:
         raise InvalidInputError(f"format must be {' or '.join(TABLE_FORMATS)}, got {format!r}")
+    for name, value in (("rows", rows), ("columns", columns)):
+        if not isinstance(value, Sequence):
+            raise InvalidInputError(f"sweep {name} must be a sequence, got {type(value).__name__}")
     schema = set(columns)
-    if any(row.keys() != schema for row in rows):
+    if any(not isinstance(row, dict) or row.keys() != schema for row in rows):
         raise InvalidInputError("sweep rows must share one schema")
     if format == "json":
         text = eio.canonical_json([{c: row[c] for c in columns} for row in rows])
@@ -228,30 +233,30 @@ def _cmd_oneshot(args) -> dict:
     return {"n_max": report.n_max, "ebits": report.ebits}
 
 
+def _embezzle_rows(n_list: Sequence[int], start, target) -> list[dict]:
+    """The ``embezzle sweep`` rows: one per distinct n, ascending, from
+    ``embezzle_report`` and the ``vdh_bound`` at the target's Schmidt rank."""
+    rank = schmidt(target).rank  # the bound columns and meets_bound share the target's d
+    rows = []
+    for n in sorted(set(n_list)):
+        report = embezzle_report(n, start, target)
+        bound = vdh_bound(rank, n)
+        rows.append({"n": n, "fidelity": report.fidelity, "trace_error": report.trace_error,
+                     "epsilon": bound.epsilon, "fidelity_bound": bound.fidelity_bound,
+                     "meets_bound": report.meets_bound})
+    return rows
+
+
 def _cmd_embezzle_sweep(args) -> Table:
     if args.d is None and (args.target == "bell" or not args.start):
         raise InvalidInputError("--d is needed unless --target and --start are both files")
     if args.d is not None and args.d < 1:
         raise InvalidInputError(f"--d must be a positive integer, got {args.d}")
-    n_list = sorted(set(_parse_int_list(args.n_list, "--n-list")))
+    n_list = _parse_int_list(args.n_list, "--n-list")
     target = bell_state(args.d) if args.target == "bell" else _load_state(args.target)
     start = _load_state(args.start) if args.start else product_basis_state(args.d, args.d)
-    rank = schmidt(target).rank  # the bound columns and meets_bound share the target's d
-    rows = []
-    for n in n_list:
-        report = embezzle_report(n, start, target)
-        bound = vdh_bound(rank, n)
-        rows.append(
-            {
-                "n": n,
-                "fidelity": report.fidelity,
-                "trace_error": report.trace_error,
-                "epsilon": bound.epsilon,
-                "fidelity_bound": bound.fidelity_bound,
-                "meets_bound": report.meets_bound,
-            }
-        )
-    return rows, ["n", "fidelity", "trace_error", "epsilon", "fidelity_bound", "meets_bound"]
+    columns = ["n", "fidelity", "trace_error", "epsilon", "fidelity_bound", "meets_bound"]
+    return _embezzle_rows(n_list, start, target), columns
 
 
 def _cmd_kappa_profile(args) -> Table:
@@ -264,14 +269,20 @@ def _cmd_kappa_profile(args) -> Table:
     return [{"t": t, "deviation": d} for t, d in zip(grid, deviations)], ["t", "deviation"]
 
 
-def _cmd_catalysis_decay(args) -> Table:
+def _catalysis_rows(lam: float, m_list: Sequence[int]) -> list[dict]:
+    """The ``catalysis decay`` rows: one ``(m, t, deviation)`` per distinct
+    m, ascending, at the flow period t = log(1/lambda)."""
     rows = []
-    for m in sorted(set(_parse_int_list(args.m_list, "--m-list"))):
-        lam, m = _lambda_family(args.lam, m)  # a bad lambda or m is refused before the period
+    for m in sorted(set(m_list)):
+        lam, m = _lambda_family(lam, m)  # a bad lambda or m is refused before the period
         inverse = 1.0 / lam  # inf for lambda below 1 / sys.float_info.max
         period = math.log(inverse) if inverse < math.inf else -math.log(lam)
         rows.append({"m": m, "t": period, "deviation": catalytic_deviation(lam, m, period)})
-    return rows, ["m", "t", "deviation"]
+    return rows
+
+
+def _cmd_catalysis_decay(args) -> Table:
+    return _catalysis_rows(args.lam, _parse_int_list(args.m_list, "--m-list")), ["m", "t", "deviation"]
 
 
 def _cmd_classify(args) -> dict:
@@ -407,6 +418,40 @@ def _join_negative_floats(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _exit_code(prog: str, entry: Callable[..., Any], *args: Any) -> int:
+    """Run the entry point ``entry(*args)`` and return its exit code: 0, or 2 for
+    invalid input and 3 for a numerical failure, any other entlab error, a
+    size too large for memory or an unwritable output, each refusal one
+    stderr line prefixed with ``prog``.  ``dispatch`` and the experiment
+    scripts share this policy."""
+    try:
+        entry(*args)
+        return 0
+    except InvalidInputError as exc:
+        code, message = 2, str(exc)
+    except NumericalFailureError as exc:
+        code, message = 3, f"numerical failure: {exc}"
+    except EntlabError as exc:
+        code, message = 3, str(exc)
+    except MemoryError as exc:
+        code, message = 3, f"out of memory: {exc}"
+    except OSError as exc:
+        # Input-file problems surface as InvalidInputError above; reaching
+        # here means an unwritable output path.
+        code, message = 3, f"cannot write output: {exc}"
+    print(f"{prog}: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> None:
+    """Run the parsed command and write what its handler returns."""
+    result = args.handler(args)
+    if hasattr(args, "format"):  # only the table parent gives a command --format
+        emit_sweep(*result, args.out, args.format)
+    else:
+        eio.write_text(args.out, eio.canonical_json(result))
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Parse and run one command; returns the process exit code."""
     parser = _build_parser()
@@ -414,32 +459,8 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(_join_negative_floats(argv))
     except SystemExit as exc:
         # argparse already printed usage/help; normalize the code.
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
-    try:
-        result = args.handler(args)
-        if hasattr(args, "format"):  # only the table parent gives a command --format
-            emit_sweep(*result, args.out, args.format)
-        else:
-            eio.write_text(args.out, eio.canonical_json(result))
-        return 0
-    except InvalidInputError as exc:
-        print(f"entlab: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailureError as exc:
-        print(f"entlab: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except EntlabError as exc:
-        print(f"entlab: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"entlab: out of memory: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        # Input-file problems surface as InvalidInputError above; reaching
-        # here means an unwritable output path.
-        print(f"entlab: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        return exc.code if isinstance(exc.code, int) else 2
+    return _exit_code("entlab", _run, args)
 
 
 def main() -> None:

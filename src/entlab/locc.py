@@ -73,30 +73,44 @@ class Instrument:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        kraus, (labels,) = _checked_stack(self.kraus, [len(self.kraus)], [self.labels])
+        kraus, (labels,) = _checked_stack(self.kraus, None, [self.labels])
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "labels", labels)
 
 
-def _checked_stack(kraus: Sequence, counts: Sequence[int],
+def _is_sequence(x) -> bool:
+    """A sequence, or an array with at least one axis: what ``len`` counts."""
+    return isinstance(x, Sequence) or getattr(x, "ndim", 0) > 0
+
+
+def _checked_stack(kraus: Sequence, counts: Optional[Sequence[int]],
                    labels: Sequence[Sequence]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """:class:`Instrument`'s rule, once over instruments stacked in
     ``kraus``: the i-th has ``counts[i]`` outcomes (at least one; the counts
-    add up to the stack) and ``labels[i]``.  The stack must be equal square
-    finite matrices, and each instrument's labels distinct, as many as its
-    outcomes and all ones a history can carry.  Returns the stack as one
-    complex array and each instrument's labels as a tuple of strings."""
+    add up to the stack; None is one instrument) and ``labels[i]``.  The
+    stack must be a sequence of equal square finite matrices of numbers, and
+    each instrument's labels distinct, as many as its outcomes and all ones
+    a history can carry.  Returns the stack as one complex array and each
+    instrument's labels as a tuple of strings."""
+    if not _is_sequence(kraus):
+        raise InvalidInputError("instrument Kraus operators must be a sequence of matrices, "
+                                f"got {type(kraus).__name__}")
+    counts = [len(kraus)] if counts is None else counts
     if 0 in counts:
         raise InvalidInputError("instrument needs at least one outcome")
     try:
-        ks = np.asarray(kraus, dtype=complex)
-    except (TypeError, ValueError):
+        ks = np.asarray(kraus)
+    except (TypeError, ValueError):  # a ragged stack, or entries NumPy cannot hold
         ks = None
     if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
         raise InvalidInputError("instrument Kraus operators must be equal square matrices")
+    ks = _numeric_array(ks, "instrument Kraus operators", complex)  # no copy of a complex stack
     if not np.isfinite(ks).all():
         raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
-    labels = [tuple(map(str, group)) for group in labels]
+    try:
+        labels = [tuple(map(str, group)) for group in labels]
+    except TypeError as exc:
+        raise InvalidInputError(f"instrument labels must be a sequence of strings: {exc}") from exc
     if not list(map(len, labels)) == list(map(len, map(set, labels))) == list(counts):
         raise InvalidInputError("labels must be distinct and match the outcome count")
     _check_labels(list(chain.from_iterable(labels)))
@@ -121,7 +135,9 @@ def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instr
     """Validate an instrument: an :class:`Instrument` whose sum k^dag k is
     at most 1 within ``COMPLETENESS_TOL``.  ``kraus`` may be a sequence of
     matrices or a stack; labels default to the outcome indices."""
-    instr = Instrument(kraus, [str(i) for i in range(len(kraus))] if labels is None else labels)
+    if labels is None:  # Instrument refuses a kraus that is not a sequence
+        labels = [str(i) for i in range(len(kraus))] if _is_sequence(kraus) else ()
+    instr = Instrument(kraus, labels)
     _completions(instr.kraus, np.array([len(instr.kraus)]))
     return instr
 
@@ -176,6 +192,9 @@ class LoccRound:
     def __post_init__(self) -> None:
         if self.party not in ("A", "B"):
             raise InvalidInputError(f"party must be 'A' or 'B', got {self.party!r}")
+        if not isinstance(self.branches, Mapping):
+            raise InvalidInputError("branches must be a mapping from histories to Instruments, "
+                                    f"got {type(self.branches).__name__}")
         branches = dict(self.branches)
         # one type pass over the keys, then a type pass and a label pass over
         # their distinct labels; a failure is walked key by key, to name the bad key
@@ -217,15 +236,21 @@ class LoccProtocol:
     rounds: tuple[LoccRound, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rounds) > MAX_ROUNDS:
-            raise InvalidInputError(f"protocol depth {len(self.rounds)} exceeds the cap {MAX_ROUNDS}")
-        for i, rnd in enumerate(self.rounds):
+        try:
+            rounds = tuple(self.rounds)
+        except TypeError as exc:
+            raise InvalidInputError("rounds must be a sequence of LoccRounds, "
+                                    f"got {type(self.rounds).__name__}") from exc
+        if len(rounds) > MAX_ROUNDS:
+            raise InvalidInputError(f"protocol depth {len(rounds)} exceeds the cap {MAX_ROUNDS}")
+        object.__setattr__(self, "rounds", rounds)
+        for i, rnd in enumerate(rounds):
             if not isinstance(rnd, LoccRound):
                 raise InvalidInputError(f"round {i} must be a LoccRound, got {type(rnd).__name__}")
 
 
 def locc_protocol(rounds: Sequence[LoccRound]) -> LoccProtocol:
-    return LoccProtocol(tuple(rounds))
+    return LoccProtocol(rounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +264,10 @@ class OneWayProtocol:
     bob_unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        for name in ("alice_kraus", "bob_unitaries"):
+            if not _is_sequence(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be a sequence of matrices, "
+                                        f"got {type(getattr(self, name)).__name__}")
         if not 0 < len(self.alice_kraus) == len(self.bob_unitaries):
             raise InvalidInputError("alice_kraus and bob_unitaries must pair up, one or more: got "
                                     f"{len(self.alice_kraus)} and {len(self.bob_unitaries)}")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlab import locc
+from entlab.cli import emit_sweep
 from entlab.errors import (
     InfeasibleError,
     InvalidInputError,
@@ -916,6 +917,40 @@ def test_protocol_parts_are_checked_when_built(build, message):
     with pytest.raises(InvalidInputError) as info:
         build()
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instrument([[["1", "0"], ["0", "1"]]], ("a",)),
+         "instrument Kraus operators must be an array of numbers: entries of dtype <U1"),
+        (lambda: Instrument([[[1, 0], [0, 10**400]]], ("a",)),
+         "instrument Kraus operators must be an array of numbers"),
+        (lambda: instrument(5), "instrument Kraus operators must be a sequence of matrices, got int"),
+        (lambda: Instrument(None, ("a",)),
+         "instrument Kraus operators must be a sequence of matrices, got NoneType"),
+        (lambda: Instrument([EYE2], None), "instrument labels must be a sequence of strings"),
+        (lambda: OneWayProtocol(5, 5), "alice_kraus must be a sequence of matrices, got int"),
+        (lambda: locc.LoccRound("A", 5),
+         "branches must be a mapping from histories to Instruments, got int"),
+        (lambda: locc.LoccProtocol(5), "rounds must be a sequence of LoccRounds, got int"),
+        (lambda: emit_sweep(5, ["a"]), "sweep rows must be a sequence, got int"),
+    ],
+    ids=["text-kraus", "huge-int-kraus", "int-kraus", "none-kraus", "none-labels",
+         "int-one-way", "int-branches", "int-rounds", "int-sweep-rows"],
+)
+def test_protocol_constructors_refuse_what_is_not_a_sequence_of_numbers(build, message):
+    """Text is not read as numbers, an integer past float64 is refused, and
+    an argument of the wrong kind is named, all as ``InvalidInputError``."""
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+def test_locc_protocol_keeps_its_rounds_as_a_tuple():
+    rnd = locc_round("A", {(): instrument([EYE2])})
+    assert locc.LoccProtocol([rnd]).rounds == (rnd,)
+    assert locc_protocol(r for r in [rnd]).rounds == (rnd,)
 
 
 @pytest.mark.parametrize(
