@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from entlab import catalytic_deviation
+from entlab import InvalidInputError, catalytic_deviation
 from entlab.cli import _catalysis_rows, _exit_code, emit_sweep
 
 
@@ -26,6 +26,8 @@ def main() -> None:
     parser.add_argument("--out", default="catalysis_decay.csv")
     args = parser.parse_args()
 
+    if args.exp_max < 0:
+        raise InvalidInputError(f"--exp-max must be >= 0, got {args.exp_max}")
     ms = [2**exp for exp in range(args.exp_max + 1)]
     rows = [{"m": row["m"], "deviation_on_period": row["deviation"],
              "deviation_off_period": catalytic_deviation(args.lam, row["m"], row["t"] / 2)}

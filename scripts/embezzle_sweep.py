@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from entlab import bell_state, product_basis_state
+from entlab import InvalidInputError, bell_state, product_basis_state
 from entlab.cli import _embezzle_rows, _exit_code, _parse_int_list, emit_sweep
 
 
@@ -25,6 +25,8 @@ def main() -> None:
     args = parser.parse_args()
 
     dims = _parse_int_list(args.d_list, "--d-list")
+    if args.exp_max < 2:
+        raise InvalidInputError(f"--exp-max must be >= 2, got {args.exp_max}")
     ns = [2**exp for exp in range(2, args.exp_max + 1, 2)]
     rows = [{"d": d, **row} for d in dims
             for row in _embezzle_rows(ns, product_basis_state(d, d), bell_state(d))]

@@ -13,12 +13,17 @@ collector paused: the tens of thousands of lists a large protocol decodes to
 are freed by reference counting when the parse returns, before the collector
 resumes, so no collection scans them.
 
-Complex data (amplitudes, density and operator entries, Kraus stacks) moves
-as whole arrays.  The ``*_to_json`` functions put complex NumPy arrays into
-the documents, and :func:`canonical_json` writes each with one ``%.17g``
-template shaped like one matrix of it (its last two axes), filled once per
-matrix; the outer axes are joined as strings.  The bytes are those of
-formatting every float on its own.  The parsers read each such field with
+Complex data (amplitudes, density and operator entries, Kraus stacks) and
+real data (spectra, step functions, measures, Schmidt coefficients) move as
+whole arrays.  The ``*_to_json`` functions put NumPy arrays into the
+documents, and :func:`canonical_json` writes the floats of all the float and
+complex arrays of a document through one NumPy kernel,
+:func:`_float_fields`, in chunks of ``_CHUNK`` floats: it computes the
+``%.17g`` digits of zeros and of every float with 1e-4 <= |x| < 1 exactly
+(a Dekker product by a power of ten), and leaves the others to ``%.17g``
+itself.  Each float's text is joined to the separator its place in the
+nested lists calls for.  The bytes are those of formatting every float on
+its own with :func:`format_float`.  The parsers read each complex field with
 one flat build: one type and one length check per nesting level, one type
 pass over the numbers (bools, strings and null are refused), one
 ``np.array`` call on the flat list of floats, a reshape and a finiteness
@@ -40,7 +45,7 @@ import json
 import math
 import sys
 from itertools import chain
-from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -110,17 +115,26 @@ def canonical_json(value: Any) -> str:
     """Serialize to JSON with deterministic bytes.
 
     Mapping keys keep insertion order (schemas fix it), floats go through
-    :func:`format_float`, complex arrays become nested ``[re, im]`` pairs,
-    and no whitespace depends on the platform.
+    :func:`format_float`, real arrays become nested lists and complex arrays
+    nested ``[re, im]`` pairs, and no whitespace depends on the platform.
+    The floats of all the arrays in the document are formatted together by
+    :func:`_float_fields`, one pass per ``_CHUNK`` floats, so a small
+    document is one pass however many arrays it holds.
     """
     if isinstance(value, float):  # a table cell: skip the list and the join
         return format_float(value)
     parts: list[str] = []
-    _emit(value, parts)
+    arrays: list[tuple[int, np.ndarray]] = []
+    _emit(value, parts, arrays)
+    if arrays:
+        _write_arrays(parts, arrays)
     return "".join(parts)
 
 
-def _emit(value: Any, parts: list[str]) -> None:
+def _emit(value: Any, parts: list[str], arrays: list[tuple[int, np.ndarray]]) -> None:
+    """Append the JSON text of ``value`` to ``parts``.  A float or complex
+    array gets an empty placeholder, and its place and the array go to
+    ``arrays``, for :func:`_write_arrays` to fill."""
     if value is None:
         parts.append("null")
     elif value is True:
@@ -142,19 +156,197 @@ def _emit(value: Any, parts: list[str]) -> None:
                 parts.append(", ")
             parts.append(json.dumps(key))
             parts.append(": ")
-            _emit(sub, parts)
+            _emit(sub, parts, arrays)
         parts.append("}")
-    elif isinstance(value, np.ndarray) and value.dtype.kind == "c":
-        parts.append(_complex_json(value))
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+        arrays.append((len(parts), value))
+        parts.append("")
     elif isinstance(value, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, sub in enumerate(list(value)):
             if i:
                 parts.append(", ")
-            _emit(sub, parts)
+            _emit(sub, parts, arrays)
         parts.append("]")
     else:
         raise InvalidInputError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+# Floats per kernel pass, which bounds the strings and arrays in hand: 2^13
+# writes a 65 536-float document as fast as 2^14 with half the memory.
+_CHUNK = 1 << 13
+
+
+def _write_arrays(parts: list[str], arrays: list[tuple[int, np.ndarray]]) -> None:
+    """Put the JSON text of each array in ``arrays`` at its place in
+    ``parts``: nested lists, of ``[re, im]`` pairs for a complex array.
+
+    An array's floats are written in row-major order, each as the two
+    strings :func:`_float_fields` gives it, after the separator that its
+    place calls for: before float i > 0, ``"]" * z + ", " + "[" * z``, z
+    the number of axes (the ``[re, im]`` axis included) whose index wraps
+    around at i.  The floats of all the arrays go through the kernel in
+    chunks of ``_CHUNK`` floats; small arrays share a chunk."""
+    shapes = [arr.shape + (2,) if arr.dtype.kind == "c" else arr.shape for _, arr in arrays]
+    texts: list[list[str]] = [[] for _ in arrays]
+    for chunk, pieces in _float_chunks([_array_floats(arr) for _, arr in arrays]):
+        heads, tails = _float_fields(chunk)
+        offset = 0
+        for i, start, stop in pieces:
+            fields = [""] * (3 * (stop - start))
+            fields[::3] = _separators(shapes[i], start, stop)
+            fields[1::3] = heads[offset : offset + stop - start]
+            fields[2::3] = tails[offset : offset + stop - start]
+            texts[i].append("".join(fields))
+            offset += stop - start
+    for (at, arr), shape, text in zip(arrays, shapes, texts):
+        if text:
+            text.append("]" * len(shape))
+            parts[at] = "".join(text)
+            text.clear()
+        else:  # no floats: only empty lists
+            parts[at] = json.dumps(np.empty(arr.shape).tolist())
+
+
+def _array_floats(arr: np.ndarray) -> np.ndarray:
+    """The floats of a float or complex array in row-major order, ``[re,
+    im]`` per complex entry, as one flat float64 array."""
+    if arr.dtype.kind == "c":
+        return np.ascontiguousarray(arr, dtype=complex).view(float).ravel()
+    return np.ascontiguousarray(arr, dtype=float).ravel()
+
+
+def _float_chunks(floats: list[np.ndarray],
+                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+    """The flat arrays ``floats``, one after the other, cut into chunks of
+    ``_CHUNK`` floats (the last one shorter).  Yields each chunk with its
+    pieces: ``(i, start, stop)`` for floats ``start:stop`` of array i."""
+    pending: list[np.ndarray] = []
+    pieces: list[tuple[int, int, int]] = []
+    count = 0
+    for i, flat in enumerate(floats):
+        start = 0
+        while start < flat.size:
+            stop = min(flat.size, start + _CHUNK - count)
+            pending.append(flat[start:stop])
+            pieces.append((i, start, stop))
+            count += stop - start
+            start = stop
+            if count == _CHUNK:
+                yield np.concatenate(pending), pieces
+                pending, pieces, count = [], [], 0
+    if pending:
+        yield np.concatenate(pending), pieces
+
+
+def _separators(shape: tuple[int, ...], start: int, stop: int) -> list[str]:
+    """The text before each of the floats ``start:stop`` of an array of
+    float shape ``shape`` in row-major order (see :func:`_write_arrays`):
+    one sub-array along the first axis is a period, and the first float
+    opens every axis."""
+    period = [""]
+    for depth, width in enumerate(reversed(shape[1:])):
+        period += (["]" * depth + ", " + "[" * depth] + period[1:]) * (width - 1)
+    period[0] = "]" * (len(shape) - 1) + ", " + "[" * (len(shape) - 1)
+    skip = start % len(period)
+    seps = (period * ((skip + stop - start - 1) // len(period) + 1))[skip : skip + stop - start]
+    if start == 0:
+        seps[0] = "[" * len(shape)
+    return seps
+
+
+# The kernel's tables, indexed by decade j = 1..4 for 10^(j-5) <= |x| <
+# 10^(j-4); j = 0 (below 1e-4) and j = 5 (1 and above) scale by 0.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])[:, None]
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = v * _VELTKAMP
+    high = c - (c - v)
+    return high, v - high
+
+
+_SCALE = np.array([0.0, 1e20, 1e19, 1e18, 1e17, 0.0])  # 10^q, q = 16 - k
+_SCALES = np.stack([_SCALE, *_veltkamp_split(_SCALE)])
+# "%.17g" of a float in decade j starts with this head (index j + 6 for a
+# negative float); j = 0 heads an exact zero.
+_HEADS = np.array(["0", "0.000", "0.00", "0.0", "0.", "",
+                   "-0", "-0.000", "-0.00", "-0.0", "-0.", ""], dtype=object)
+_DIGIT_RANK = np.arange(1, 19, dtype=np.uint8)[:, None]
+
+
+def _float_fields(x: np.ndarray) -> tuple[list[str], list[str]]:
+    """``"%.17g" % v`` of every float ``v`` of the 1-d float64 array ``x``,
+    as a list of heads and a list of tails, head + tail being that text.
+
+    NumPy writes zeros and every v with 1e-4 <= |v| < 1.  For such a v in
+    decade k (10^k <= |v| < 10^(k+1), k = -4..-1), ``%.17g`` writes "0."
+    (after a "-" when v < 0), -k-1 zeros, and the 17 significant digits
+    D = round(|v| * 10^q), q = 16 - k, without trailing zeros: the head
+    is the text before D ("0.", "0.000", "-0.0", ...), the tail D's digits
+    (:func:`_significands` and :func:`_digit_strings`).  A zero is "0" or
+    "-0" with an empty tail.  Every other float gets ``"%.17g" % v``, as
+    :func:`format_float` writes it, with an empty tail.  NaN and infinities
+    are refused."""
+    if not np.isfinite(x).all():
+        raise InvalidInputError("refusing to serialize NaN/Inf")
+    decade, significand, fallback = _significands(x)
+    tails = _digit_strings(significand)
+    heads = _HEADS.take(decade + 6 * np.signbit(x)).tolist()
+    for i, v in zip(fallback.tolist(), x[fallback].tolist()):
+        heads[i] = "%.17g" % v
+        tails[i] = ""
+    return heads, tails
+
+
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the finite floats ``x``: each one's decade j (see ``_DECADES``),
+    its 17 significant digits D = round(|v| * 10^q) as an int64 (0 for a
+    zero), and the indices of the nonzero floats whose D is not computed.
+
+    D is exact for 1e-4 <= |v| < 1, in decade k = -4..-1, q = 16 - k = 17..20:
+      * 10^q is an exact double, because 5^20 < 2^53;
+      * Dekker's product with Veltkamp's splitting gives |v| * 10^q = p + e
+        exactly (Dekker, Numer. Math. 18 (1971) 224), each step its own
+        NumPy ufunc, so nothing is fused or held in extended precision; p
+        is an integer at least 10^16 > 2^53, so even, and |e| <= 8;
+      * D = p + rint(e), summed in int64 (a float sum would round).  At an
+        exact half rint rounds e to even, so D is the even neighbour, as
+        ``%.17g`` rounds.
+    A D outside [10^16, 10^17) (a wrong decade) is left out, and so is
+    every float outside that range of magnitudes, zeros apart."""
+    a = np.minimum(np.abs(x), 1.0)
+    decade = (a >= _DECADES).sum(axis=0)
+    b, bh, bl = _SCALES.take(decade, axis=1)
+    p = a * b
+    ah, al = _veltkamp_split(a)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    significand = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fallback = np.flatnonzero(((significand - 10**16).view(np.uint64) >= 9 * 10**16) & (x != 0))
+    return decade, significand, fallback
+
+
+def _digit_strings(n: np.ndarray) -> list[str]:
+    """The decimal digits of each entry of ``n`` (int64, 0 <= n < 10^17,
+    17 digits but for zero) without trailing zeros, and "" for a zero.
+
+    The 17 digits are the 9 of n // 10^8 and the 9 of (n % 10^8) * 10 (the
+    last always 0), one row per digit; the rows after the last nonzero
+    digit become NUL, which NumPy's fixed-width strings drop."""
+    part = np.empty((2, n.size), np.uint32)
+    part[0] = n // 10**8
+    part[1] = n % 10**8 * 10
+    digits = np.empty((2, 9, n.size), np.uint8)
+    for row in range(8, -1, -1):
+        quotient = part // 10
+        digits[:, row] = part - 10 * quotient
+        part = quotient
+    digits = digits.reshape(18, n.size)
+    length = (_DIGIT_RANK * (digits != 0)).max(axis=0)
+    digits += ord("0")
+    digits *= _DIGIT_RANK <= length
+    return digits.T.astype(np.uint32, order="C").view("U18").ravel().tolist()
 
 
 def write_text(path: Optional[str], text: str) -> None:
@@ -250,30 +442,6 @@ def _float_list(raw: Any, name: str) -> list[float]:
 # --------------------------------------------------------------------------- #
 #                         Complex scalars and matrices                         #
 # --------------------------------------------------------------------------- #
-
-def _complex_json(arr: np.ndarray) -> str:
-    """JSON text of a complex array (at least 1-d) as nested lists of
-    ``[re, im]`` pairs, byte for byte what :func:`format_float` gives each
-    float (``%.17g`` and ``format(x, ".17g")`` share one C routine).  One
-    ``%`` template shaped like one matrix (the last two axes, or the one
-    axis of a vector) is filled once per matrix of the stack, so neither the
-    template nor the floats in hand outgrow a matrix; the outer axes are
-    joined as strings."""
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("refusing to serialize NaN/Inf")
-    inner = arr.shape[-2:]
-    template = "[%.17g, %.17g]"
-    for width in reversed(inner):
-        template = "[" + ", ".join([template] * width) + "]"
-    mats = np.ascontiguousarray(arr).view(float).reshape(math.prod(arr.shape[:-2]),
-                                                          2 * math.prod(inner))
-    items = [template % tuple(mat.tolist()) for mat in mats]
-    for axis in range(arr.ndim - 3, -1, -1):
-        n = arr.shape[axis]
-        items = ["[" + ", ".join(items[i * n : (i + 1) * n]) + "]"
-                 for i in range(math.prod(arr.shape[:axis]))]
-    return items[0]
-
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)

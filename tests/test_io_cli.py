@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,8 @@ _EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308]
 
 
 def _nested_format(arr: np.ndarray) -> str:
+    if arr.ndim == 0 and arr.dtype.kind != "c":
+        return eio.format_float(arr)
     if arr.ndim == 0:
         return f"[{eio.format_float(arr.real)}, {eio.format_float(arr.imag)}]"
     return "[" + ", ".join(map(_nested_format, arr)) + "]"
@@ -183,6 +186,123 @@ def test_complex_array_text_is_format_float_of_every_float(shape, data, view):
     arr = {"plain": arr, "reversed": arr[..., ::-1], "transposed": arr.T,
            "strided": np.repeat(arr, 2, axis=0)[::2]}[view]
     assert eio.canonical_json(arr) == _nested_format(arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 3), min_size=0, max_size=3),
+    data=st.data(),
+    view=st.sampled_from(["plain", "reversed", "transposed", "strided"]),
+)
+def test_real_array_text_is_format_float_of_every_float(shape, data, view):
+    """A real array goes through the same writer as a complex one: nested
+    lists of what format_float gives each float, for any shape (0-d and
+    zero-length axes too) and any memory layout."""
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    count = math.prod(shape)
+    arr = np.array(data.draw(st.lists(floats, min_size=count, max_size=count)),
+                   dtype=float).reshape(shape)
+    if arr.ndim:
+        arr = {"plain": arr, "reversed": arr[..., ::-1], "transposed": arr.T,
+               "strided": np.repeat(arr, 2, axis=0)[::2]}[view]
+    assert eio.canonical_json(arr) == _nested_format(arr)
+
+
+def _assert_written_as_format_float(values) -> None:
+    """``values`` and their negatives, as one real array, are written as
+    format_float writes each float."""
+    arr = np.array(values, dtype=float)
+    arr = np.concatenate([arr, -arr])
+    assert eio.canonical_json(arr) == _nested_format(arr)
+
+
+def test_writer_on_a_seeded_log_uniform_stack():
+    """10^5 floats of both signs, log-uniform over [1e-6, 10]: every decade
+    the NumPy writer covers and the ranges on both sides of it."""
+    rng = np.random.default_rng(2024)
+    count = 3200 * 4 * 4 * 2
+    floats = np.exp(rng.uniform(math.log(1e-6), math.log(10.0), count)) * rng.choice([-1, 1], count)
+    stack = floats.view(complex).reshape(3200, 4, 4)
+    assert eio.canonical_json(stack) == _nested_format(stack)
+
+
+def test_writer_at_each_decade_edge():
+    """Each power of ten that bounds a decade, and its neighbours."""
+    edges = [1e-4, 1e-3, 0.01, 0.1, 1.0]
+    _assert_written_as_format_float([v for e in edges
+                                     for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))])
+
+
+def test_writer_on_zeros_subnormals_and_the_fallback_ranges():
+    _assert_written_as_format_float([
+        0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-5, 9.9999999999999991e-05, 1.0, 1.5,
+        10.0, 123456.78901234567, 1e17, 1e300, 1.7976931348623157e308,
+    ])
+    assert eio.canonical_json(np.array([0.0, -0.0])) == "[0, -0]"
+
+
+def test_writer_on_exact_ties():
+    """Odd multiples of 2^-18 in [0.1, 1), of 2^-19, 2^-20 and 2^-21 in the
+    three lower decades, lie exactly halfway between two 17-digit decimals;
+    %.17g rounds them half to even."""
+    assert eio.canonical_json(np.array([26215 / 2**18, 26217 / 2**18])) == (
+        "[0.10000228881835938, 0.10000991821289062]")
+    for bits, low in ((18, 0.1), (19, 0.01), (20, 1e-3), (21, 1e-4)):
+        ties = np.arange(1, 2**bits, 2) / 2**bits
+        _assert_written_as_format_float(ties[(ties >= low) & (ties < 10 * low)])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-less-one", "chunk", "chunk-plus-one"])
+def test_writer_across_the_chunk_size(extra):
+    """Stacks one matrix either side of a chunk, alone and as two arrays of
+    one document, whose floats then span a chunk boundary."""
+    rng = np.random.default_rng(9)
+    count = eio._CHUNK // 32 + extra  # 32 floats per 4 x 4 complex matrix
+    stack = (rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))) * 0.3
+    assert eio.canonical_json(stack) == _nested_format(stack)
+    doc = {"kind": "one_way", "alice_kraus": stack, "bob_unitaries": stack[::-1]}
+    assert eio.canonical_json(doc) == ('{"kind": "one_way", "alice_kraus": ' + _nested_format(stack)
+                                       + ', "bob_unitaries": ' + _nested_format(stack[::-1]) + "}")
+
+
+def test_a_small_document_is_one_kernel_pass(monkeypatch):
+    """The floats of all the arrays in a document go through the kernel
+    together: a d = 4 one_way document (two stacks of 128 floats) and a
+    Schmidt record (two real arrays) are one pass each."""
+    passes = []
+    kernel = eio._float_fields
+
+    def counted(floats):
+        passes.append(floats.size)
+        return kernel(floats)
+
+    monkeypatch.setattr(eio, "_float_fields", counted)
+    maximal = pure_state((4, 4), np.eye(4).ravel() / 2)
+    doc = eio.one_way_to_json(nielsen_synthesize(maximal, random_pure_state((4, 4), 3)))
+    text = eio.canonical_json(doc)
+    assert passes == [256]
+    monkeypatch.setattr(eio, "_float_fields", kernel)
+    assert text == eio.canonical_json(doc)
+    monkeypatch.setattr(eio, "_float_fields", counted)
+    eio.canonical_json({"coefficients": np.full(4, 0.5), "rank": 4, "spectrum": np.full(4, 0.25)})
+    assert passes == [256, 8]
+
+
+def test_writing_a_large_stack_keeps_one_chunk_in_hand():
+    """Memory in hand beyond the text and one copy of it stays at a chunk's
+    worth: formatting the 131 072 floats of a (4096, 4, 4) stack in one pass
+    would hold some 18 MB of strings."""
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(4096, 4, 4)) + 1j * rng.normal(size=(4096, 4, 4))
+    eio.canonical_json(stack[:1])
+    tracemalloc.start()
+    try:
+        text = eio.canonical_json(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + 4_000_000
 
 
 def test_documents_round_trip_without_json_text():

@@ -22,8 +22,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("kappa_profile.py", ["--m-list", "0"], "tensor power m must be a positive integer, got 0"),
         ("catalysis_decay.py", ["--lambda", "0"], "lambda must lie strictly between 0 and 1, got 0.0"),
         ("embezzle_sweep.py", ["--d-list", "2.5"], "--d-list entries must be integers, got 2.5"),
+        ("catalysis_decay.py", ["--exp-max", "-1"], "--exp-max must be >= 0, got -1"),
+        ("embezzle_sweep.py", ["--exp-max", "1"], "--exp-max must be >= 2, got 1"),
     ],
-    ids=["kappa-steps", "kappa-m", "catalysis-lambda", "embezzle-d"],
+    ids=["kappa-steps", "kappa-m", "catalysis-lambda", "embezzle-d", "catalysis-empty-ladder",
+         "embezzle-empty-ladder"],
 )
 def test_script_refuses_a_bad_flag_with_exit_2_and_one_line(script, flags, message, tmp_path):
     src = str(Path(entlab.__file__).resolve().parents[1])
