@@ -247,16 +247,60 @@ def align_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
 #                              local-unitary orbit                             #
 # --------------------------------------------------------------------------- #
 
+# Entries per BLAS dot of the overlap rule.  Every dot has exactly this
+# length, so a list built in full, streamed in chunks of whole blocks or
+# padded with zeros meets the same dots; and it is below the 10 000 entries
+# up to which OpenBLAS's x86-64 ddot stays on one thread, so the BLAS thread
+# count cannot change a dot's summation order.
+_DOT_BLOCK = 4096
+
+
+def _block_dots(s: np.ndarray, t: np.ndarray) -> list[float]:
+    """One BLAS dot per consecutive ``_DOT_BLOCK``-entry block of two lists
+    of one length, the last block zero-padded.  The whole blocks are read in
+    place: a stacked ``(1, B) @ (B, 1)`` matmul is a ``ddot`` per block."""
+    whole = s.size - s.size % _DOT_BLOCK
+    dots = np.matmul(
+        s[:whole].reshape(-1, 1, _DOT_BLOCK), t[:whole].reshape(-1, _DOT_BLOCK, 1)
+    ).ravel().tolist()
+    if whole < s.size:
+        tail = np.zeros((2, _DOT_BLOCK))
+        tail[0, : s.size - whole], tail[1, : s.size - whole] = s[whole:], t[whole:]
+        dots.append(float(tail[0] @ tail[1]))
+    return dots
+
+
+def _blocked_overlap(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """``fsum`` of the block dots of consecutive chunk pairs, squared and
+    clipped at 1.  Every chunk but the last must be whole blocks long, so
+    that the blocks sit where they would in the full lists."""
+    dots = []
+    for s, t in chunks:
+        dots += _block_dots(s, t)
+    return min(math.fsum(dots) ** 2, 1.0)
+
+
 def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
     """Squared inner product of two descending coefficient lists, zero-padded
     to a common length and clipped at 1; exactly 1.0 for equal lists, so the
     dot product's last-ulp rounding cannot leak into ``1 - F``.  Lists whose
-    first entries differ skip the full comparison.  A list already at the
-    common length is used as it is, not copied."""
-    size = max(s.size, t.size)
-    s, t = (x if x.size == size else np.pad(x, (0, size - x.size)) for x in (s, t))
-    same = s[0] == t[0] and np.array_equal(s, t)
-    return 1.0 if same else min(float(s @ t) ** 2, 1.0)
+    first entries differ skip the full comparison.
+
+    The inner product is one BLAS dot per zero-padded block of
+    ``_DOT_BLOCK`` entries, the block results added by ``math.fsum``.  Its
+    bits cannot move with padding, chunking or BLAS threads: every block has
+    one length, so a dot sees the same entries however the list was built; a
+    block of zeros gives +0.0 and ``fsum`` is exact and order-free, so extra
+    zero blocks and chunk boundaries add nothing; and a block is too short
+    for OpenBLAS to split ``ddot`` across threads.  Past the shorter list
+    every product is zero, so only its length is read, in place.
+    """
+    if s.size < t.size:
+        s, t = t, s
+    head = s[: t.size]
+    if s[0] == t[0] and np.array_equal(head, t) and not s[t.size :].any():
+        return 1.0
+    return _blocked_overlap([(head, t)])
 
 
 def lu_orbit_fidelity(psi: PureBipartiteState, phi: PureBipartiteState) -> float:

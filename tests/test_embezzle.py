@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import embezzle
+from entlab import embezzle, quantum
 from entlab.embezzle import (
     EmbezzleReport,
     TypeLabel,
@@ -60,6 +61,7 @@ from entlab.spectra import (
     spectrum,
     tensor_spectrum,
 )
+from test_quantum import blocked_dot_rule, blocked_dots
 
 
 # --------------------------------------------------------------------------- #
@@ -496,6 +498,78 @@ def test_embezzle_report_builds_each_list_once(monkeypatch):
     report = embezzle_report(256, product_basis_state(2, 2), bell_state(3))
     assert calls == {"vdh_coefficients": 1, "schmidt": 2}
     assert report.meets_bound
+
+
+STREAM_CHUNK = 16 * 4096
+# (start rank, target rank): product starts, and Bell starts with Bell targets
+# of another rank
+STREAM_RANKS = [(1, 2), (1, 3), (1, 8), (2, 5), (3, 4), (8, 6), (7, 5), (1, 12), (10, 9)]
+STREAM_LENGTHS = [4095, 4096, 4097, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 4097]
+
+
+@pytest.mark.parametrize("length", STREAM_LENGTHS)
+def test_streamed_report_is_the_rule_on_the_full_lists_bitwise(length, monkeypatch):
+    """Equal-coefficient product lists are streamed, never built in full, yet
+    every block dot, and so the fidelity, has the bits of the overlap rule
+    on the fully built lists, when the overlap's n * min(r) positions end
+    just before, on or after a dot block or a stream chunk, or several
+    chunks in.  The blocks past the streamed ones are zero blocks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equal-coefficient lists must be streamed")
+
+    def recording(s, t, _original=quantum._block_dots):
+        dots = _original(s, t)
+        streamed.extend(dots)
+        return dots
+
+    for rs, rt in STREAM_RANKS:
+        start = bell_state(rs) if rs > 1 else product_basis_state(rt, rt)
+        target = bell_state(rt)
+        for n in sorted({length // min(rs, rt), -(-length // min(rs, rt))}):
+            base = vdh_coefficients(n)
+            lists = [embezzle._sorted_products(base, schmidt(phi).coefficients) for phi in (start, target)]
+            want, dots = blocked_dot_rule(*lists), blocked_dots(*lists)
+            assert _sorted_overlap(*lists) == want
+            streamed = []
+            with monkeypatch.context() as patch:
+                patch.setattr(embezzle, "_sorted_products", refuse)
+                patch.setattr(quantum, "_block_dots", recording)
+                assert embezzle_report(n, start, target).fidelity == want, (rs, rt, n)
+                assert embezzle_report(n, target, target).fidelity == 1.0
+            assert streamed == dots[: len(streamed)] and not any(dots[len(streamed) :]), (rs, rt, n)
+
+
+def test_embezzle_fidelity_is_the_exact_dot_of_its_lists_to_1e13():
+    """On seeded d <= 5, n <= 2**13 cases, streamed or sorted, the fidelity
+    is within 1e-13 relative of the exact (``fractions``) dot of the same
+    float lists, squared."""
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        d, n = int(rng.integers(1, 6)), int(rng.integers(1, 2**13 + 1))
+        states = [product_basis_state(d, d), bell_state(d), random_pure_state((d, d), rng)]
+        start, target = (states[i] for i in rng.integers(0, 3, size=2))
+        report = embezzle_report(n, start, target)
+        s, t = (
+            embezzle._sorted_products(report.harmonic, c).tolist()
+            for c in (report.start_coefficients, report.target_coefficients)
+        )
+        exact = float(sum(Fraction(x) * Fraction(y) for x, y in zip(s, t)) ** 2)
+        assert abs(report.fidelity - min(exact, 1.0)) <= 1e-13 * exact, (d, n)
+
+
+def test_embezzle_report_peak_memory_is_the_harmonic_list_and_two_chunks():
+    """A product start and a Bell target at n = 2**19, d = 4 build no n * d
+    list: the peak is the 4 MiB harmonic list, two stream buffers and small
+    change, under 8 MB."""
+    tracemalloc.start()
+    try:
+        report = embezzle_report(2**19, product_basis_state(4, 4), bell_state(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.meets_bound
+    assert peak < 8_000_000
 
 
 @settings(max_examples=60, deadline=None)

@@ -1708,14 +1708,31 @@ def test_cli_subprocess_entry_point(state_files):
     assert done.returncode == 2 and "usage" in done.stderr.lower()
 
 
-def _run_entlab(argv):
-    """``python -m entlab.cli`` in a fresh process, so warnings show on stderr."""
+def _run_entlab(argv, **env_vars):
+    """``python -m entlab.cli`` in a fresh process, so warnings show on stderr;
+    keyword arguments are added to its environment."""
     src = str(Path(entlab.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
         [sys.executable, "-m", "entlab.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_cli_embezzle_sweep_bytes_do_not_depend_on_blas_threads(d):
+    """One and two BLAS threads print the same fidelities, up to n = 2**19:
+    every dot of the overlap is too short for OpenBLAS to split."""
+    argv = ["embezzle", "sweep", "--d", d, "--n-list", "50000,524288"]
+    outs = []
+    for threads in ("1", "2"):
+        done = _run_entlab(
+            argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 3
 
 
 @pytest.mark.parametrize(

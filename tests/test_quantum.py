@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from entlab.errors import InvalidInputError, NoConnectorError
 from entlab.quantum import (
     DensityMatrix,
+    _sorted_overlap,
     align_unitary,
     apply_local,
     bell_state,
@@ -70,6 +71,24 @@ def alternating_lu_overlap(psi, phi, iters=80, restarts=6, seed=0):
             v = ((uu2 @ vh2).conj().T).T
         best = max(best, abs(np.einsum("xy,xa,ab,yb->", pm.conj(), u, fm, v)) ** 2)
     return best
+
+
+def blocked_dots(s, t):
+    """Both lists zero-padded to a common length of whole 4096-entry blocks,
+    and one ``np.dot`` per block."""
+    size = -(-max(s.size, t.size) // 4096) * 4096
+    s, t = (np.pad(x, (0, size - x.size)) for x in (s, t))
+    return [float(np.dot(a, b)) for a, b in zip(s.reshape(-1, 4096), t.reshape(-1, 4096))]
+
+
+def blocked_dot_rule(s, t):
+    """The overlap rule written out: the block dots of ``blocked_dots``
+    added by ``math.fsum``, squared and clipped at 1; 1.0 for lists equal
+    after padding."""
+    size = max(s.size, t.size)
+    if np.array_equal(np.pad(s, (0, size - s.size)), np.pad(t, (0, size - t.size))):
+        return 1.0
+    return min(math.fsum(blocked_dots(s, t)) ** 2, 1.0)
 
 
 def batched_lu_overlaps(psi, phi, count, seed):
@@ -414,6 +433,39 @@ def test_lu_orbit_fidelity_of_identical_lists_is_exactly_one():
     psi = random_pure_state((3, 4), 9)
     assert lu_orbit_fidelity(psi, psi) == 1.0
     assert lu_orbit_fidelity(product_basis_state(3, 1), product_basis_state(1, 5)) == 1.0
+
+
+def _unit_descending(rng, size):
+    x = np.sort(rng.random(size))[::-1]
+    return x / math.sqrt(math.fsum(x * x))
+
+
+@pytest.mark.parametrize("size", [2, 7, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_sorted_overlap_is_the_blocked_dot_rule(size):
+    """The overlap is one dot per 4096-entry block and an exact sum of the
+    block dots, for lists of equal and of different lengths."""
+    rng = np.random.default_rng(size)
+    s = _unit_descending(rng, size)
+    for t in (_unit_descending(rng, size), _unit_descending(rng, size + 4100), _unit_descending(rng, 3)):
+        assert _sorted_overlap(s, t) == _sorted_overlap(t, s) == blocked_dot_rule(s, t)
+        assert 0.0 < _sorted_overlap(s, t) < 1.0
+
+
+@pytest.mark.parametrize("size", [1, 7, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_sorted_overlap_ignores_appended_zero_blocks(size):
+    """Up to three blocks of zeros appended to either list leave the bits
+    alone: a zero block's dot is +0.0 and the block dots add exactly.  Equal
+    lists stay exactly 1.0 however they are padded."""
+    rng = np.random.default_rng(size + 1)
+    s, t = _unit_descending(rng, size), _unit_descending(rng, size + 11)
+    want = _sorted_overlap(s, t)
+    for blocks in (1, 2, 3):
+        zeros = np.zeros(blocks * 4096)
+        padded_s, padded_t = np.concatenate([s, zeros]), np.concatenate([t, zeros])
+        assert _sorted_overlap(padded_s, t) == want
+        assert _sorted_overlap(s, padded_t) == want
+        assert _sorted_overlap(padded_s, padded_t) == want
+        assert _sorted_overlap(padded_s, s) == _sorted_overlap(s, padded_s) == 1.0
 
 
 def test_lu_orbit_fidelity_mismatched_shapes():
