@@ -4,16 +4,16 @@ The harmonic ("van-Dam/Hayden style") family is handled entirely through
 its sorted Schmidt-coefficient lists; dense state vectors are only materialized
 on request for small ``n``.  A report builds the harmonic list in one
 buffer, its harmonic number summed exactly by two whole-array reductions
-into per-binade sums, and decomposes each state once.  When both states
-have equal nonzero Schmidt coefficients (a product start, a maximally
-entangled target), their product lists are in order by construction and
-are streamed through the overlap rule in cache-sized chunks, so no
-``n * d`` list is built: a report at ``n = 2**20`` with a Bell target
-takes about 5 ms on one core of a 2-vCPU VM.  Any other product list is
-built in full, checked, and sorted only when out of order; nothing is
-argsorted until ``permutations`` is read.  Its oracle,
-``orbit_trace_defect``, takes the A-marginal spectrum route on its own
-code.
+into per-binade sums, and decomposes each state once.  Each product list
+reaches the overlap rule in cache-sized chunks over the positions where
+both lists are nonzero: a list whose nonzero Schmidt coefficients are
+equal (a product start, a maximally entangled target) is in order by
+construction and built a chunk at a time, and any other is sorted once and
+sliced, so no list padded to ``n * d`` is built.  A report at
+``n = 2**20`` with a Bell target takes about 5 ms on one core of a
+2-vCPU VM; nothing is argsorted until ``permutations`` is read.  Its
+oracle, ``orbit_trace_defect``, takes the A-marginal spectrum route on its
+own code.
 The lambda-family diagnostics use the binomial masses of the m-fold
 spectral state instead of expanding ``2**m`` tensor-power entries, and
 never form an atom: the kappa profile runs on centred log-positions and the
@@ -29,7 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .quantum import (
     _DOT_BLOCK,
     PureBipartiteState,
     _blocked_overlap,
-    _sorted_overlap,
     schmidt,
     state_from_schmidt,
 )
@@ -212,58 +211,49 @@ def vdh_bound(d: int, n: int) -> VdhBound:
     return VdhBound(epsilon=eps, fidelity_bound=min(bound, 1.0))
 
 
+def _products(base: np.ndarray, c: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Entries ``lo:hi`` of the interleaved product list of ``base`` with the
+    ``r`` coefficients ``c``, ``base[k // r] * c[k % r]`` at position k,
+    written into ``out`` (long enough for the whole rows of ``r`` that the
+    span touches; ``hi - lo + 2 * r`` entries always are) and returned as a
+    view."""
+    r = c.size
+    first, last = lo // r, -(-hi // r)
+    grid = out[: (last - first) * r].reshape(last - first, r)
+    for j in range(r):  # one long strided multiply per column beats broadcasting's short rows
+        np.multiply(base[first:last], c[j], out=grid[:, j])
+    return out[lo - first * r : hi - first * r]
+
+
 def _sorted_products(base: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Descending Schmidt coefficients of ``(harmonic state) (x) phi``, from
     the harmonic list ``base`` and phi's coefficients: ``base.size *
     coefficients.size`` entries, the products with phi's exact zeros last.
 
-    Only the nonzero products are ordered.  Their interleaved outer-product
-    list is non-increasing when phi has one nonzero coefficient or equal ones
-    (a product start, a maximally entangled target); that is read from the
-    coefficients, and the list is kept as it is.  Any other list is checked
-    in one pass and, if out of order, sorted by value.  Ties hold equal
-    values, so the list equals the raw list's stable descending sort bit for
-    bit.
+    The nonzero products are built by ``_products`` and sorted by value
+    unless phi's nonzero coefficients are equal, which puts their list in
+    order by construction.  Ties hold equal values, so the list equals the
+    raw list's stable descending sort bit for bit.
     """
     out = np.zeros(base.size * coefficients.size)
     nonzero = coefficients[coefficients > 0]
-    head = out[: base.size * nonzero.size]
-    grid = head.reshape(base.size, nonzero.size)
-    for j, c in enumerate(nonzero):  # one long multiply per column beats outer's short rows
-        np.multiply(base, c, out=grid[:, j])
-    if nonzero.min() != nonzero.max() and np.any(head[1:] > head[:-1]):
+    head = _products(base, nonzero, 0, base.size * nonzero.size, out)
+    if nonzero.min() != nonzero.max():
         head[:] = np.sort(head)[::-1]
     return out
 
 
-def _equal_products(base: np.ndarray, r: int, c: float, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-    """Entries ``lo:hi`` of the product list of ``base`` with ``r`` equal
-    coefficients ``c``, ``base[k // r] * c`` at position k, written into
-    ``buf`` (at least ``hi - lo + 2 * r`` long) and returned as a view."""
-    first, last = lo // r, -(-hi // r)
-    grid = buf[: (last - first) * r].reshape(last - first, r)
-    for j in range(r):  # one long strided multiply per column beats broadcasting's short rows
-        np.multiply(base[first:last], c, out=grid[:, j])
-    return buf[lo - first * r : hi - first * r]
-
-
-def _equal_products_overlap(base: np.ndarray, s: np.ndarray, t: np.ndarray) -> float:
-    """``_sorted_overlap`` of the product lists of ``base`` with two lists of
-    equal nonzero coefficients, streamed: only the first ``base.size *
-    min(r_s, r_t)`` positions meet a nonzero product on both sides, and they
-    are built ``_STREAM_CHUNK`` at a time into two fixed buffers.  The lists
-    are equal, and the overlap exactly 1.0, when the ranks are and the
-    scaled harmonic lists are."""
-    (rs, cs), (rt, ct) = ((x.size, float(x[0])) for x in (s, t))
-    if rs == rt and (cs == ct or np.array_equal(base * cs, base * ct)):
-        return 1.0
-    size = base.size * min(rs, rt)
-    bufs = np.empty((2, _STREAM_CHUNK + 2 * max(rs, rt)))
+def _product_chunks(base: np.ndarray, coefficients: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """The first ``size`` positions of the sorted product list of ``base``
+    with the nonzero ``coefficients``, in ``_STREAM_CHUNK`` chunks.  Equal
+    coefficients are built a chunk at a time into one fixed buffer; others
+    are sorted once by ``_sorted_products`` and sliced."""
     spans = ((lo, min(lo + _STREAM_CHUNK, size)) for lo in range(0, size, _STREAM_CHUNK))
-    return _blocked_overlap(
-        (_equal_products(base, rs, cs, lo, hi, bufs[0]), _equal_products(base, rt, ct, lo, hi, bufs[1]))
-        for lo, hi in spans
-    )
+    if coefficients.min() == coefficients.max():
+        buf = np.empty(_STREAM_CHUNK + 2 * coefficients.size)
+        return (_products(base, coefficients, lo, hi, buf) for lo, hi in spans)
+    full = _sorted_products(base, coefficients)
+    return (full[lo:hi] for lo, hi in spans)
 
 
 def embezzle_report(
@@ -273,30 +263,28 @@ def embezzle_report(
     into ``(harmonic n) (x) phi_target``, with the trace-norm error and the
     dimension-counting bound check.
 
-    The fidelity is ``_sorted_overlap`` of the two sorted product-coefficient
-    lists (lengths ``n * min(dims)``), from one harmonic list and one Schmidt
-    decomposition per state: one BLAS dot per zero-padded block of
-    ``_DOT_BLOCK`` entries, the blocks added by ``math.fsum``, so padding,
-    chunking and the BLAS thread count cannot move its bits.  When each
-    state's nonzero coefficients are equal, the lists are streamed through
-    that rule in fixed-size chunks over their first ``n * min(r_start,
-    r_target)`` positions, and the report holds the harmonic list and two
-    buffers of ``_STREAM_CHUNK`` entries; any other pair of lists is built
-    in full by ``_sorted_products``.  ``meets_bound`` compares ``sqrt(F)``
-    against ``1 - log d / log n`` with ``d`` the Schmidt rank of the target.
-    That comparison is a guarantee only when ``phi_start`` is a product
-    state; for other starts it is reported as a plain boolean with no
-    promise attached.
+    The fidelity is ``_sorted_overlap``'s rule on the two sorted
+    product-coefficient lists (lengths ``n * min(dims)``), from one harmonic
+    list and one Schmidt decomposition per state: one BLAS dot per
+    zero-padded block of ``_DOT_BLOCK`` entries, the blocks added by
+    ``math.fsum``, so padding, chunking and the BLAS thread count cannot
+    move its bits.  Only the first ``n * min(r_start, r_target)`` positions
+    meet a nonzero product on both sides, and each list reaches the rule
+    over them in ``_STREAM_CHUNK`` chunks, built in a fixed buffer when its
+    nonzero coefficients are equal, else sliced from its one sorted list of
+    ``n * r`` nonzero products.  The lists can be equal, and the fidelity
+    exactly 1.0, only when the ranks are.  ``meets_bound`` compares
+    ``sqrt(F)`` against ``1 - log d / log n`` with ``d`` the Schmidt rank of
+    the target.  That comparison is a guarantee only when ``phi_start`` is
+    a product state; for other starts it is reported as a plain boolean
+    with no promise attached.
     """
     base = vdh_coefficients(n)
     start, target = schmidt(phi_start), schmidt(phi_target)
     s, t = (x.coefficients[x.coefficients > 0] for x in (start, target))
-    if s.min() == s.max() and t.min() == t.max():
-        fid = _equal_products_overlap(base, s, t)
-    else:
-        fid = _sorted_overlap(
-            _sorted_products(base, start.coefficients), _sorted_products(base, target.coefficients)
-        )
+    size = n * min(s.size, t.size)
+    chunks = zip(_product_chunks(base, s, size), _product_chunks(base, t, size))
+    fid = _blocked_overlap(chunks, s.size == t.size)
     threshold = 1.0 - math.log(target.rank) / math.log(n) if n >= 2 else -math.inf
     return EmbezzleReport(
         fidelity=fid,

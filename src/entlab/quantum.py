@@ -270,21 +270,25 @@ def _block_dots(s: np.ndarray, t: np.ndarray) -> list[float]:
     return dots
 
 
-def _blocked_overlap(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+def _blocked_overlap(chunks: Iterable[tuple[np.ndarray, np.ndarray]], may_be_equal: bool) -> float:
     """``fsum`` of the block dots of consecutive chunk pairs, squared and
     clipped at 1.  Every chunk but the last must be whole blocks long, so
-    that the blocks sit where they would in the full lists."""
-    dots = []
+    that the blocks sit where they would in the full lists.
+
+    The result is exactly 1.0 when the caller says the full lists may be
+    equal (their ranks match, or what lies past the chunks is zero) and every
+    chunk pair is equal, first entries compared first, so the dot product's
+    last-ulp rounding cannot leak into ``1 - F``."""
+    dots, equal = [], may_be_equal
     for s, t in chunks:
         dots += _block_dots(s, t)
-    return min(math.fsum(dots) ** 2, 1.0)
+        equal = equal and s[0] == t[0] and np.array_equal(s, t)
+    return 1.0 if equal else min(math.fsum(dots) ** 2, 1.0)
 
 
 def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
     """Squared inner product of two descending coefficient lists, zero-padded
-    to a common length and clipped at 1; exactly 1.0 for equal lists, so the
-    dot product's last-ulp rounding cannot leak into ``1 - F``.  Lists whose
-    first entries differ skip the full comparison.
+    to a common length and clipped at 1; exactly 1.0 for equal lists.
 
     The inner product is one BLAS dot per zero-padded block of
     ``_DOT_BLOCK`` entries, the block results added by ``math.fsum``.  Its
@@ -293,14 +297,12 @@ def _sorted_overlap(s: np.ndarray, t: np.ndarray) -> float:
     block of zeros gives +0.0 and ``fsum`` is exact and order-free, so extra
     zero blocks and chunk boundaries add nothing; and a block is too short
     for OpenBLAS to split ``ddot`` across threads.  Past the shorter list
-    every product is zero, so only its length is read, in place.
+    every product is zero, so only its length is read, in place, and the
+    lists may be equal only if the longer one is zero there.
     """
     if s.size < t.size:
         s, t = t, s
-    head = s[: t.size]
-    if s[0] == t[0] and np.array_equal(head, t) and not s[t.size :].any():
-        return 1.0
-    return _blocked_overlap([(head, t)])
+    return _blocked_overlap([(s[: t.size], t)], not s[t.size :].any())
 
 
 def lu_orbit_fidelity(psi: PureBipartiteState, phi: PureBipartiteState) -> float:

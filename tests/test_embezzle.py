@@ -471,14 +471,14 @@ def test_orbit_trace_defect_matches_sorted_product_formula_bitwise():
 
 
 def test_orbit_trace_defect_shares_no_code_with_the_report(monkeypatch):
-    """The oracle runs without the report's sort, overlap routine or any
-    argsort, and gives the same values."""
+    """The oracle runs without the report's product builders, chunks,
+    overlap routine or any argsort, and gives the same values."""
     want = [orbit_trace_defect(64, start, target) for start, target in DEFECT_PAIRS]
 
     def refuse(*args, **kwargs):
         raise AssertionError("orbit_trace_defect must not call this")
 
-    for name in ("_sorted_products", "_sorted_overlap"):
+    for name in ("_products", "_sorted_products", "_product_chunks", "_blocked_overlap"):
         monkeypatch.setattr(embezzle, name, refuse)
     monkeypatch.setattr(np, "argsort", refuse)
     assert [orbit_trace_defect(64, start, target) for start, target in DEFECT_PAIRS] == want
@@ -536,8 +536,84 @@ def test_streamed_report_is_the_rule_on_the_full_lists_bitwise(length, monkeypat
                 patch.setattr(embezzle, "_sorted_products", refuse)
                 patch.setattr(quantum, "_block_dots", recording)
                 assert embezzle_report(n, start, target).fidelity == want, (rs, rt, n)
+                assert streamed == dots[: len(streamed)] and not any(dots[len(streamed) :]), (rs, rt, n)
                 assert embezzle_report(n, target, target).fidelity == 1.0
-            assert streamed == dots[: len(streamed)] and not any(dots[len(streamed) :]), (rs, rt, n)
+
+
+SLICED_PAIRS = [
+    (product_basis_state(2, 2), state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)])),
+    (product_basis_state(3, 3), state_from_schmidt(np.sqrt([0.5, 0.3, 0.2]))),
+    (state_from_schmidt([math.sqrt(0.84), math.sqrt(0.16)]), bell_state(3)),
+    (state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)]), state_from_schmidt(np.sqrt([0.5, 0.3, 0.2]))),
+]
+
+
+@pytest.mark.parametrize("length", STREAM_LENGTHS)
+def test_sliced_report_is_the_rule_on_the_full_lists_bitwise(length, monkeypatch):
+    """A list with unequal coefficients is sorted once and sliced into
+    chunks over the overlap's n * min(r) positions, beside a streamed or
+    another sliced list.  The fidelity and every block dot have the bits of
+    ``_sorted_overlap`` on the full sorted lists when those positions end
+    just before, on or after a dot block or a chunk, or several chunks in;
+    the blocks past them are zero blocks."""
+
+    def recording(s, t, _original=quantum._block_dots):
+        dots = _original(s, t)
+        recorded.extend(dots)
+        return dots
+
+    monkeypatch.setattr(quantum, "_block_dots", recording)
+    for start, target in SLICED_PAIRS:
+        r = min(schmidt(phi).rank for phi in (start, target))
+        for n in sorted({length // r, -(-length // r)}):
+            base = vdh_coefficients(n)
+            lists = [embezzle._sorted_products(base, schmidt(phi).coefficients) for phi in (start, target)]
+            recorded = []
+            want = _sorted_overlap(*lists)
+            dots, recorded = recorded, []
+            assert embezzle_report(n, start, target).fidelity == want, (r, n)
+            assert recorded == dots[: len(recorded)] and not any(dots[len(recorded) :]), (r, n)
+
+
+def test_mixed_pair_report_sorts_only_the_unequal_list(monkeypatch):
+    """A product start and a (0.7, 0.3) target at n = 2**19, d = 4: the
+    start is streamed, and only the target's 2n nonzero products are built
+    and sorted, once.  The ``tracemalloc`` peak, 21.5 MB (the harmonic
+    list, the 2n products and their sort copy), stays under 25 MB; padding
+    the sorted list to n * d would take 30 MB, and building both padded
+    lists 46 MB."""
+    sorted_for = []
+    original = embezzle._sorted_products
+
+    def counted(base, coefficients):
+        sorted_for.append(coefficients.tolist())
+        return original(base, coefficients)
+
+    target = state_from_schmidt([math.sqrt(0.7), math.sqrt(0.3)], dims=(4, 4))
+    tracemalloc.start()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(embezzle, "_sorted_products", counted)
+            report = embezzle_report(2**19, product_basis_state(4, 4), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted_for == [schmidt(target).coefficients[:2].tolist()]
+    assert report.meets_bound
+    assert peak < 25_000_000
+
+
+@pytest.mark.parametrize("n", [4, 4097])
+def test_equal_lists_rule_reads_the_ranks(n):
+    """A target with one extra Schmidt coefficient at rounding level, as the
+    SVD of a rotated product state has, shares its first n products with a
+    product start bit for bit; the lists still differ, so the fidelity is
+    the dot rule's, which is not 1.0 at n = 4."""
+    start, target = product_basis_state(2, 2), state_from_schmidt([1.0, 1e-17])
+    base = vdh_coefficients(n)
+    want = _sorted_overlap(*(embezzle._sorted_products(base, schmidt(phi).coefficients) for phi in (start, target)))
+    assert embezzle_report(n, start, target).fidelity == want
+    assert n != 4 or want == 0.99999999999999956
 
 
 def test_embezzle_fidelity_is_the_exact_dot_of_its_lists_to_1e13():
