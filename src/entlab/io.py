@@ -26,16 +26,21 @@ nested lists calls for.  The bytes are those of formatting every float on
 its own with :func:`format_float`.  The parsers read each complex field with
 one flat build: one type and one length check per nesting level, one type
 pass over the numbers (bools, strings and null are refused), one
-``np.array`` call on the flat list of floats, a reshape and a finiteness
+``np.fromiter`` call on the flat list of floats, a reshape and a finiteness
 check (``json.load`` reads ``NaN`` and ``Infinity``; both are refused).  A
-protocol round is read the same way as one stack of all its Kraus
-operators, and :class:`Instrument`'s rule is applied once to that stack
-(square matrices; per instrument distinct labels, as many as its outcomes;
-every label one a history can carry); each instrument is a view of the
-stack and is not checked again.  Only a refusal walks the entries in
-Python, to name the offending one; a round with anything to refuse is read
-one instrument at a time, so the refusal names the same entry in the same
-words.
+protocol is read the same way in one stacked pass per party: the Kraus
+operators of all of Alice's rounds are one stack and those of all of Bob's
+another, since a protocol that can run has one dimension per party.
+:class:`Instrument`'s rule is applied once to each stack (square matrices;
+per instrument distinct labels, as many as its outcomes; every label one a
+history can carry), and so are the completeness rule and the completion
+outcome (:func:`locc._completions`).  Each round is then assembled from its
+slice of the stack, and each instrument is a view of it; neither is
+checked again.  The stacked pass refuses nothing: a document with anything
+to refuse, or with a party whose rounds act on two dimensions, is read
+again round by round and one instrument at a time, so a refusal is the
+first offending round's and names the same entry in the same words.  Only
+a refusal walks the entries in Python, to name the offending one.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import json
 import math
 import sys
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -57,7 +63,7 @@ from .locc import (
     LoccProtocol,
     LoccRound,
     OneWayProtocol,
-    _stacked_instruments,
+    _stacked_rounds,
 )
 from .quantum import DensityMatrix, PureBipartiteState, density, pure_state
 from .spectra import (
@@ -456,7 +462,7 @@ def _pair_stack(nodes: list, depth: int) -> Optional[np.ndarray]:
     ``[re, im]`` pairs, all of one shape, as one float array of shape
     ``(len(nodes), ..., 2)``; None when anything in them would be refused.
     Built flat: per nesting level one type and one length check, then one
-    type pass over the numbers, one ``np.array`` call on the flat list, a
+    type pass over the numbers, one ``np.fromiter`` call on the flat list, a
     reshape and one finiteness check."""
     shape = [len(nodes)]
     level = nodes
@@ -472,7 +478,7 @@ def _pair_stack(nodes: list, depth: int) -> Optional[np.ndarray]:
         if shape[-1] != 2 or not (set(map(type, level)) <= {float, int}
                                   or all(map(_is_number, level))):
             return None
-        flat = np.array(level, dtype=float)
+        flat = np.fromiter(level, dtype=float, count=len(level))
     except (TypeError, OverflowError):
         return None
     return flat.reshape(shape) if np.isfinite(flat).all() else None
@@ -648,25 +654,43 @@ def _instrument_from_json(doc: Mapping) -> Instrument:
 
 
 def _round_branches(raw: Mapping) -> dict[tuple[str, ...], Instrument]:
-    """A round's ``branches`` object, its Kraus operators parsed as one
-    stack (:func:`_pair_stack`) and checked once as a stack
-    (:func:`locc._stacked_instruments`), each instrument a view of it.  When
-    anything in the round would be refused, the round is parsed one
-    instrument at a time instead, so the refusal names the same entry."""
-    try:
-        docs = list(raw.values())
-        kraus = [doc["kraus"] for doc in docs]
-        labels = [doc["labels"] for doc in docs]
-        counts = list(map(len, kraus))
-        if (all(map(_is_list, kraus)) and set(map(type, labels)) <= {list}
-                and set(map(type, chain.from_iterable(labels))) <= {str}):
-            pairs = _pair_stack(list(chain.from_iterable(kraus)), 2)
-            if pairs is not None:
-                instrs = _stacked_instruments(pairs.view(complex)[..., 0], counts, labels)
-                return dict(zip(map(_history, raw), instrs))
-    except (TypeError, KeyError, AttributeError, InvalidInputError):
-        pass
+    """A round's ``branches`` object, read one instrument at a time, so that
+    a refusal names the offending entry."""
     return {_history(key): _instrument_from_json(doc) for key, doc in raw.items()}
+
+
+def _stacked_rounds_from_json(rounds_raw: Sequence) -> Optional[list[LoccRound]]:
+    """The rounds of a protocol document, read in one stacked pass per
+    party: the Kraus operators of all of a party's rounds parsed as one
+    stack (:func:`_pair_stack`), then checked, completed and cut into rounds
+    once (:func:`locc._stacked_rounds`).  None when anything in the rounds
+    would be refused, or when a party's rounds act on more than one
+    dimension; the rounds are then read one at a time, which refuses in
+    its own order and words."""
+    try:
+        parties = list(map(itemgetter("party"), rounds_raw))
+        branches = list(map(itemgetter("branches"), rounds_raw))
+        if not (set(parties) <= {"A", "B"} and all(branches)):
+            return None
+        rounds: list = [None] * len(rounds_raw)
+        for party in dict.fromkeys(parties):  # each party once, in the order of its first round
+            at = [i for i, p in enumerate(parties) if p == party]
+            docs = list(chain.from_iterable(branches[i].values() for i in at))
+            kraus = list(map(itemgetter("kraus"), docs))
+            labels = list(map(itemgetter("labels"), docs))
+            if not (set(map(type, kraus)) | set(map(type, labels)) <= {list}
+                    and set(map(type, chain.from_iterable(labels))) <= {str}):
+                return None
+            pairs = _pair_stack(list(chain.from_iterable(kraus)), 2)
+            if pairs is None:
+                return None
+            histories = [list(map(_history, branches[i])) for i in at]
+            for i, rnd in zip(at, _stacked_rounds(party, pairs.view(complex)[..., 0],
+                                                  list(map(len, kraus)), labels, histories)):
+                rounds[i] = rnd
+        return rounds
+    except (TypeError, KeyError, AttributeError, InvalidInputError):
+        return None
 
 
 def protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -684,14 +708,16 @@ def protocol_from_json(doc: Mapping) -> LoccProtocol:
     rounds_raw = _field(doc, "rounds")
     if not isinstance(rounds_raw, Sequence) or isinstance(rounds_raw, str):
         raise InvalidInputError("'rounds' must be a list")
-    rounds = []
-    for entry in rounds_raw:
-        if not isinstance(entry, Mapping):
-            raise InvalidInputError("each round must be a JSON object")
-        branches_raw = _field(entry, "branches")
-        if not isinstance(branches_raw, Mapping):
-            raise InvalidInputError("round 'branches' must be an object keyed by history")
-        rounds.append(LoccRound(str(_field(entry, "party")), _round_branches(branches_raw)))
+    rounds = _stacked_rounds_from_json(rounds_raw)
+    if rounds is None:
+        rounds = []
+        for entry in rounds_raw:
+            if not isinstance(entry, Mapping):
+                raise InvalidInputError("each round must be a JSON object")
+            branches_raw = _field(entry, "branches")
+            if not isinstance(branches_raw, Mapping):
+                raise InvalidInputError("round 'branches' must be an object keyed by history")
+            rounds.append(LoccRound(str(_field(entry, "party")), _round_branches(branches_raw)))
     return LoccProtocol(tuple(rounds))
 
 

@@ -117,20 +117,6 @@ def _checked_stack(kraus: Sequence, counts: Optional[Sequence[int]],
     return ks, labels
 
 
-def _stacked_instruments(kraus: np.ndarray, counts: Sequence[int],
-                         labels: Sequence[Sequence]) -> list[Instrument]:
-    """The instruments stacked in ``kraus`` (see :func:`_checked_stack`),
-    checked once as a stack; each is a view of it and is not checked again."""
-    kraus, labels = _checked_stack(kraus, counts, labels)
-    out = []
-    for stop, count, group in zip(accumulate(counts), counts, labels):
-        instr = object.__new__(Instrument)
-        object.__setattr__(instr, "kraus", kraus[stop - count : stop])
-        object.__setattr__(instr, "labels", group)
-        out.append(instr)
-    return out
-
-
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:
     """Validate an instrument: an :class:`Instrument` whose sum k^dag k is
     at most 1 within ``COMPLETENESS_TOL``.  ``kraus`` may be a sequence of
@@ -213,16 +199,62 @@ class LoccRound:
             raise InvalidInputError(f"a round needs instruments on one dimension, got {dims}")
         counts = np.array([len(instr.labels) for instr in instrs])
         short, kraus = _completions(np.concatenate([instr.kraus for instr in instrs]), counts)
-        labels = []
-        for instr, rest in zip(instrs, short.tolist()):
-            if rest and REST_LABEL in instr.labels:
-                raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
-            labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
-        stops = np.cumsum(counts + short).tolist()
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "_kraus", kraus)
-        object.__setattr__(self, "_labels", tuple(labels))
-        object.__setattr__(self, "_rows", dict(zip(branches, map(range, [0] + stops[:-1], stops))))
+        _assemble_round(self, branches, kraus, short.tolist())
+
+
+def _assemble_round(rnd: LoccRound, branches: dict[tuple[str, ...], Instrument],
+                    kraus: np.ndarray, short: Sequence[bool]) -> None:
+    """Give ``rnd`` its checked ``branches`` and their completed stack
+    ``kraus`` (see :func:`_completions`), in which the i-th instrument gained
+    the completion outcome when ``short[i]``, with every outcome's label and
+    each history's rows.  Refuses a short instrument that uses the
+    completion's label."""
+    labels: list[str] = []
+    stops = []
+    for instr, rest in zip(branches.values(), short):
+        if rest and REST_LABEL in instr.labels:
+            raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
+        labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
+        stops.append(len(labels))
+    object.__setattr__(rnd, "branches", branches)
+    object.__setattr__(rnd, "_kraus", kraus)
+    object.__setattr__(rnd, "_labels", tuple(labels))
+    object.__setattr__(rnd, "_rows", dict(zip(branches, map(range, [0] + stops[:-1], stops))))
+
+
+def _stacked_rounds(party: str, kraus: np.ndarray, counts: Sequence[int],
+                    labels: Sequence[Sequence],
+                    histories: Sequence[Sequence[tuple[str, ...]]]) -> list[LoccRound]:
+    """The rounds of ``party``, their instruments stacked in round order in
+    ``kraus`` (see :func:`_checked_stack`); round j has one instrument per
+    history in ``histories[j]``, which must be one or more distinct
+    histories of labels a history can carry.  The stack is checked once and
+    completed once (:func:`_completions`); each instrument is a view of it
+    and each round is assembled from its slice of the completed stack, and
+    neither is checked again.  A refusal here need not be the one
+    :class:`LoccRound` gives the first offending round: a caller that names
+    it reads the rounds one by one."""
+    kraus, labels = _checked_stack(kraus, counts, labels)
+    short, completed = _completions(kraus, np.asarray(counts))
+    rests = short.tolist()
+    instrs = []
+    for stop, count, group in zip(accumulate(counts), counts, labels):
+        instr = object.__new__(Instrument)
+        object.__setattr__(instr, "kraus", kraus[stop - count : stop])
+        object.__setattr__(instr, "labels", group)
+        instrs.append(instr)
+    rounds = []
+    first = start = 0
+    for hists in histories:
+        last = first + len(hists)
+        stop = start + sum(counts[first:last]) + sum(rests[first:last])
+        rnd = object.__new__(LoccRound)
+        object.__setattr__(rnd, "party", party)
+        _assemble_round(rnd, dict(zip(hists, instrs[first:last])), completed[start:stop],
+                        rests[first:last])
+        rounds.append(rnd)
+        first, start = last, stop
+    return rounds
 
 
 def locc_round(party: str, branches: Mapping) -> LoccRound:

@@ -50,7 +50,7 @@ from entlab import io as eio
 from entlab import cli
 from entlab.cli import dispatch, emit_sweep
 from entlab.errors import InvalidInputError, NotReducibleError
-from entlab.locc import Instrument, OneWayProtocol
+from entlab.locc import Instrument, LoccRound, OneWayProtocol
 
 
 # --------------------------------------------------------------------------- #
@@ -417,22 +417,23 @@ def test_array_parser_names_the_offending_entry(kraus, offender):
     assert str(info.value).startswith("kraus ") and offender in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "second, message",
-    [
-        ({"kraus": [], "labels": []},
-         "kraus must be non-empty lists nested 3 deep, got [] at kraus"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[1, 0]]]], "labels": ["i"]},
-         "kraus is ragged: kraus[0][1] has 1 entries, kraus[0][0] has 2"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]], "labels": ["i"]},
-         "kraus entries must be [re, im] pairs, got [True, 0] at kraus[0][1][1]"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], "labels": ["i"]},
-         "kraus entries must be [re, im] pairs of finite floats"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": "i"},
-         "instrument 'labels' must be a list of strings, got 'i'"),
-    ],
-    ids=["no-outcomes", "ragged-rows", "bool", "too-large-int", "labels-string"],
-)
+# (second instrument of a round, refusal): refused while its entries are read
+PARSE_OFFENDERS = [
+    ({"kraus": [], "labels": []},
+     "kraus must be non-empty lists nested 3 deep, got [] at kraus"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[1, 0]]]], "labels": ["i"]},
+     "kraus is ragged: kraus[0][1] has 1 entries, kraus[0][0] has 2"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]], "labels": ["i"]},
+     "kraus entries must be [re, im] pairs, got [True, 0] at kraus[0][1][1]"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], "labels": ["i"]},
+     "kraus entries must be [re, im] pairs of finite floats"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": "i"},
+     "instrument 'labels' must be a list of strings, got 'i'"),
+]
+PARSE_OFFENDER_IDS = ["no-outcomes", "ragged-rows", "bool", "too-large-int", "labels-string"]
+
+
+@pytest.mark.parametrize("second, message", PARSE_OFFENDERS, ids=PARSE_OFFENDER_IDS)
 def test_round_refusal_names_the_entry_in_the_second_instrument(second, message):
     """A round's instruments are parsed as one stack; when the second one
     would be refused, the refusal is the one the instrument gets on its own."""
@@ -442,31 +443,32 @@ def test_round_refusal_names_the_entry_in_the_second_instrument(second, message)
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "second, message",
-    [
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
-          "labels": ["x", "x"]},
-         "labels must be distinct and match the outcome count"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
-          "labels": ["x"]},
-         "labels must be distinct and match the outcome count"),
-        ({"kraus": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]], "labels": ["i"]},
-         "instrument Kraus operators must be equal square matrices"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": [""]},
-         "label '' must be non-empty and free of ',', which joins histories"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["x,y"]},
-         "label 'x,y' must be non-empty and free of ',', which joins histories"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]], "labels": ["i"]},
-         "kraus entries must be finite, got [nan, 0] at kraus[0][1][1]"),
-        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "labels": ["__rest__"]},
-         "label '__rest__' is reserved for the completion outcome"),
-        ({"kraus": [[[[1.5, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["i"]},
-         "instrument is super-normalized: max eigenvalue 2.25 exceeds 1 + 1e-09"),
-    ],
-    ids=["repeated-label", "label-count", "non-square", "empty-label", "comma-label", "nan",
-         "rest-on-short", "super-normalized"],
-)
+# (second instrument of a round, refusal): refused by the instrument and round rules
+CHECK_OFFENDERS = [
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+      "labels": ["x", "x"]},
+     "labels must be distinct and match the outcome count"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+      "labels": ["x"]},
+     "labels must be distinct and match the outcome count"),
+    ({"kraus": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]], "labels": ["i"]},
+     "instrument Kraus operators must be equal square matrices"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": [""]},
+     "label '' must be non-empty and free of ',', which joins histories"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["x,y"]},
+     "label 'x,y' must be non-empty and free of ',', which joins histories"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]], "labels": ["i"]},
+     "kraus entries must be finite, got [nan, 0] at kraus[0][1][1]"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "labels": ["__rest__"]},
+     "label '__rest__' is reserved for the completion outcome"),
+    ({"kraus": [[[[1.5, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["i"]},
+     "instrument is super-normalized: max eigenvalue 2.25 exceeds 1 + 1e-09"),
+]
+CHECK_OFFENDER_IDS = ["repeated-label", "label-count", "non-square", "empty-label", "comma-label",
+                      "nan", "rest-on-short", "super-normalized"]
+
+
+@pytest.mark.parametrize("second, message", CHECK_OFFENDERS, ids=CHECK_OFFENDER_IDS)
 def test_round_checked_as_one_stack_refuses_as_each_instrument(second, message):
     """A round is checked once as a stack; whatever its second instrument
     breaks, the refusal is the one recorded when each instrument was
@@ -513,6 +515,159 @@ def test_round_stack_gives_each_instrument_its_own_outcomes(short):
     assert np.array_equal(bob.branches[("b",)].kraus, [[[0, 1], [1, 0]]])
     labels = ("x", "__rest__", "s") if short else ("x", "y", "s")
     assert bob._labels == labels and np.array_equal(bob._kraus, stack)
+
+
+def _random_protocol(rng, dims, rounds):
+    """A seeded protocol document on ``dims``, parties alternating from a
+    random first, and the instruments behind it as ``(party, {key: (kraus,
+    labels)})`` per round.  Every reachable history gets an instrument:
+    while there are at most 8 histories, 1 to d outcomes, a mixture of
+    unitaries that is complete or, scaled below 1, short; after that one
+    unitary."""
+    parties = "AB" if rng.integers(2) else "BA"
+    histories, doc_rounds, rounds_made = [()], [], []
+    for r in range(rounds):
+        party = parties[r % 2]
+        d = dims[party == "B"]
+        branches, grown = {}, []
+        for history in histories:
+            few = len(histories) <= 8
+            count = int(rng.integers(1, d + 1)) if few else 1
+            short = few and bool(rng.integers(2))
+            weights = rng.dirichlet(np.ones(count)) * (rng.uniform(0.3, 0.9) if short else 1.0)
+            gauss = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+            kraus = np.sqrt(weights)[:, None, None] * np.linalg.qr(gauss)[0]
+            labels = [f"o{j}" for j in rng.permutation(count)]
+            branches[",".join(history)] = (kraus, labels)
+            grown += [history + (label,) for label in labels + ["__rest__"] * short]
+        rounds_made.append((party, branches))
+        doc_rounds.append({"party": party, "branches": {
+            key: {"kraus": np.stack([kraus.real, kraus.imag], axis=-1).tolist(), "labels": labels}
+            for key, (kraus, labels) in branches.items()}})
+        histories = grown
+    return json.loads(json.dumps({"kind": "locc_protocol", "rounds": doc_rounds})), rounds_made
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _run(call, *args):
+    """``call(*args)``, or the refusal it raises."""
+    try:
+        return call(*args)
+    except NotReducibleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 6, 11, 16])
+def test_stacked_read_equals_the_public_constructor(rounds, dims, monkeypatch):
+    """A protocol document is read in one stacked pass per party (one
+    ``_pair_stack`` call each) and its rounds are assembled without
+    ``LoccRound``'s checks, yet every round equals the one built from its
+    instruments with ``LoccRound``: its stack bit for bit, its labels,
+    rows, history order and instruments; ``simulate`` and
+    ``one_way_reduce`` give the same bits on both."""
+    rng = np.random.default_rng([rounds, *dims])
+    doc, made = _random_protocol(rng, dims, rounds)
+    want = locc_protocol([
+        LoccRound(party, {eio._history(key): Instrument(kraus, tuple(labels))
+                          for key, (kraus, labels) in branches.items()})
+        for party, branches in made])
+    calls = []
+    pair_stack = eio._pair_stack
+
+    def counted(nodes, depth):
+        calls.append(depth)
+        return pair_stack(nodes, depth)
+
+    def checked(rnd):
+        calls.append("LoccRound")
+        check(rnd)
+
+    check = LoccRound.__post_init__
+    monkeypatch.setattr(eio, "_pair_stack", counted)
+    monkeypatch.setattr(LoccRound, "__post_init__", checked)
+    got = eio.protocol_from_json(doc)
+    monkeypatch.undo()
+    assert calls == [2] * len({party for party, _ in made})
+    for rnd, ref in zip(got.rounds, want.rounds, strict=True):
+        assert rnd.party == ref.party
+        assert _bits(rnd._kraus) == _bits(ref._kraus)
+        assert rnd._labels == ref._labels and rnd._rows == ref._rows
+        assert list(rnd.branches) == list(ref.branches)
+        for instr, ref_instr in zip(rnd.branches.values(), ref.branches.values()):
+            assert _bits(instr.kraus) == _bits(ref_instr.kraus)
+            assert instr.labels == ref_instr.labels
+    psi = random_pure_state(dims, rounds)
+    leaves, ref_leaves = simulate(got, psi), simulate(want, psi)
+    assert [(b.history, b.probability, _bits(b.state.amplitudes)) for b in leaves] == [
+        (b.history, b.probability, _bits(b.state.amplitudes)) for b in ref_leaves]
+    reduced, ref_reduced = _run(one_way_reduce, got, psi), _run(one_way_reduce, want, psi)
+    if isinstance(ref_reduced, str):
+        assert reduced == ref_reduced
+    else:
+        assert list(map(_bits, reduced.alice_kraus + reduced.bob_unitaries)) == list(
+            map(_bits, ref_reduced.alice_kraus + ref_reduced.bob_unitaries))
+
+
+def _four_rounds(second=None, third=None):
+    """Alice measures a/b; Bob applies ``{"a": identity, "b": second}``;
+    Alice ``{"a,i": identity, "b,i": third}``; Bob an identity on each
+    history.  An instrument left out is the identity."""
+    first = {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": ["a", "b"]}
+    return {"kind": "locc_protocol", "rounds": [
+        {"party": "A", "branches": {"": first}},
+        {"party": "B", "branches": {"a": _IDENTITY, "b": second or _IDENTITY}},
+        {"party": "A", "branches": {"a,i": _IDENTITY, "b,i": third or _IDENTITY}},
+        {"party": "B", "branches": {"a,i,i": _IDENTITY, "b,i,i": _IDENTITY}}]}
+
+
+_SUPER4 = {"kraus": [[[[2, 0], [0, 0]], [[0, 0], [2, 0]]]], "labels": ["i"]}
+_SUPER4_REFUSAL = "instrument is super-normalized: max eigenvalue 4.0 exceeds 1 + 1e-09"
+
+
+@pytest.mark.parametrize("offender, message", PARSE_OFFENDERS + CHECK_OFFENDERS,
+                         ids=PARSE_OFFENDER_IDS + CHECK_OFFENDER_IDS)
+def test_the_first_offending_round_is_the_one_refused(offender, message):
+    """A protocol is read in one stacked pass per party, yet a refusal is
+    the first offending round's, in the words the round gets on its own:
+    an offender in round 3 is refused alone, and beside another offender
+    in round 2 the refusal is round 2's, whichever of the two it is."""
+    assert len(simulate(eio.protocol_from_json(_four_rounds()), bell_state(2))) == 2
+    for doc, want in [(_four_rounds(third=offender), message),
+                      (_four_rounds(second=_SUPER4, third=offender), _SUPER4_REFUSAL),
+                      (_four_rounds(second=offender, third=_SUPER4), message)]:
+        with pytest.raises(InvalidInputError) as info:
+            eio.protocol_from_json(json.loads(json.dumps(doc)))
+        assert str(info.value) == want
+
+
+def test_a_refusal_in_round_one_comes_before_a_non_object_round_four():
+    doc = _four_rounds()
+    doc["rounds"][0]["branches"][""] = CHECK_OFFENDERS[-1][0]
+    doc["rounds"][3] = ["B"]
+    with pytest.raises(InvalidInputError) as info:
+        eio.protocol_from_json(doc)
+    assert str(info.value) == "instrument is super-normalized: max eigenvalue 2.25 exceeds 1 + 1e-09"
+
+
+def test_a_party_on_two_dimensions_parses_and_is_refused_by_the_run(tmp_path, state_files, capsys):
+    """Alice's rounds on 2 x 2 and on 3 x 3: no state runs the protocol,
+    but it parses as each round does on its own; running it is refused at
+    the first round on the wrong dimension, in the CLI as in the API."""
+    doc = _four_rounds()
+    doc["rounds"][2]["branches"] = {"a,i": _IDENTITY3, "b,i": _IDENTITY3}
+    protocol = eio.protocol_from_json(doc)
+    assert [rnd._kraus.shape[1:] for rnd in protocol.rounds] == [(2, 2), (2, 2), (3, 3), (2, 2)]
+    message = "instrument acts on dimension 3, state has 2"
+    with pytest.raises(InvalidInputError) as info:
+        simulate(protocol, bell_state(2))
+    assert str(info.value) == message
+    path = write_doc(tmp_path, "two_dims.json", doc)
+    code, out, err = run_cli(["locc", "simulate", path, state_files["bell"]], capsys)
+    assert code == 2 and out == "" and message in err
 
 
 def test_array_parser_refuses_a_shape_that_does_not_match_the_entries():
