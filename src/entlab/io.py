@@ -34,13 +34,15 @@ another, since a protocol that can run has one dimension per party.
 :class:`Instrument`'s rule is applied once to each stack (square matrices;
 per instrument distinct labels, as many as its outcomes; every label one a
 history can carry), and so are the completeness rule and the completion
-outcome (:func:`locc._completions`).  Each round is then assembled from its
-slice of the stack, and each instrument is a view of it; neither is
-checked again.  The stacked pass refuses nothing: a document with anything
-to refuse, or with a party whose rounds act on two dimensions, is read
-again round by round and one instrument at a time, so a refusal is the
-first offending round's and names the same entry in the same words.  Only
-a refusal walks the entries in Python, to name the offending one.
+outcome (:func:`locc._completions`), and each round gets its slice of the
+completed stack from the builder :class:`LoccRound` ends in, each
+instrument a view of that slice.  The stacked pass refuses nothing and
+reads only JSON lists; any other document is read round by round and one
+instrument at a time: one with anything to refuse, so that a refusal is
+the first offending round's and names the same entry in the same words, a
+party whose rounds act on two dimensions, and an in-memory document whose
+Kraus fields are NumPy arrays, as :func:`protocol_to_json` leaves them.
+Only a refusal walks the entries in Python, to name the offending one.
 """
 
 from __future__ import annotations
@@ -648,7 +650,9 @@ def _labels(doc: Mapping) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _instrument_from_json(doc: Mapping) -> Instrument:
+def _instrument_from_json(doc: Any) -> Instrument:
+    if not isinstance(doc, Mapping):
+        raise InvalidInputError(f"each instrument must be a JSON object, got {doc!r}")
     kraus = _complex_array(_field(doc, "kraus"), "kraus", 3)
     return Instrument(kraus, _labels(doc))
 

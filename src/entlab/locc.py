@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from operator import attrgetter
 from typing import Collection, Mapping, Optional, Sequence
 
@@ -166,8 +166,9 @@ class LoccRound:
     tuple of labels an outcome can carry), the instrument it applies.  The
     round checks its keys and instruments once, when built (one or more
     instruments, one dimension, none over complete), and keeps them
-    completed in one stack, with every outcome's label and each history's
-    rows."""
+    completed in one stack of its own, with every outcome's label and each
+    history's rows; each instrument in ``branches`` is a view of that stack
+    (:func:`_build_rounds`, as for a round read from a document)."""
 
     party: str
     branches: Mapping[tuple[str, ...], Instrument]
@@ -197,63 +198,60 @@ class LoccRound:
         dims = sorted({instr.kraus.shape[1] for instr in instrs})
         if len(dims) != 1:
             raise InvalidInputError(f"a round needs instruments on one dimension, got {dims}")
-        counts = np.array([len(instr.labels) for instr in instrs])
-        short, kraus = _completions(np.concatenate([instr.kraus for instr in instrs]), counts)
-        _assemble_round(self, branches, kraus, short.tolist())
+        _build_rounds([self], [branches], np.concatenate([instr.kraus for instr in instrs]),
+                      [instr.labels for instr in instrs])
 
 
-def _assemble_round(rnd: LoccRound, branches: dict[tuple[str, ...], Instrument],
-                    kraus: np.ndarray, short: Sequence[bool]) -> None:
-    """Give ``rnd`` its checked ``branches`` and their completed stack
-    ``kraus`` (see :func:`_completions`), in which the i-th instrument gained
-    the completion outcome when ``short[i]``, with every outcome's label and
-    each history's rows.  Refuses a short instrument that uses the
-    completion's label."""
-    labels: list[str] = []
-    stops = []
-    for instr, rest in zip(branches.values(), short):
-        if rest and REST_LABEL in instr.labels:
-            raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
-        labels.extend(instr.labels + (REST_LABEL,) if rest else instr.labels)
-        stops.append(len(labels))
-    object.__setattr__(rnd, "branches", branches)
-    object.__setattr__(rnd, "_kraus", kraus)
-    object.__setattr__(rnd, "_labels", tuple(labels))
-    object.__setattr__(rnd, "_rows", dict(zip(branches, map(range, [0] + stops[:-1], stops))))
+def _build_rounds(rounds: Sequence[LoccRound], histories: Sequence[Collection[tuple[str, ...]]],
+                  kraus: np.ndarray, labels: Sequence[tuple[str, ...]]) -> None:
+    """Give each of ``rounds`` its instruments, one per history in its
+    ``histories`` entry: ``kraus`` stacks the checked operators of all of
+    them in order (see :func:`_checked_stack`), and ``labels`` holds each
+    instrument's labels.  The stack is completed once
+    (:func:`_completions`); each round gets its slice of the completed
+    stack, every outcome's label, each history's rows, and ``branches``
+    whose instruments are views of that slice.  Refuses a short instrument
+    that uses the completion's label."""
+    short, kraus = _completions(kraus, np.array(list(map(len, labels))))
+    # shared by all rounds: zip takes from hists first, so no instrument is skipped
+    groups = zip(labels, short.tolist())
+    stop = 0
+    for rnd, hists in zip(rounds, histories):
+        first = stop
+        branches, rows, outcomes = {}, {}, []
+        for hist, (group, rest) in zip(hists, groups):
+            if rest and REST_LABEL in group:
+                raise InvalidInputError(f"label {REST_LABEL!r} is reserved for the completion outcome")
+            start, stop = stop, stop + len(group)
+            instr = branches[hist] = object.__new__(Instrument)
+            object.__setattr__(instr, "kraus", kraus[start:stop])
+            object.__setattr__(instr, "labels", group)
+            outcomes.extend(group + (REST_LABEL,) if rest else group)
+            stop += rest
+            rows[hist] = range(start - first, stop - first)
+        object.__setattr__(rnd, "branches", branches)
+        object.__setattr__(rnd, "_kraus", kraus[first:stop])
+        object.__setattr__(rnd, "_labels", tuple(outcomes))
+        object.__setattr__(rnd, "_rows", rows)
 
 
 def _stacked_rounds(party: str, kraus: np.ndarray, counts: Sequence[int],
                     labels: Sequence[Sequence],
                     histories: Sequence[Sequence[tuple[str, ...]]]) -> list[LoccRound]:
     """The rounds of ``party``, their instruments stacked in round order in
-    ``kraus`` (see :func:`_checked_stack`); round j has one instrument per
+    ``kraus``, ``counts`` outcomes each; round j has one instrument per
     history in ``histories[j]``, which must be one or more distinct
-    histories of labels a history can carry.  The stack is checked once and
-    completed once (:func:`_completions`); each instrument is a view of it
-    and each round is assembled from its slice of the completed stack, and
-    neither is checked again.  A refusal here need not be the one
+    histories of labels a history can carry.  The stack is checked once
+    (:func:`_checked_stack`), and the rounds are built from it by the one
+    builder :class:`LoccRound` uses (:func:`_build_rounds`), without
+    :class:`LoccRound`'s checks.  A refusal here need not be the one
     :class:`LoccRound` gives the first offending round: a caller that names
     it reads the rounds one by one."""
     kraus, labels = _checked_stack(kraus, counts, labels)
-    short, completed = _completions(kraus, np.asarray(counts))
-    rests = short.tolist()
-    instrs = []
-    for stop, count, group in zip(accumulate(counts), counts, labels):
-        instr = object.__new__(Instrument)
-        object.__setattr__(instr, "kraus", kraus[stop - count : stop])
-        object.__setattr__(instr, "labels", group)
-        instrs.append(instr)
-    rounds = []
-    first = start = 0
-    for hists in histories:
-        last = first + len(hists)
-        stop = start + sum(counts[first:last]) + sum(rests[first:last])
-        rnd = object.__new__(LoccRound)
+    rounds = [object.__new__(LoccRound) for _ in histories]
+    for rnd in rounds:
         object.__setattr__(rnd, "party", party)
-        _assemble_round(rnd, dict(zip(hists, instrs[first:last])), completed[start:stop],
-                        rests[first:last])
-        rounds.append(rnd)
-        first, start = last, stop
+    _build_rounds(rounds, histories, kraus, labels)
     return rounds
 
 

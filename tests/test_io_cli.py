@@ -429,8 +429,12 @@ PARSE_OFFENDERS = [
      "kraus entries must be [re, im] pairs of finite floats"),
     ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": "i"},
      "instrument 'labels' must be a list of strings, got 'i'"),
+    (3, "each instrument must be a JSON object, got 3"),
+    ("x", "each instrument must be a JSON object, got 'x'"),
+    ([1], "each instrument must be a JSON object, got [1]"),
 ]
-PARSE_OFFENDER_IDS = ["no-outcomes", "ragged-rows", "bool", "too-large-int", "labels-string"]
+PARSE_OFFENDER_IDS = ["no-outcomes", "ragged-rows", "bool", "too-large-int", "labels-string",
+                      "instrument-number", "instrument-string", "instrument-list"]
 
 
 @pytest.mark.parametrize("second, message", PARSE_OFFENDERS, ids=PARSE_OFFENDER_IDS)
@@ -747,6 +751,9 @@ REFUSED_DOCUMENTS = {
     "round-not-object": (
         {"kind": "locc_protocol", "rounds": [["A"]]}, eio.protocol_from_json, _SIMULATE,
         "each round must be a JSON object"),
+    "instrument-null": (
+        _measure_then({"a": _IDENTITY, "b": None}), eio.protocol_from_json, _SIMULATE,
+        "each instrument must be a JSON object, got None"),
     "branches-not-object": (
         {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": [_IDENTITY]}]},
         eio.protocol_from_json, _REDUCE, "round 'branches' must be an object keyed by history"),

@@ -7,6 +7,7 @@ partial-sum inequality family for the one-shot closed form.
 """
 
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entlab import io as eio
 from entlab import locc
 from entlab.cli import emit_sweep
 from entlab.errors import (
@@ -997,6 +999,41 @@ def test_simulate_and_reduce_complete_no_instrument_again(monkeypatch):
     twice = one_way_reduce(prot, psi)
     assert all(map(np.array_equal, twice.alice_kraus, reduced.alice_kraus))
     assert all(map(np.array_equal, twice.bob_unitaries, reduced.bob_unitaries))
+
+
+def test_a_round_keeps_its_own_operators():
+    """A round copies its instruments' operators into the one stack it runs,
+    and its branches are views of that stack: editing the caller's array
+    afterwards changes neither what the round runs nor what it writes.  A
+    round read from a document holds its operators once in the same way."""
+    arr = np.stack([math.sqrt(0.5) * EYE2, math.sqrt(0.5) * SWAP]).astype(complex)
+    rnd = locc_round("A", {(): Instrument(arr, ("a", "b"))})
+    prot = locc_protocol([rnd])
+    psi = random_pure_state((2, 2), 3)
+    before = simulate(prot, psi)
+    arr[1] = P0
+    written = eio.protocol_to_json(prot)["rounds"][0]["branches"][""]["kraus"]
+    assert np.array_equal(written, rnd._kraus)
+    assert np.array_equal(rnd._kraus, [math.sqrt(0.5) * EYE2, math.sqrt(0.5) * SWAP])
+    after = simulate(prot, psi)
+    assert [(b.history, b.probability) for b in after] == [(b.history, b.probability)
+                                                           for b in before]
+    assert all(np.array_equal(a.state.amplitudes, b.state.amplitudes)
+               for a, b in zip(after, before))
+    assert all(np.shares_memory(instr.kraus, rnd._kraus) for instr in rnd.branches.values())
+    u, v = haar_unitary(2, 21), haar_unitary(2, 22)
+    made = locc_protocol([
+        locc_round("A", {(): instrument([math.sqrt(0.3) * u, math.sqrt(0.7) * v], ["0", "1"])}),
+        locc_round("B", {("0",): instrument([math.sqrt(0.4) * v], ["s"]),
+                         ("1",): instrument([P0, P1], ["x", "y"])}),
+        locc_round("A", {("0", "s"): instrument([u], ["u"]),
+                         ("0", "__rest__"): instrument([SWAP], ["w"]),
+                         ("1", "x"): instrument([EYE2], ["i"]),
+                         ("1", "y"): instrument([v], ["v"])}),
+    ])
+    read = eio.protocol_from_json(json.loads(eio.canonical_json(eio.protocol_to_json(made))))
+    for rnd in read.rounds:
+        assert all(np.shares_memory(instr.kraus, rnd._kraus) for instr in rnd.branches.values())
 
 
 # --------------------------------------------------------------------------- #
