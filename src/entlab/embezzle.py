@@ -357,7 +357,7 @@ def _binomial_avatar(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     masses = np.ones(m + 1)
     masses[mode + 1 :] = np.cumprod((m - k[mode:]) / (k[mode:] + 1.0) * lam)
     masses[:mode] = np.cumprod(((k[:mode] + 1.0) / ((m - k[:mode]) * lam))[::-1])[::-1]
-    masses /= math.fsum(np.sort(masses)[::-1])  # largest first: fsum keeps few partials
+    masses /= math.fsum(np.sort(masses)[::-1].tolist())  # largest first: fsum keeps few partials
     keep = np.flatnonzero(masses > 0.0)
     return keep, masses[keep]
 
@@ -422,7 +422,7 @@ def catalytic_deviation(lam: float, m: int, t: float) -> float:
     terms[: masses.size] = masses
     terms[s:] -= masses
     np.abs(terms, out=terms)
-    return math.fsum(np.sort(terms)[::-1])  # largest first, so that fsum keeps few partials
+    return math.fsum(np.sort(terms)[::-1].tolist())  # largest first: fsum keeps few partials
 
 
 # --------------------------------------------------------------------------- #

@@ -21,13 +21,15 @@ complex arrays of a document through one NumPy kernel,
 :func:`_float_fields`, in chunks of ``_CHUNK`` floats: it computes the
 ``%.17g`` digits of zeros and of every float with 1e-4 <= |x| < 1 exactly
 (a Dekker product by a power of ten), and leaves the others to ``%.17g``
-itself.  Each float's text is joined to the separator its place in the
-nested lists calls for.  The bytes are those of formatting every float on
-its own with :func:`format_float`.  The parsers read each complex field with
-one flat build: one type and one length check per nesting level, one type
-pass over the numbers (bools, strings and null are refused), one
-``np.fromiter`` call on the flat list of floats, a reshape and a finiteness
-check (``json.load`` reads ``NaN`` and ``Infinity``; both are refused).  A
+itself, with no Python object per float: a chunk is one byte buffer of
+NUL-padded rows from small tables, each float's after its separator's, and
+one ``bytes.translate`` drops the padding.  The bytes are those of
+formatting every float on its own with :func:`format_float`.  The parsers
+read each complex field with one flat build: one type and one length check
+per nesting level, one type pass over the numbers (bools, strings and null
+are refused), one ``np.fromiter`` call on the flat list of floats, a
+reshape and a finiteness check (``json.load`` reads ``NaN`` and
+``Infinity``; both are refused).  A
 protocol is read the same way in one stacked pass per party: the Kraus
 operators of all of Alice's rounds are one stack and those of all of Bob's
 another, since a protocol that can run has one dimension per party.
@@ -51,8 +53,8 @@ import gc
 import json
 import math
 import sys
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter, mul
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -155,6 +157,9 @@ def _emit(value: Any, parts: list[str], arrays: list[tuple[int, np.ndarray]]) ->
         parts.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         parts.append(format_float(float(value)))
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+        arrays.append((len(parts), value))
+        parts.append("")
     elif isinstance(value, Mapping):
         parts.append("{")
         for i, (key, sub) in enumerate(value.items()):
@@ -166,9 +171,6 @@ def _emit(value: Any, parts: list[str], arrays: list[tuple[int, np.ndarray]]) ->
             parts.append(": ")
             _emit(sub, parts, arrays)
         parts.append("}")
-    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc":
-        arrays.append((len(parts), value))
-        parts.append("")
     elif isinstance(value, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, sub in enumerate(list(value)):
@@ -180,8 +182,8 @@ def _emit(value: Any, parts: list[str], arrays: list[tuple[int, np.ndarray]]) ->
         raise InvalidInputError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-# Floats per kernel pass, which bounds the strings and arrays in hand: 2^13
-# writes a 65 536-float document as fast as 2^14 with half the memory.
+# Floats per kernel pass, which bounds the arrays and byte buffers in hand:
+# 2^13 writes a 65 536-float document as fast as 2^14 with half the memory.
 _CHUNK = 1 << 13
 
 
@@ -189,24 +191,25 @@ def _write_arrays(parts: list[str], arrays: list[tuple[int, np.ndarray]]) -> Non
     """Put the JSON text of each array in ``arrays`` at its place in
     ``parts``: nested lists, of ``[re, im]`` pairs for a complex array.
 
-    An array's floats are written in row-major order, each as the two
-    strings :func:`_float_fields` gives it, after the separator that its
-    place calls for: before float i > 0, ``"]" * z + ", " + "[" * z``, z
-    the number of axes (the ``[re, im]`` axis included) whose index wraps
-    around at i.  The floats of all the arrays go through the kernel in
-    chunks of ``_CHUNK`` floats; small arrays share a chunk."""
+    Floats go in row-major order, each row of :func:`_float_fields` after
+    that of its separator: of the n axes (``[re, im]`` included), z = #{k :
+    i mod prod(shape[k:]) = 0} wrap at float i, and the separator is
+    ``"]" * z + ", " + "[" * z``, or ``"[" * n`` at i = 0.  An array's piece
+    of a chunk loses its NUL padding in one ``bytes.translate``."""
     shapes = [arr.shape + (2,) if arr.dtype.kind == "c" else arr.shape for _, arr in arrays]
+    width = 2 * max(map(len, shapes))
+    tables = {n: _separator_table(n, width) for n in set(map(len, shapes))}
     texts: list[list[str]] = [[] for _ in arrays]
-    for chunk, pieces in _float_chunks([_array_floats(arr) for _, arr in arrays]):
-        heads, tails = _float_fields(chunk)
-        offset = 0
-        for i, start, stop in pieces:
-            fields = [""] * (3 * (stop - start))
-            fields[::3] = _separators(shapes[i], start, stop)
-            fields[1::3] = heads[offset : offset + stop - start]
-            fields[2::3] = tails[offset : offset + stop - start]
-            texts[i].append("".join(fields))
-            offset += stop - start
+    for chunk, pieces in _float_chunks([arr for _, arr in arrays]):
+        buf = np.empty((chunk.size, width + _FIELD), np.uint8)
+        buf[:, width:] = _float_fields(chunk)
+        for i, start, stop, offset in pieces:
+            z = np.zeros(stop - start, np.intp)
+            for size in accumulate(reversed(shapes[i]), mul):
+                z[-start % size :: size] += 1  # the j with (start + j) mod size = 0
+            rows = buf[offset : offset + stop - start]
+            rows[:, :width] = tables[len(shapes[i])].take(z, axis=0)
+            texts[i].append(rows.tobytes().translate(None, b"\0").decode())
     for (at, arr), shape, text in zip(arrays, shapes, texts):
         if text:
             text.append("]" * len(shape))
@@ -216,28 +219,26 @@ def _write_arrays(parts: list[str], arrays: list[tuple[int, np.ndarray]]) -> Non
             parts[at] = json.dumps(np.empty(arr.shape).tolist())
 
 
-def _array_floats(arr: np.ndarray) -> np.ndarray:
-    """The floats of a float or complex array in row-major order, ``[re,
-    im]`` per complex entry, as one flat float64 array."""
-    if arr.dtype.kind == "c":
-        return np.ascontiguousarray(arr, dtype=complex).view(float).ravel()
-    return np.ascontiguousarray(arr, dtype=float).ravel()
+def _separator_table(n: int, width: int) -> np.ndarray:
+    """Row z: an n-axis array's separator where z axes wrap, NUL-padded."""
+    seps = ["]" * z + ", " + "[" * z for z in range(n)] + ["[" * n]
+    text = "".join(sep.ljust(width, "\0") for sep in seps)
+    return np.frombuffer(text.encode(), np.uint8).reshape(n + 1, width)
 
 
-def _float_chunks(floats: list[np.ndarray],
-                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
-    """The flat arrays ``floats``, one after the other, cut into chunks of
-    ``_CHUNK`` floats (the last one shorter).  Yields each chunk with its
-    pieces: ``(i, start, stop)`` for floats ``start:stop`` of array i."""
-    pending: list[np.ndarray] = []
-    pieces: list[tuple[int, int, int]] = []
-    count = 0
-    for i, flat in enumerate(floats):
+def _float_chunks(arrays: list[np.ndarray]) -> Iterator[tuple[np.ndarray, list[tuple[int, ...]]]]:
+    """The floats of ``arrays`` in row-major order, ``[re, im]`` per complex
+    entry, one array after the other, cut into float64 chunks of ``_CHUNK``
+    floats (the last one shorter).  Yields each chunk with its pieces:
+    ``(i, start, stop, offset)`` for floats ``start:stop`` of array i."""
+    pending, pieces, count = [], [], 0
+    for i, arr in enumerate(arrays):
+        flat = np.ascontiguousarray(arr, complex if arr.dtype.kind == "c" else float).view(float).ravel()
         start = 0
         while start < flat.size:
             stop = min(flat.size, start + _CHUNK - count)
             pending.append(flat[start:stop])
-            pieces.append((i, start, stop))
+            pieces.append((i, start, stop, count))
             count += stop - start
             start = stop
             if count == _CHUNK:
@@ -245,22 +246,6 @@ def _float_chunks(floats: list[np.ndarray],
                 pending, pieces, count = [], [], 0
     if pending:
         yield np.concatenate(pending), pieces
-
-
-def _separators(shape: tuple[int, ...], start: int, stop: int) -> list[str]:
-    """The text before each of the floats ``start:stop`` of an array of
-    float shape ``shape`` in row-major order (see :func:`_write_arrays`):
-    one sub-array along the first axis is a period, and the first float
-    opens every axis."""
-    period = [""]
-    for depth, width in enumerate(reversed(shape[1:])):
-        period += (["]" * depth + ", " + "[" * depth] + period[1:]) * (width - 1)
-    period[0] = "]" * (len(shape) - 1) + ", " + "[" * (len(shape) - 1)
-    skip = start % len(period)
-    seps = (period * ((skip + stop - start - 1) // len(period) + 1))[skip : skip + stop - start]
-    if start == 0:
-        seps[0] = "[" * len(shape)
-    return seps
 
 
 # The kernel's tables, indexed by decade j = 1..4 for 10^(j-5) <= |x| <
@@ -277,35 +262,48 @@ def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _SCALE = np.array([0.0, 1e20, 1e19, 1e18, 1e17, 0.0])  # 10^q, q = 16 - k
 _SCALES = np.stack([_SCALE, *_veltkamp_split(_SCALE)])
-# "%.17g" of a float in decade j starts with this head (index j + 6 for a
+# "%.17g" of a float in decade j starts with this head (j + 6 for a
 # negative float); j = 0 heads an exact zero.
-_HEADS = np.array(["0", "0.000", "0.00", "0.0", "0.", "",
-                   "-0", "-0.000", "-0.00", "-0.0", "-0.", ""], dtype=object)
-_DIGIT_RANK = np.arange(1, 19, dtype=np.uint8)[:, None]
+_HEADS = ["0", "0.000", "0.00", "0.0", "0.", "", "-0", "-0.000", "-0.00", "-0.0", "-0.", ""]
+# head h and D's leading digit t (none for t = 0) at 10 h + t, 8 bytes as one uint64
+_LEADS = np.array([h + str(t or "") for h in _HEADS for t in range(10)], "S8").view(np.uint64)
+_FIELD = 24  # bytes per float: 8 of lead and 16 of digits, or the longest "%.17g" text
 
 
-def _float_fields(x: np.ndarray) -> tuple[list[str], list[str]]:
+def _group_table() -> np.ndarray:
+    """At g < 10^4, g's four digits NUL from its trailing zeros on; at 10^4 + g, all four."""
+    g = np.arange(10**4)[:, None]
+    digits = (g // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    kept = g % [10**4, 1000, 100, 10] != 0  # a nonzero digit here or later
+    return np.concatenate([digits * kept, digits]).view(np.uint32).ravel()
+
+
+_GROUPS = _group_table()
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` of every float ``v`` of the 1-d float64 array ``x``,
-    as a list of heads and a list of tails, head + tail being that text.
+    as one NUL-padded row of ``_FIELD`` bytes per float.
 
     NumPy writes zeros and every v with 1e-4 <= |v| < 1.  For such a v in
     decade k (10^k <= |v| < 10^(k+1), k = -4..-1), ``%.17g`` writes "0."
     (after a "-" when v < 0), -k-1 zeros, and the 17 significant digits
-    D = round(|v| * 10^q), q = 16 - k, without trailing zeros: the head
-    is the text before D ("0.", "0.000", "-0.0", ...), the tail D's digits
-    (:func:`_significands` and :func:`_digit_strings`).  A zero is "0" or
-    "-0" with an empty tail.  Every other float gets ``"%.17g" % v``, as
-    :func:`format_float` writes it, with an empty tail.  NaN and infinities
-    are refused."""
+    D = round(|v| * 10^q), q = 16 - k, without trailing zeros
+    (:func:`_significands`): the head ("0.", "0.000", "-0.0", ...) and D's
+    leading digit from ``_LEADS``, its other 16 digits from ``_GROUPS``
+    (:func:`_digit_groups`).  A zero is "0" or "-0".  Every other float gets
+    ``"%.17g" % v`` (:func:`format_float`).  NaN and infinities are refused."""
     if not np.isfinite(x).all():
         raise InvalidInputError("refusing to serialize NaN/Inf")
     decade, significand, fallback = _significands(x)
-    tails = _digit_strings(significand)
-    heads = _HEADS.take(decade + 6 * np.signbit(x)).tolist()
-    for i, v in zip(fallback.tolist(), x[fallback].tolist()):
-        heads[i] = "%.17g" % v
-        tails[i] = ""
-    return heads, tails
+    significand[fallback] = 0  # their rows are written below; keeps the indices in range
+    top, groups = _digit_groups(significand)
+    fields = np.empty((x.size, _FIELD), np.uint8)
+    fields.view(np.uint64)[:, 0] = _LEADS.take((decade + 6 * np.signbit(x)) * 10 + top)
+    fields.view(np.uint32)[:, 2:] = _GROUPS.take(groups).T
+    if fallback.size:
+        fields.view(f"S{_FIELD}")[fallback, 0] = ["%.17g" % v for v in x[fallback].tolist()]
+    return fields
 
 
 def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,30 +329,27 @@ def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ah, al = _veltkamp_split(a)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     significand = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    fallback = np.flatnonzero(((significand - 10**16).view(np.uint64) >= 9 * 10**16) & (x != 0))
+    fallback = (((significand - 10**16).view(np.uint64) >= 9 * 10**16) & (x != 0)).nonzero()[0]
     return decade, significand, fallback
 
 
-def _digit_strings(n: np.ndarray) -> list[str]:
-    """The decimal digits of each entry of ``n`` (int64, 0 <= n < 10^17,
-    17 digits but for zero) without trailing zeros, and "" for a zero.
-
-    The 17 digits are the 9 of n // 10^8 and the 9 of (n % 10^8) * 10 (the
-    last always 0), one row per digit; the rows after the last nonzero
-    digit become NUL, which NumPy's fixed-width strings drop."""
-    part = np.empty((2, n.size), np.uint32)
-    part[0] = n // 10**8
-    part[1] = n % 10**8 * 10
-    digits = np.empty((2, 9, n.size), np.uint8)
-    for row in range(8, -1, -1):
-        quotient = part // 10
-        digits[:, row] = part - 10 * quotient
-        part = quotient
-    digits = digits.reshape(18, n.size)
-    length = (_DIGIT_RANK * (digits != 0)).max(axis=0)
-    digits += ord("0")
-    digits *= _DIGIT_RANK <= length
-    return digits.T.astype(np.uint32, order="C").view("U18").ravel().tolist()
+def _digit_groups(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each entry of ``n`` (int64, 0 <= n < 10^17, 17
+    digits but for zero): the leading one, and the other 16 as four groups
+    of four, each an index into ``_GROUPS``: g where all later groups are 0,
+    so that the number's trailing zeros are dropped, else 10^4 + g."""
+    hi = n // 10**8
+    top = hi // 10**8
+    part = np.array([hi - top * 10**8, n - hi * 10**8], np.uint32)  # digits 2-9 and 10-17
+    high = part // 10**4
+    groups = np.empty((4, n.size), np.uint32)
+    groups[0::2] = high
+    groups[1::2] = part - high * 10**4
+    later = groups[1:] != 0  # row j: a group after group j is nonzero
+    later[1] |= later[2]
+    later[0] |= later[1]
+    np.add(groups[:3], 10**4, out=groups[:3], where=later)
+    return top, groups
 
 
 def write_text(path: Optional[str], text: str) -> None:

@@ -425,7 +425,7 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
     cut[0] = cut[m] = True
     end = cut[1:]
     blk = np.zeros(m, dtype=int)
-    placed = positions
+    placed, resort = positions, True
     rv = np.array((a, a), dtype=float)
     r, v = rv
     terms: list[tuple[float, np.ndarray]] = []
@@ -440,20 +440,22 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
         b_side = np.where(head, b_head, b_tail)
         plus = np.where(head, head_hi, tail)
         minus = np.where(head, start, tail_lo)
-        order = placed = np.lexsort((-r, blk))
-        np.add.accumulate(r.take(order[rev]), axis=-1, out=z_sums[0])
+        if resort:  # else the last Dinkelbach order, of r - lam v (now r), fits the new cut
+            placed = np.lexsort((-r, blk))
+        np.add.accumulate(r.take(placed[rev]), axis=-1, out=z_sums[0])
         r_side = z_rows[0].take(plus) - z_rows[0].take(minus)
         slack = t * b_side - r_side
         tol = slack_tol * np.abs(r_side)
         slack[end] = np.inf
         over = slack < -tol
         if np.count_nonzero(over):
-            r[order] -= np.diff(np.where(over, -slack, 0.0), prepend=0.0)
+            r[placed] -= np.diff(np.where(over, -slack, 0.0), prepend=0.0)
         tight = slack <= tol
         if np.count_nonzero(tight):
             end |= tight
+            resort = True
             continue
-        perm = order.argsort()
+        perm = placed.argsort()
         b.take(perm, out=v)
         lam = t
         for _ in range(64):
@@ -473,6 +475,7 @@ def _permutohedron_terms(a: np.ndarray, b: np.ndarray) -> list[tuple[float, np.n
             lam = nxt
         else:
             raise NumericalFailureError(f"mixing step search did not converge in 64 rounds (d = {m})")
+        resort = False
         if lam > 0.0:
             terms.append((lam, perm))
             r -= lam * v
@@ -704,22 +707,24 @@ def simulate(protocol: LoccProtocol, psi: PureBipartiteState) -> tuple[Branch, .
 #                              one-way reduction                               #
 # --------------------------------------------------------------------------- #
 
-def _mirror_bob(vecs: np.ndarray, dims: tuple[int, int], d_ops: np.ndarray):
-    """Alice operators m and Bob partial isometries w with
-    (m (x) w) sigma = (1 (x) d) sigma, one pair per pure state sigma (a row
-    of ``vecs``, or a single vector) and Bob operator d (``d_ops``, stacked
-    alike).
+def _mirror_bob(vecs: np.ndarray, dims: tuple[int, int], d_ops: np.ndarray,
+                parent: Optional[np.ndarray] = None):
+    """Alice operators m and Bob partial isometries w with (m (x) w) sigma =
+    (1 (x) d) sigma per Bob operator d (``d_ops``, stacked) and its state
+    sigma: row ``parent[x]`` of ``vecs`` for operator x, else row x (or a vector).
 
     Through the Schmidt frame sigma = E diag(s) F^T: with
     X = diag(s) (d F)^T = H Omega (polar), take
-    m = E H diag(s)^+ E^dagger and w = Omega^T F^dagger.  The SVDs and
-    products run stacked over the states of one support rank r, and
-    Omega over those of one polar rank, so each keeps the shapes of the
-    one-state form.
+    m = E H diag(s)^+ E^dagger and w = Omega^T F^dagger.  The Schmidt SVD
+    runs once per row of ``vecs``; the other SVDs and products run stacked
+    over the operators of one support rank r, and Omega over those of one
+    polar rank, so each keeps the shapes of the one-state form.
     """
     mats = np.reshape(vecs, (-1,) + tuple(dims))
     d_ops = np.reshape(d_ops, (-1, dims[1], dims[1]))
     u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    if parent is not None:
+        mats, u, s, vh = mats[parent], u[parent], s[parent], vh[parent]
     ranks = _in_support(s).sum(axis=1)
     m_ops = np.empty((len(mats), dims[0], dims[0]), dtype=complex)
     w_ops = np.empty((len(mats), dims[1], dims[1]), dtype=complex)
@@ -769,7 +774,7 @@ def one_way_reduce(protocol: LoccProtocol, psi: PureBipartiteState) -> OneWayPro
         if rnd.party == "A":
             alice, bob = kraus @ alice[branch], bob[branch]
         else:
-            m_ops, w_ops = _mirror_bob(vecs[branch], psi.dims, kraus)
+            m_ops, w_ops = _mirror_bob(vecs, psi.dims, kraus, branch)
             alice, bob = m_ops @ alice[branch], w_ops @ bob[branch]
         hists = [hists[i] + (label,) for i, label in zip(branch.tolist(), labels)]
         vecs = new

@@ -69,7 +69,7 @@ class Spectrum(_ArrayFields):
 
     @property
     def total(self) -> float:
-        return float(math.fsum(self.values))
+        return math.fsum(self.values.tolist())
 
     @property
     def rank(self) -> int:
@@ -190,7 +190,7 @@ class StepFunction(_ArrayFields):
             raise InvalidInputError("a step function must vanish eventually")
 
     def integral(self) -> float:
-        return float(math.fsum(np.diff(self.breakpoints, prepend=0.0) * self.levels[:-1]))
+        return math.fsum((np.diff(self.breakpoints, prepend=0.0) * self.levels[:-1]).tolist())
 
 
 ZERO_STEP = StepFunction((), (0.0,))
@@ -261,7 +261,7 @@ def l1_distance(f: StepFunction, g: StepFunction) -> float:
     left = pts[:-1]
     fv = f.levels[np.searchsorted(f.breakpoints, left, side="right")]
     gv = g.levels[np.searchsorted(g.breakpoints, left, side="right")]
-    return float(math.fsum(np.diff(pts) * np.abs(fv - gv)))
+    return math.fsum((np.diff(pts) * np.abs(fv - gv)).tolist())
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +320,7 @@ class AtomicMeasure(_ArrayFields):
 
     @property
     def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
+        return math.fsum(self.masses.tolist())
 
     def isclose(self, other: "AtomicMeasure", tol: float = MERGE_TOL) -> bool:
         """Atom-for-atom comparison: positions within relative ``tol`` (never
@@ -487,7 +487,7 @@ def _density_l1(u1, w1, u2, w2, shifts: Iterable[float]) -> list[float]:
     """
     def per_set(u, w):  # suffix log-sum-exps, -inf past the end; total, largest first for fsum
         return (np.append(np.logaddexp.accumulate((np.log(w) - u)[::-1])[::-1], -np.inf),
-                math.fsum(np.sort(w)[::-1]))
+                math.fsum(np.sort(w)[::-1].tolist()))
 
     def part(suf, pos, mine):  # one set's part of T_k at every merged atom k
         return np.exp(pos + suf[mine.cumsum(axis=1) - mine])
@@ -536,7 +536,7 @@ def tv_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
     _, diffs = _merge_runs(
         np.concatenate((m1.atoms, m2.atoms)), np.concatenate((m1.masses, np.negative(m2.masses)))
     )
-    return float(math.fsum(np.abs(diffs)))
+    return math.fsum(np.abs(diffs).tolist())
 
 
 def flow_deviation(psi_hat: AtomicMeasure, t: float) -> float:
@@ -597,7 +597,7 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     vals = s.values
     # "+ 0.0" (here and for H_alpha) turns a rank-1 spectrum's -0.0 into 0.0
     # and leaves every other value's bits as they are
-    h = -math.fsum(v * math.log(v) for v in vals if v > 0) + 0.0
+    h = -math.fsum(v * math.log(v) for v in vals.tolist() if v > 0) + 0.0
     out: dict[float, float] = {}
     orders = _numeric_array(alphas, "Renyi orders")
     if orders.ndim != 1:
@@ -605,10 +605,10 @@ def entanglement_entropies(s: Spectrum, alphas: Sequence[float] = ()) -> Entropy
     for alpha in orders.tolist():
         if not (math.isfinite(alpha) and alpha > 0 and alpha != 1.0):
             raise InvalidInputError("Renyi order must lie in (0,1) or (1,oo)")
-        total = math.fsum(vals**alpha)
+        total = math.fsum((vals**alpha).tolist())
         if total >= sys.float_info.min:
             out[alpha] = math.log(total) / (1.0 - alpha) + 0.0
         else:
-            rest = math.fsum((vals / vals[0]) ** alpha)
+            rest = math.fsum(((vals / vals[0]) ** alpha).tolist())
             out[alpha] = alpha / (1.0 - alpha) * math.log(vals[0]) + math.log(rest) / (1.0 - alpha)
     return EntropyReport(H=h, H_alpha=out, schmidt_rank=s.rank)

@@ -266,6 +266,25 @@ def test_writer_across_the_chunk_size(extra):
                                        + ', "bob_unitaries": ' + _nested_format(stack[::-1]) + "}")
 
 
+@pytest.mark.parametrize("case", ["after-three-floats", "rows-across-chunks"])
+def test_writer_cuts_a_chunk_inside_a_separator_period(case):
+    """Chunk cuts away from every matrix and row edge: three real floats
+    ahead of a (300, 4, 4) complex stack put the stack's first cut inside an
+    [re, im] pair, and a real array with rows of 3000 floats is cut inside
+    its rows."""
+    rng = np.random.default_rng(11)
+    if case == "after-three-floats":
+        head = rng.normal(size=3)
+        stack = (rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))) * 0.3
+        assert (eio._CHUNK - head.size) % 32 and stack.size * 2 + head.size > eio._CHUNK
+        assert eio.canonical_json({"head": head, "stack": stack}) == (
+            '{"head": ' + _nested_format(head) + ', "stack": ' + _nested_format(stack) + "}")
+    else:
+        rows = rng.normal(size=(7, 3000)) * 0.3
+        assert eio._CHUNK % 3000 and rows.size > 2 * eio._CHUNK
+        assert eio.canonical_json(rows) == _nested_format(rows)
+
+
 def test_a_small_document_is_one_kernel_pass(monkeypatch):
     """The floats of all the arrays in a document go through the kernel
     together: a d = 4 one_way document (two stacks of 128 floats) and a
