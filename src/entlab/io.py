@@ -32,19 +32,22 @@ reshape and a finiteness check (``json.load`` reads ``NaN`` and
 ``Infinity``; both are refused).  A
 protocol is read the same way in one stacked pass per party: the Kraus
 operators of all of Alice's rounds are one stack and those of all of Bob's
-another, since a protocol that can run has one dimension per party.
-:class:`Instrument`'s rule is applied once to each stack (square matrices;
-per instrument distinct labels, as many as its outcomes; every label one a
-history can carry), and so are the completeness rule and the completion
-outcome (:func:`locc._completions`), and each round gets its slice of the
-completed stack from the builder :class:`LoccRound` ends in, each
-instrument a view of that slice.  The stacked pass refuses nothing and
-reads only JSON lists; any other document is read round by round and one
-instrument at a time: one with anything to refuse, so that a refusal is
-the first offending round's and names the same entry in the same words, a
-party whose rounds act on two dimensions, and an in-memory document whose
-Kraus fields are NumPy arrays, as :func:`protocol_to_json` leaves them.
-Only a refusal walks the entries in Python, to name the offending one.
+another, since a protocol that can run has one dimension per party.  The
+stacked pass refuses nothing and reads only JSON lists; any other document
+is read round by round and one instrument at a time: one with anything to
+refuse, so that a refusal is the first offending round's and names the same
+entry in the same words, a party whose rounds act on two dimensions, and an
+in-memory document whose Kraus fields are NumPy arrays, as
+:func:`protocol_to_json` leaves them.  Only a refusal walks the entries in
+Python, to name the offending one.  Each protocol rule has one home: the
+entries' in :func:`_pair_stack` (:func:`_complex_refusal` names the
+entry), the history keys' in :func:`_history`, a document's labels' (a
+JSON list of strings) in :func:`_labels`, :class:`Instrument`'s (square
+matrices; labels strings, never converted, distinct, one per outcome, each
+one a history can carry) in :func:`locc._checked_stack`, once per stack,
+and the completeness rule in :func:`locc._completions`, also once per
+stack; :func:`locc._build_rounds` gives each round its slice of the
+completed stack, each instrument a view of that slice.
 """
 
 from __future__ import annotations
@@ -677,8 +680,7 @@ def _stacked_rounds_from_json(rounds_raw: Sequence) -> Optional[list[LoccRound]]
             docs = list(chain.from_iterable(branches[i].values() for i in at))
             kraus = list(map(itemgetter("kraus"), docs))
             labels = list(map(itemgetter("labels"), docs))
-            if not (set(map(type, kraus)) | set(map(type, labels)) <= {list}
-                    and set(map(type, chain.from_iterable(labels))) <= {str}):
+            if not set(map(type, kraus)) | set(map(type, labels)) <= {list}:
                 return None
             pairs = _pair_stack(list(chain.from_iterable(kraus)), 2)
             if pairs is None:

@@ -50,16 +50,14 @@ HISTORY_SEP = ","
 #                                    types                                     #
 # --------------------------------------------------------------------------- #
 
-def _labels_ok(labels: Collection[str]) -> bool:
-    """Whether every label can be part of a history: non-empty and free of
-    ``HISTORY_SEP``, which joins histories.  One C-level pass."""
-    return "" not in labels and HISTORY_SEP not in "".join(labels)
-
-
-def _check_labels(labels: Collection[str], where: str = "") -> None:
-    """Refuse the first label that no history can carry, saying ``where``."""
-    if not _labels_ok(labels):
-        bad = next(label for label in labels if not _labels_ok((label,)))
+def _check_labels(labels: Collection[str], key: Optional[tuple] = None) -> None:
+    """Refuse the first label that no history can carry: an empty one, or
+    one holding ``HISTORY_SEP``, which joins histories.  The refusal names
+    the history ``key`` of the labels, if given.  One C-level pass when
+    every label can be carried."""
+    if "" in labels or HISTORY_SEP in "".join(labels):
+        bad = next(label for label in labels if not label or HISTORY_SEP in label)
+        where = "" if key is None else f" in history key {key!r}"
         raise InvalidInputError(f"label {bad!r}{where} must be non-empty and free of "
                                 f"{HISTORY_SEP!r}, which joins histories")
 
@@ -74,6 +72,8 @@ class Instrument:
 
     def __post_init__(self) -> None:
         kraus, (labels,) = _checked_stack(self.kraus, None, [self.labels])
+        if not np.isfinite(kraus).all():
+            raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "labels", labels)
 
@@ -88,10 +88,11 @@ def _checked_stack(kraus: Sequence, counts: Optional[Sequence[int]],
     """:class:`Instrument`'s rule, once over instruments stacked in
     ``kraus``: the i-th has ``counts[i]`` outcomes (at least one; the counts
     add up to the stack; None is one instrument) and ``labels[i]``.  The
-    stack must be a sequence of equal square finite matrices of numbers, and
-    each instrument's labels distinct, as many as its outcomes and all ones
-    a history can carry.  Returns the stack as one complex array and each
-    instrument's labels as a tuple of strings."""
+    stack must be a sequence of equal square matrices of numbers (finiteness
+    is the caller's to check), and each instrument's labels a sequence of
+    strings, distinct, as many as its outcomes and all ones a history can
+    carry.  Returns the stack as one complex array and each instrument's
+    labels as a tuple of the strings given: no label is converted."""
     if not _is_sequence(kraus):
         raise InvalidInputError("instrument Kraus operators must be a sequence of matrices, "
                                 f"got {type(kraus).__name__}")
@@ -105,16 +106,19 @@ def _checked_stack(kraus: Sequence, counts: Optional[Sequence[int]],
     if ks is None or ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
         raise InvalidInputError("instrument Kraus operators must be equal square matrices")
     ks = _numeric_array(ks, "instrument Kraus operators", complex)  # no copy of a complex stack
-    if not np.isfinite(ks).all():
-        raise InvalidInputError("instrument Kraus operators must be finite, got NaN/Inf")
-    try:
-        labels = [tuple(map(str, group)) for group in labels]
-    except TypeError as exc:
-        raise InvalidInputError(f"instrument labels must be a sequence of strings: {exc}") from exc
-    if not list(map(len, labels)) == list(map(len, map(set, labels))) == list(counts):
+    # one type pass over the groups and one over their labels; a failure, or
+    # a str subclass such as numpy.str_, is walked group by group
+    if not (set(map(type, labels)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(labels))) <= {str}):
+        for group in labels:  # a string, None, a number or bytes is refused
+            if (isinstance(group, str) or not _is_sequence(group)
+                    or not all(isinstance(label, str) for label in group)):
+                raise InvalidInputError(f"instrument labels must be a sequence of strings, got {group!r}")
+    groups = list(map(tuple, labels))
+    if not list(map(len, groups)) == list(map(len, map(set, groups))) == list(counts):
         raise InvalidInputError("labels must be distinct and match the outcome count")
-    _check_labels(list(chain.from_iterable(labels)))
-    return ks, labels
+    _check_labels(list(chain.from_iterable(groups)))
+    return ks, groups
 
 
 def instrument(kraus: Sequence, labels: Optional[Sequence[str]] = None) -> Instrument:
@@ -183,15 +187,10 @@ class LoccRound:
             raise InvalidInputError("branches must be a mapping from histories to Instruments, "
                                     f"got {type(self.branches).__name__}")
         branches = dict(self.branches)
-        # one type pass over the keys, then a type pass and a label pass over
-        # their distinct labels; a failure is walked key by key, to name the bad key
-        tuples = set(map(type, branches)) <= {tuple}
-        labels = set(chain.from_iterable(branches)) if tuples else set()
-        if not (tuples and set(map(type, labels)) <= {str} and _labels_ok(labels)):
-            for hist in branches:
-                if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
-                    raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
-                _check_labels(hist, f" in history key {hist!r}")
+        for hist in branches:
+            if not (isinstance(hist, tuple) and all(isinstance(label, str) for label in hist)):
+                raise InvalidInputError(f"history key {hist!r} must be a tuple of label strings")
+            _check_labels(hist, key=hist)
         instrs = list(branches.values())
         if not all(isinstance(instr, Instrument) for instr in instrs):
             raise InvalidInputError("branch values must be Instruments")
@@ -242,11 +241,11 @@ def _stacked_rounds(party: str, kraus: np.ndarray, counts: Sequence[int],
     ``kraus``, ``counts`` outcomes each; round j has one instrument per
     history in ``histories[j]``, which must be one or more distinct
     histories of labels a history can carry.  The stack is checked once
-    (:func:`_checked_stack`), and the rounds are built from it by the one
-    builder :class:`LoccRound` uses (:func:`_build_rounds`), without
-    :class:`LoccRound`'s checks.  A refusal here need not be the one
-    :class:`LoccRound` gives the first offending round: a caller that names
-    it reads the rounds one by one."""
+    (:func:`_checked_stack`; finiteness is the caller's), and the rounds are
+    built from it by the one builder :class:`LoccRound` uses
+    (:func:`_build_rounds`), without :class:`LoccRound`'s checks.  A refusal
+    here need not be the one :class:`LoccRound` gives the first offending
+    round: a caller that names it reads the rounds one by one."""
     kraus, labels = _checked_stack(kraus, counts, labels)
     rounds = [object.__new__(LoccRound) for _ in histories]
     for rnd in rounds:

@@ -234,10 +234,7 @@ def spectral_scale(s: Spectrum) -> StepFunction:
 
 def distribution_function(s: Spectrum) -> StepFunction:
     """``D(t) = #{n : values[n] > t}``, the generalized inverse of the scale."""
-    distinct, counts = np.unique(s.values, return_counts=True)  # ascending
-    # level on [0, distinct[0]) is the full rank; each distinct value passed
-    # removes its multiplicity from the count
-    return step_function(distinct, s.rank - np.append(0, np.cumsum(counts)))
+    return generalized_inverse(spectral_scale(s))
 
 
 def generalized_inverse(f: StepFunction) -> StepFunction:

@@ -803,6 +803,26 @@ def test_malformed_document_is_refused_by_parser_and_cli(name, tmp_path, state_f
         assert (code, out) == (2, "") and message in err
 
 
+@pytest.mark.parametrize("labels", [[0, 1], [None, "b"], ["a", 1.5]],
+                         ids=["numbers", "null", "float"])
+def test_labels_that_are_not_strings_are_refused_in_the_documents_words(
+        labels, tmp_path, state_files, capsys):
+    """The stacked read leaves the label rule to :class:`Instrument`'s
+    check and hands a document it refuses to the round-by-round read, so a
+    label that is not a string is refused in the document's own words."""
+    doc = {"kind": "locc_protocol", "rounds": [{"party": "A", "branches": {
+        "": {"kraus": [_P0_PAIRS, _P1_PAIRS], "labels": labels}}}]}
+    assert eio._stacked_rounds_from_json(doc["rounds"]) is None
+    message = f"instrument 'labels' must be a list of strings, got {labels!r}"
+    with pytest.raises(InvalidInputError) as info:
+        eio.protocol_from_json(doc)
+    assert str(info.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["locc", "simulate", str(path), str(state_files["bell"])], capsys)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
 def test_operator_to_json_refuses_a_vector():
     with pytest.raises(InvalidInputError, match="^operators must be 2-dimensional$"):
         eio.operator_to_json(np.ones(3))

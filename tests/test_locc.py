@@ -949,6 +949,52 @@ def test_protocol_constructors_refuse_what_is_not_a_sequence_of_numbers(build, m
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "kraus, labels, shown",
+    [
+        ([P0, P1], "01", "'01'"),
+        ([EYE2], [None], "[None]"),
+        ([EYE2], [0], "[0]"),
+        ([EYE2], [1.5], "[1.5]"),
+        ([EYE2], [b"a"], "[b'a']"),
+    ],
+    ids=["bare-string", "none-label", "int-label", "float-label", "bytes-label"],
+)
+def test_instrument_labels_are_strings_and_never_converted(kraus, labels, shown):
+    """Labels are a sequence of strings, as in a document: a bare string is
+    not read as one label per character, and None, a number or bytes is
+    not turned into its text.  The refusal names the value."""
+    message = f"instrument labels must be a sequence of strings, got {shown}"
+    for build in (Instrument, instrument):
+        with pytest.raises(InvalidInputError) as info:
+            build(kraus, labels)
+        assert str(info.value) == message
+
+
+def test_instrument_keeps_string_subclass_labels_as_given():
+    """A str subclass such as numpy.str_ is a string: kept, not converted."""
+    instr = Instrument(np.stack([P0, P1]), np.array(["a", "b"]))
+    assert instr.labels == ("a", "b")
+    assert all(type(label) is np.str_ for label in instr.labels)
+    text = eio.canonical_json(eio.protocol_to_json(locc_protocol([locc_round("A", {(): instr})])))
+    assert eio.protocol_from_json(json.loads(text)).rounds[0].branches[()].labels == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Instrument([np.diag([1.0, math.nan])], ["0"]),
+     lambda: Instrument(np.array([[[0.5, 0.0], [0.0, math.inf]]]), ("0",)),
+     lambda: instrument([math.nan * EYE2])],
+    ids=["nan-list", "inf-array", "nan-default-labels"],
+)
+def test_api_kraus_operators_must_be_finite(build):
+    """The API checks finiteness where the operators enter, in
+    :class:`Instrument`, with the message it has always given."""
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == "instrument Kraus operators must be finite, got NaN/Inf"
+
+
 def test_locc_protocol_keeps_its_rounds_as_a_tuple():
     rnd = locc_round("A", {(): instrument([EYE2])})
     assert locc.LoccProtocol([rnd]).rounds == (rnd,)
